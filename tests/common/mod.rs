@@ -93,11 +93,16 @@ fn describe_drift(actual: &str, expected: &str) -> String {
 /// `cargo test --test <target>` that owns the fixture, quoted in the
 /// regeneration hint.
 pub fn assert_matches_golden<T: Serialize>(test_target: &str, name: &str, value: &T) {
+    assert_text_matches_golden(test_target, name, &pretty_json(value));
+}
+
+/// [`assert_matches_golden`] for an artifact that renders its own JSON
+/// text (e.g. `Timeline::to_json`).
+pub fn assert_text_matches_golden(test_target: &str, name: &str, actual: &str) {
     let path = golden_dir().join(format!("{name}.json"));
-    let actual = pretty_json(value);
     if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
         std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
-        std::fs::write(&path, &actual).expect("write golden fixture");
+        std::fs::write(&path, actual).expect("write golden fixture");
         eprintln!("updated {}", path.display());
         return;
     }
@@ -112,7 +117,7 @@ pub fn assert_matches_golden<T: Serialize>(test_target: &str, name: &str, value:
         "{name} drifted from its golden fixture ({}); if the change is \
          intentional, regenerate with `UPDATE_GOLDEN=1 cargo test --test \
          {test_target}` and review `git diff tests/golden/`",
-        describe_drift(&actual, &expected)
+        describe_drift(actual, &expected)
     );
 }
 

@@ -19,13 +19,22 @@
 
 mod common;
 
-use duplexity::experiments::fault_sweep::{fault_sweep, FaultSweepOptions, FaultSweepPoint};
+use duplexity::experiments::cluster_sweep::{cluster_sweep, ClusterSweepOptions};
+use duplexity::experiments::fault_sweep::{
+    default_policies, fault_sweep, FaultSweepOptions, FaultSweepPoint,
+};
 use duplexity::experiments::fig5::{run_fig5, Fig5Cell, Fig5Options};
 use duplexity::experiments::fig6::{dyads_per_port, fig6, Fig6Cell};
+use duplexity::experiments::hedge_sweep::{hedge_sweep, HedgeSweepOptions};
+use duplexity::experiments::rack_sweep::{rack_sweep, RackSweepOptions};
 use duplexity::experiments::sweep::{latency_load_sweep, SweepOptions};
 use duplexity::experiments::tables::{table2_rows, Table2Row};
-use duplexity::{Design, Workload};
+use duplexity::experiments::timeline::{timeline, TimelineOptions};
+use duplexity::{
+    experiments, BalancerPolicy, CellCache, CellKey, Design, DuplicationPolicy, RackPlan, Workload,
+};
 use duplexity_queueing::des::Mg1Options;
+use serde::Serialize;
 
 /// Compares against `tests/golden/<name>.json` via the shared helper
 /// (first-mismatch cell/field naming, `UPDATE_GOLDEN=1` regeneration).
@@ -146,6 +155,220 @@ fn fault_sweep_golden_fixture_round_trips_through_json() {
         assert_eq!(a.mean_attempts, b.mean_attempts);
         assert_eq!(a.drop_rate, b.drop_rate);
     }
+}
+
+#[test]
+fn cluster_sweep_matches_golden() {
+    let points = cluster_sweep(&ClusterSweepOptions {
+        designs: vec![Design::Baseline, Design::Duplexity],
+        policies: vec![BalancerPolicy::Random, BalancerPolicy::Jsq],
+        server_counts: vec![4],
+        loads: vec![0.4, 0.7],
+        calibration_cycles: 200_000,
+        seed: 42,
+        queue: Mg1Options {
+            max_samples: 20_000,
+            warmup: 1_000,
+            ..Mg1Options::default()
+        },
+        ..ClusterSweepOptions::default()
+    });
+    assert!(
+        points.iter().all(|p| !p.saturated && p.p99_us.is_finite()),
+        "golden cluster grid must stay unsaturated so every float round-trips"
+    );
+    assert_matches_golden("cluster_sweep", &points);
+}
+
+#[test]
+fn timeline_matches_golden() {
+    let t = timeline(&TimelineOptions {
+        servers: 4,
+        loads: vec![0.3, 0.6],
+        bin_us: 5_000.0,
+        queue: Mg1Options {
+            max_samples: 5_000,
+            warmup: 500,
+            ..Mg1Options::default()
+        },
+        ..TimelineOptions::default()
+    });
+    assert!(t.cells.iter().all(|c| !c.saturated));
+    common::assert_text_matches_golden("golden", "timeline", &t.to_json());
+}
+
+/// One stored cache entry: the driver, its cell key, and the exact payload
+/// text `CellCache::load` returns for it.
+#[derive(Serialize)]
+struct StoredCell {
+    driver: String,
+    key: String,
+    payload: String,
+}
+
+/// Runs `run` against a fresh cache and reads back every key's payload.
+fn stored_cells(driver: &str, keys: Vec<CellKey>, run: impl FnOnce(CellCache)) -> Vec<StoredCell> {
+    let dir = std::env::temp_dir().join(format!(
+        "duplexity-golden-keys-{driver}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = CellCache::new(&dir);
+    run(cache.clone());
+    let cells = keys
+        .into_iter()
+        .map(|key| StoredCell {
+            driver: driver.to_string(),
+            payload: cache
+                .load(&key)
+                .unwrap_or_else(|| panic!("{driver}: no entry stored for {}", key.hex())),
+            key: key.hex().to_string(),
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    cells
+}
+
+fn tiny_queue() -> Mg1Options {
+    Mg1Options {
+        max_samples: 20_000,
+        warmup: 500,
+        ..Mg1Options::default()
+    }
+}
+
+/// Pins every driver's cache keys and payload bytes on a one- or two-cell
+/// grid (one stable cell plus, where the driver has a pre-guard, one
+/// saturated cell), so a refactor that silently re-keys or re-encodes a
+/// cell — turning every warm on-disk cache cold — fails here.
+#[test]
+fn cell_keys_and_payloads_match_golden() {
+    let mut cells = Vec::new();
+
+    let mut o = Fig5Options {
+        loads: vec![0.5],
+        workloads: vec![Workload::McRouter],
+        designs: vec![Design::Baseline, Design::Duplexity],
+        horizon_cycles: 300_000,
+        queue: tiny_queue(),
+        ..Fig5Options::default()
+    };
+    cells.extend(stored_cells(
+        "fig5",
+        experiments::fig5::cell_keys(&o),
+        |c| {
+            o.cache = Some(c);
+            let _ = run_fig5(&o);
+        },
+    ));
+
+    let mut o = SweepOptions {
+        designs: vec![Design::Baseline],
+        loads: vec![0.5, 0.99],
+        calibration_cycles: 200_000,
+        queue: tiny_queue(),
+        ..SweepOptions::default()
+    };
+    cells.extend(stored_cells(
+        "sweep",
+        experiments::sweep::cell_keys(&o),
+        |c| {
+            o.cache = Some(c);
+            let _ = latency_load_sweep(&o);
+        },
+    ));
+
+    let mut o = FaultSweepOptions {
+        loads: vec![0.5, 0.99],
+        policies: vec![default_policies().swap_remove(1)],
+        queue: tiny_queue(),
+        ..FaultSweepOptions::default()
+    };
+    cells.extend(stored_cells(
+        "fault_sweep",
+        experiments::fault_sweep::cell_keys(&o),
+        |c| {
+            o.cache = Some(c);
+            let _ = fault_sweep(&o);
+        },
+    ));
+
+    let mut o = ClusterSweepOptions {
+        designs: vec![Design::Baseline],
+        policies: vec![BalancerPolicy::Jsq],
+        server_counts: vec![4],
+        loads: vec![0.5, 0.99],
+        calibration_cycles: 200_000,
+        queue: tiny_queue(),
+        ..ClusterSweepOptions::default()
+    };
+    cells.extend(stored_cells(
+        "cluster_sweep",
+        experiments::cluster_sweep::cell_keys(&o),
+        |c| {
+            o.cache = Some(c);
+            let _ = cluster_sweep(&o);
+        },
+    ));
+
+    let mut o = HedgeSweepOptions {
+        policies: vec![BalancerPolicy::Jsq],
+        plans: vec![DuplicationPolicy::duplicate(2)],
+        server_counts: vec![4],
+        loads: vec![0.4, 0.99],
+        queue: tiny_queue(),
+        replications: 2,
+        ..HedgeSweepOptions::default()
+    };
+    cells.extend(stored_cells(
+        "hedge_sweep",
+        experiments::hedge_sweep::cell_keys(&o),
+        |c| {
+            o.cache = Some(c);
+            let _ = hedge_sweep(&o);
+        },
+    ));
+
+    let mut o = RackSweepOptions {
+        designs: vec![Design::Baseline],
+        policies: vec![BalancerPolicy::Jsq],
+        plans: vec![RackPlan::fresh().with_delta(8.0)],
+        server_counts: vec![4],
+        loads: vec![0.5, 0.99],
+        calibration_cycles: 200_000,
+        queue: tiny_queue(),
+        ..RackSweepOptions::default()
+    };
+    cells.extend(stored_cells(
+        "rack_sweep",
+        experiments::rack_sweep::cell_keys(&o),
+        |c| {
+            o.cache = Some(c);
+            let _ = rack_sweep(&o);
+        },
+    ));
+
+    let mut o = TimelineOptions {
+        servers: 4,
+        loads: vec![0.3, 1.2],
+        bin_us: 20_000.0,
+        queue: Mg1Options {
+            max_samples: 5_000,
+            warmup: 500,
+            ..Mg1Options::default()
+        },
+        ..TimelineOptions::default()
+    };
+    cells.extend(stored_cells(
+        "timeline",
+        experiments::timeline::cell_keys(&o),
+        |c| {
+            o.cache = Some(c);
+            let _ = timeline(&o);
+        },
+    ));
+
+    assert_matches_golden("cell_keys", &cells);
 }
 
 #[test]
