@@ -5,12 +5,16 @@
 //! coordinates)`, never by the worker count, wall-clock, or host. That
 //! purity is what the determinism test suite enforces — and it is exactly
 //! the property a content-addressed cache needs. This module turns it
-//! into an incremental-re-run substrate: each driver digests every grid
-//! cell's inputs into a stable [`CellKey`], probes the cache *before*
-//! building its [`ExecPool`](crate::exec::ExecPool) work list, flattens
-//! only the misses into the pool, writes fresh results back, and
-//! reassembles in grid order. Cold, warm, and mixed runs therefore
-//! produce byte-identical artifacts at any worker count.
+//! into an incremental-re-run substrate. The sweep drivers reach it
+//! through the crate's grid runner (`experiments/grid.rs`), which owns
+//! the whole contract once: cells → keys ([`CellKey`] digests of every
+//! cell's inputs) → [`CellCache::probe`] *before* any
+//! [`ExecPool`](crate::exec::ExecPool) work list is built → calibration
+//! restricted to designs with a missed cell (plus Baseline) → the misses'
+//! replications flattened into the pool → merge → [`CellCache::store`] →
+//! [`assemble`] in grid order. Figure 5 follows the same probe → misses →
+//! store → assemble shape around its own passes. Cold, warm, and mixed
+//! runs therefore produce byte-identical artifacts at any worker count.
 //!
 //! ## Keying contract
 //!

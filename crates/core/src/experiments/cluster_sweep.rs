@@ -4,32 +4,36 @@
 //! servers behind a balancer, and RackSched-style results (PAPERS.md) show
 //! the balancing policy moves the microsecond tail as much as the
 //! microarchitecture does. This driver lifts the Figure-5(d) methodology to
-//! that setting: one saturated cycle-level calibration per design (exactly
-//! as [`sweep`](crate::experiments::sweep) does), then a multi-server
-//! queueing simulation per (design, policy, cluster size, load) cell via
-//! [`try_simulate_cluster`], with common random numbers so the policy and
-//! design axes are paired comparisons rather than sampling noise.
+//! that setting: its cell function is one multi-server queueing simulation
+//! per (design, policy, cluster size, load) via [`try_simulate_cluster`],
+//! with each design's service scaled by its calibrated slowdown.
 //!
-//! Saturated cells — whether caught by the cheap pre-guard or by the DES
-//! pilot's typed [`Unstable`](duplexity_queueing::des::Unstable) verdict —
-//! render as `sat` instead of killing the grid.
+//! The crate's grid runner (`experiments/grid.rs`, shared by every sweep)
+//! owns the rest: cells → keys → cache probe → calibration of only the
+//! designs with a missed cell (plus Baseline) → flattened replications →
+//! merge → store, with hits and fresh cells interleaved in grid order.
+//! Cell seeds derive from `(seed, load, servers)` alone, so the policy and design axes are paired comparisons
+//! rather than sampling noise. Saturated cells — whether caught by the
+//! cheap pre-guard or by the DES pilot's typed
+//! [`Unstable`](duplexity_queueing::des::Unstable) verdict — render as
+//! `sat` instead of killing the grid.
 
-use crate::cellcache::{
-    assemble, miss_indices, CellCache, CellKey, Digest, PayloadReader, PayloadWriter,
-};
-use crate::exec::ExecPool;
-use crate::server::ServerSim;
+use super::grid::{self, scaled_service, Grid, GridSpec};
+use crate::cellcache::{CellCache, CellKey, Digest, DigestWriter, PayloadReader, PayloadWriter};
 use duplexity_cpu::designs::Design;
-use duplexity_net::{EventKind, FaultPlan};
+use duplexity_net::FaultPlan;
 use duplexity_obs::{log_enabled, log_line, Tracer};
 use duplexity_queueing::cluster::{
     merge_replications, try_simulate_cluster, try_simulate_cluster_hedged, BalancerPolicy,
     ClusterEngine, ClusterOptions, ClusterResult, DuplicationPolicy,
 };
 use duplexity_queueing::des::Mg1Options;
-use duplexity_stats::rng::{derive_stream, SimRng};
 use duplexity_workloads::Workload;
 use serde::{Deserialize, Serialize};
+
+/// Stream label for per-cell seeds, shared with the rack sweep so a fresh
+/// rack plan's cells reproduce this sweep's cells bitwise.
+pub(crate) const CLUSTER_CELL_STREAM: u64 = 0xC105;
 
 /// Grid and fidelity parameters for the cluster sweep.
 #[derive(Debug, Clone)]
@@ -134,28 +138,6 @@ pub struct ClusterSweepPoint {
     pub saturated: bool,
 }
 
-fn saturated_point(
-    design: Design,
-    policy: BalancerPolicy,
-    servers: usize,
-    load: f64,
-) -> ClusterSweepPoint {
-    ClusterSweepPoint {
-        design,
-        policy: policy.to_string(),
-        servers,
-        load,
-        p99_us: f64::INFINITY,
-        p50_us: f64::INFINITY,
-        mean_us: f64::INFINITY,
-        mean_wait_us: f64::INFINITY,
-        utilization: 1.0,
-        samples: 0,
-        converged: false,
-        saturated: true,
-    }
-}
-
 /// Content-addressed cache keys for every (design, policy, cluster size,
 /// load) cell of the cluster-sweep grid, in the driver's lexicographic
 /// evaluation order. Replication count is digested — it splits the
@@ -163,70 +145,7 @@ fn saturated_point(
 /// different results — but thread count is not.
 #[must_use]
 pub fn cell_keys(opts: &ClusterSweepOptions) -> Vec<CellKey> {
-    let mut keys = Vec::new();
-    for &design in &opts.designs {
-        for &policy in &opts.policies {
-            for &servers in &opts.server_counts {
-                for &load in &opts.loads {
-                    keys.push(CellKey::build("cluster_sweep", |w| {
-                        opts.workload.digest(w);
-                        design.digest(w);
-                        policy.digest(w);
-                        w.field_usize("servers", servers);
-                        w.field_f64("load", load);
-                        w.field_u64("calibration_cycles", opts.calibration_cycles);
-                        w.field_u64("seed", opts.seed);
-                        w.field("queue", &opts.queue);
-                        w.field("fault", &opts.fault);
-                        w.field("engine", &opts.engine);
-                        w.field_usize("replications", opts.replications.max(1));
-                    }));
-                }
-            }
-        }
-    }
-    keys
-}
-
-fn encode_point(p: &ClusterSweepPoint) -> String {
-    let mut w = PayloadWriter::new();
-    w.f64("p99_us", p.p99_us);
-    w.f64("p50_us", p.p50_us);
-    w.f64("mean_us", p.mean_us);
-    w.f64("mean_wait_us", p.mean_wait_us);
-    w.f64("utilization", p.utilization);
-    w.usize("samples", p.samples);
-    w.bool("converged", p.converged);
-    w.bool("saturated", p.saturated);
-    w.finish()
-}
-
-// Measured outputs only: the (design, policy, servers, load) coordinates
-// are rebuilt from the grid at assembly time.
-struct CachedPoint {
-    p99_us: f64,
-    p50_us: f64,
-    mean_us: f64,
-    mean_wait_us: f64,
-    utilization: f64,
-    samples: usize,
-    converged: bool,
-    saturated: bool,
-}
-
-fn decode_point(payload: &str) -> Option<CachedPoint> {
-    let mut r = PayloadReader::new(payload);
-    let p = CachedPoint {
-        p99_us: r.f64("p99_us")?,
-        p50_us: r.f64("p50_us")?,
-        mean_us: r.f64("mean_us")?,
-        mean_wait_us: r.f64("mean_wait_us")?,
-        utilization: r.f64("utilization")?,
-        samples: r.usize("samples")?,
-        converged: r.bool("converged")?,
-        saturated: r.bool("saturated")?,
-    };
-    r.done().then_some(p)
+    grid::keys(opts)
 }
 
 /// Runs the cluster sweep: one saturated calibration per design, then a
@@ -237,256 +156,17 @@ fn decode_point(payload: &str) -> Option<CachedPoint> {
 /// common random numbers across designs *and* policies — so for a given
 /// (load, cluster size) all policies see the same marked point process and
 /// the per-policy tail columns are paired comparisons. The grid is
-/// bit-identical under [`ExecPool`] at any worker count.
+/// bit-identical under [`ExecPool`](crate::exec::ExecPool) at any worker
+/// count.
 ///
 /// # Panics
 ///
 /// Panics if the options contain no loads, designs, policies, or server
-/// counts, contain a zero server count, or omit [`Design::Baseline`] (the
-/// slowdown reference).
+/// counts, contain a load that is not positive or a zero server count, or
+/// omit [`Design::Baseline`] (the slowdown reference).
 #[must_use]
 pub fn cluster_sweep(opts: &ClusterSweepOptions) -> Vec<ClusterSweepPoint> {
-    assert!(
-        !opts.loads.is_empty()
-            && !opts.designs.is_empty()
-            && !opts.policies.is_empty()
-            && !opts.server_counts.is_empty(),
-        "empty cluster sweep"
-    );
-    assert!(
-        opts.designs.contains(&Design::Baseline),
-        "baseline required as the slowdown reference"
-    );
-    assert!(
-        opts.server_counts.iter().all(|&n| n >= 1),
-        "cluster sizes must be >= 1"
-    );
-    let model = opts.workload.service_model();
-    let nominal = opts.workload.nominal_service_us();
-    let stall = model.mean_stall_us();
-
-    let pool = ExecPool::new(opts.threads);
-
-    // Grid in (design, policy, servers, load) lexicographic order; each
-    // cell is independent so the pool slots are index-addressed.
-    let grid: Vec<(usize, usize, usize, f64)> = (0..opts.designs.len())
-        .flat_map(|di| {
-            let policies = &opts.policies;
-            let counts = &opts.server_counts;
-            let loads = &opts.loads;
-            (0..policies.len()).flat_map(move |pi| {
-                counts
-                    .iter()
-                    .flat_map(move |&n| loads.iter().map(move |&l| (di, pi, n, l)))
-            })
-        })
-        .collect();
-    let keys = cell_keys(opts);
-    let hits = match &opts.cache {
-        Some(cache) => cache.probe(&keys, decode_point),
-        None => grid.iter().map(|_| None).collect(),
-    };
-    let misses = miss_indices(&hits);
-
-    // Same calibration as the latency-load sweep: one saturated cycle sim
-    // per design, slowdown = compute inflation vs the baseline dyad. Only
-    // designs with a missed cell calibrate (plus the baseline, which
-    // anchors every slowdown): each calibration is a pure function of
-    // (design, workload, horizon, seed), so a subset run is bit-identical.
-    let saturated_service = |design: Design| -> Option<f64> {
-        let m = ServerSim::new(design, opts.workload)
-            .saturated()
-            .horizon_cycles(opts.calibration_cycles)
-            .seed(derive_stream(opts.seed, 0x53E9))
-            .run();
-        if m.request_latencies_us.len() < 10 {
-            return None;
-        }
-        Some(m.request_latencies_us.iter().sum::<f64>() / m.request_latencies_us.len() as f64)
-    };
-    let mut needed = vec![false; opts.designs.len()];
-    for &i in &misses {
-        needed[grid[i].0] = true;
-    }
-    let base_idx = opts
-        .designs
-        .iter()
-        .position(|&d| d == Design::Baseline)
-        .expect("asserted above");
-    if !misses.is_empty() {
-        needed[base_idx] = true;
-    }
-    let needed_idx: Vec<usize> = (0..opts.designs.len()).filter(|&i| needed[i]).collect();
-    let calibrated = pool.run("cluster_sweep/calibrate", needed_idx.len(), |j| {
-        saturated_service(opts.designs[needed_idx[j]])
-    });
-    let mut services: Vec<Option<f64>> = vec![None; opts.designs.len()];
-    for (j, &di) in needed_idx.iter().enumerate() {
-        services[di] = calibrated[j];
-    }
-    let base_service = services[base_idx];
-    let slowdowns: Vec<f64> = services
-        .iter()
-        .map(|mine| match (base_service, *mine) {
-            (Some(b), Some(m)) => {
-                let (bc, mc) = ((b - stall).max(0.05), (m - stall).max(0.05));
-                (mc / bc).clamp(1.0, 6.0)
-            }
-            _ => 1.0,
-        })
-        .collect();
-
-    // Replications flatten into the pool's work list (cell-major, so a
-    // cell's replications are contiguous and merge in replication order):
-    // ExecPool does not nest, and flattening is what lets a small grid
-    // with many replications use every worker. Only missed cells enter
-    // the work list.
-    let reps = opts.replications.max(1);
-    let rep_samples = opts.queue.max_samples.div_ceil(reps);
-    let runs: Vec<Option<ClusterResult>> =
-        pool.run("cluster_sweep/points", misses.len() * reps, |w| {
-            let (di, pi, servers, load) = grid[misses[w / reps]];
-            let rep = w % reps;
-            let policy = opts.policies[pi];
-            let slowdown = slowdowns[di];
-            // Aggregate arrivals scale with the farm: each server is offered
-            // `load` of its nominal capacity.
-            let lambda = servers as f64 * load / nominal;
-            let scaled_mean =
-                model.mean_compute_us() * slowdown + opts.fault.effective_mean_bound_us(stall);
-            if load / nominal * scaled_mean >= 0.95 {
-                return None;
-            }
-            let scaled = model.scale_compute(slowdown);
-            let fault = opts.fault;
-            let mut service = |rng: &mut SimRng| {
-                // Split sampling keeps the identity plan's RNG stream identical
-                // to the historical `sample_parts` path (golden contract).
-                let c = scaled.sample_compute(rng);
-                if fault.is_none() {
-                    c + scaled.sample_stall(rng)
-                } else {
-                    c + fault
-                        .sample_event(EventKind::RemoteMemory, rng, |r| scaled.sample_stall(r))
-                        .latency_us
-                }
-            };
-            let mut copts = ClusterOptions::from_mg1(servers, &opts.queue);
-            copts.max_samples = rep_samples;
-            // Common random numbers across designs and policies at a given
-            // (load, cluster size): the marked point process is shared, and
-            // each policy's private balancer stream is derived inside the
-            // simulator. A lone replication uses the cell seed directly (the
-            // historical stream); R > 1 derives per-replication sub-streams.
-            let cell_seed = derive_stream(
-                opts.seed,
-                0xC105 ^ ((load * 1000.0) as u64) ^ ((servers as u64) << 32),
-            );
-            copts.seed = if reps == 1 {
-                cell_seed
-            } else {
-                derive_stream(cell_seed, 1 + rep as u64)
-            };
-            let mut balancer = policy.build();
-            // The pre-guard above is a cheap bound; the DES pilot is the
-            // authoritative stability check, and its typed Unstable verdict
-            // marks the cell saturated instead of killing the sweep.
-            match opts.engine {
-                ClusterEngine::Lindley => try_simulate_cluster(
-                    lambda,
-                    &mut service,
-                    balancer.as_mut(),
-                    &copts,
-                    &Tracer::disabled(),
-                )
-                .ok(),
-                ClusterEngine::Event(kind) => {
-                    copts.event_queue = kind;
-                    try_simulate_cluster_hedged(
-                        lambda,
-                        &mut service,
-                        balancer.as_mut(),
-                        &DuplicationPolicy::none(),
-                        &copts,
-                        &Tracer::disabled(),
-                    )
-                    .ok()
-                    .map(|h| h.cluster)
-                }
-            }
-        });
-
-    // Assemble missed cells from their replications (consumed cell-major,
-    // matching the flattened work list), write them back, then interleave
-    // with cached hits in grid order.
-    let mut run_iter = runs.into_iter();
-    let fresh: Vec<ClusterSweepPoint> = misses
-        .iter()
-        .map(|&i| {
-            let (di, pi, servers, load) = grid[i];
-            let design = opts.designs[di];
-            let policy = opts.policies[pi];
-            let mut parts = Vec::with_capacity(reps);
-            let mut saturated = false;
-            for _ in 0..reps {
-                match run_iter.next().expect("one run per (cell, replication)") {
-                    Some(r) => parts.push(r),
-                    None => saturated = true,
-                }
-            }
-            if saturated {
-                return saturated_point(design, policy, servers, load);
-            }
-            // A lone replication passes through untouched (bitwise the
-            // historical cell); pooled replications merge in replication
-            // order.
-            let r = if parts.len() == 1 {
-                parts.pop().expect("one replication")
-            } else {
-                merge_replications(parts, opts.queue.quantile, opts.queue.confidence)
-            };
-            ClusterSweepPoint {
-                design,
-                policy: policy.to_string(),
-                servers,
-                load,
-                p99_us: r.tail_us,
-                p50_us: r.p50_us,
-                mean_us: r.mean_sojourn_us,
-                mean_wait_us: r.mean_wait_us,
-                utilization: r.utilization,
-                samples: r.samples,
-                converged: r.converged,
-                saturated: false,
-            }
-        })
-        .collect();
-    if let Some(cache) = &opts.cache {
-        for (j, &i) in misses.iter().enumerate() {
-            cache.store(&keys[i], &encode_point(&fresh[j]));
-        }
-    }
-    let hit_points = hits
-        .into_iter()
-        .zip(&grid)
-        .map(|(hit, &(di, pi, servers, load))| {
-            hit.map(|c| ClusterSweepPoint {
-                design: opts.designs[di],
-                policy: opts.policies[pi].to_string(),
-                servers,
-                load,
-                p99_us: c.p99_us,
-                p50_us: c.p50_us,
-                mean_us: c.mean_us,
-                mean_wait_us: c.mean_wait_us,
-                utilization: c.utilization,
-                samples: c.samples,
-                converged: c.converged,
-                saturated: c.saturated,
-            })
-        })
-        .collect();
-    let points = assemble(hit_points, fresh);
+    let points = grid::run(opts);
     if log_enabled() {
         let saturated = points.iter().filter(|p| p.saturated).count();
         log_line(&format!(
@@ -501,6 +181,178 @@ pub fn cluster_sweep(opts: &ClusterSweepOptions) -> Vec<ClusterSweepPoint> {
         ));
     }
     points
+}
+
+/// (design, policy, servers, load).
+type Cell = (Design, BalancerPolicy, usize, f64);
+
+impl GridSpec for ClusterSweepOptions {
+    type Cell = Cell;
+    type Run = ClusterResult;
+    type Point = ClusterSweepPoint;
+    const NAME: &'static str = "cluster_sweep";
+
+    fn grid(&self) -> Grid<'_> {
+        Grid {
+            seed: self.seed,
+            stream: CLUSTER_CELL_STREAM,
+            threads: self.threads,
+            cache: self.cache.as_ref(),
+            replications: self.replications,
+            max_samples: self.queue.max_samples,
+            calibration: Some((self.workload, &self.designs, self.calibration_cycles)),
+        }
+    }
+
+    fn cells(&self) -> Vec<Cell> {
+        let mut cells = Vec::new();
+        for &design in &self.designs {
+            for &policy in &self.policies {
+                for &servers in &self.server_counts {
+                    for &load in &self.loads {
+                        cells.push((design, policy, servers, load));
+                    }
+                }
+            }
+        }
+        cells
+    }
+
+    fn digest(&self, &(design, policy, servers, load): &Cell, w: &mut DigestWriter) {
+        self.workload.digest(w);
+        design.digest(w);
+        policy.digest(w);
+        w.field_usize("servers", servers);
+        w.field_f64("load", load);
+        w.field_u64("calibration_cycles", self.calibration_cycles);
+        w.field_u64("seed", self.seed);
+        w.field("queue", &self.queue);
+        w.field("fault", &self.fault);
+        w.field("engine", &self.engine);
+        w.field_usize("replications", self.replications.max(1));
+    }
+
+    fn coords(&self, &(_, _, servers, load): &Cell) -> (f64, Option<usize>) {
+        (load, Some(servers))
+    }
+
+    fn design(&self, &(design, ..): &Cell) -> Design {
+        design
+    }
+
+    fn run(&self, cell: &Cell, slowdown: f64, seed: u64, samples: usize) -> Option<ClusterResult> {
+        let &(_, policy, servers, load) = cell;
+        let nominal = self.workload.nominal_service_us();
+        // Aggregate arrivals scale with the farm: each server is offered
+        // `load` of its nominal capacity.
+        let lambda = servers as f64 * load / nominal;
+        let model = self.workload.service_model();
+        let (scaled_mean, mut service) = scaled_service(&model, slowdown, self.fault);
+        if load / nominal * scaled_mean >= 0.95 {
+            return None;
+        }
+        let mut copts = ClusterOptions::from_mg1(servers, &self.queue);
+        copts.max_samples = samples;
+        // The marked point process is shared across designs and policies;
+        // each policy's private balancer stream is derived inside the
+        // simulator.
+        copts.seed = seed;
+        let mut balancer = policy.build();
+        // The pre-guard above is a cheap bound; the DES pilot is the
+        // authoritative stability check, and its typed Unstable verdict
+        // marks the cell saturated instead of killing the sweep.
+        match self.engine {
+            ClusterEngine::Lindley => try_simulate_cluster(
+                lambda,
+                &mut service,
+                balancer.as_mut(),
+                &copts,
+                &Tracer::disabled(),
+            )
+            .ok(),
+            ClusterEngine::Event(kind) => {
+                copts.event_queue = kind;
+                try_simulate_cluster_hedged(
+                    lambda,
+                    &mut service,
+                    balancer.as_mut(),
+                    &DuplicationPolicy::none(),
+                    &copts,
+                    &Tracer::disabled(),
+                )
+                .ok()
+                .map(|h| h.cluster)
+            }
+        }
+    }
+
+    fn merge(&self, parts: Vec<ClusterResult>) -> ClusterResult {
+        merge_replications(parts, self.queue.quantile, self.queue.confidence)
+    }
+
+    fn point(
+        &self,
+        &(design, policy, servers, load): &Cell,
+        run: Option<ClusterResult>,
+    ) -> ClusterSweepPoint {
+        let saturated = ClusterSweepPoint {
+            design,
+            policy: policy.to_string(),
+            servers,
+            load,
+            p99_us: f64::INFINITY,
+            p50_us: f64::INFINITY,
+            mean_us: f64::INFINITY,
+            mean_wait_us: f64::INFINITY,
+            utilization: 1.0,
+            samples: 0,
+            converged: false,
+            saturated: true,
+        };
+        let Some(r) = run else {
+            return saturated;
+        };
+        ClusterSweepPoint {
+            p99_us: r.tail_us,
+            p50_us: r.p50_us,
+            mean_us: r.mean_sojourn_us,
+            mean_wait_us: r.mean_wait_us,
+            utilization: r.utilization,
+            samples: r.samples,
+            converged: r.converged,
+            saturated: false,
+            ..saturated
+        }
+    }
+
+    fn encode(&self, p: &ClusterSweepPoint) -> String {
+        let mut w = PayloadWriter::new();
+        w.f64("p99_us", p.p99_us);
+        w.f64("p50_us", p.p50_us);
+        w.f64("mean_us", p.mean_us);
+        w.f64("mean_wait_us", p.mean_wait_us);
+        w.f64("utilization", p.utilization);
+        w.usize("samples", p.samples);
+        w.bool("converged", p.converged);
+        w.bool("saturated", p.saturated);
+        w.finish()
+    }
+
+    fn decode(&self, cell: &Cell, payload: &str) -> Option<ClusterSweepPoint> {
+        let mut r = PayloadReader::new(payload);
+        let p = ClusterSweepPoint {
+            p99_us: r.f64("p99_us")?,
+            p50_us: r.f64("p50_us")?,
+            mean_us: r.f64("mean_us")?,
+            mean_wait_us: r.f64("mean_wait_us")?,
+            utilization: r.f64("utilization")?,
+            samples: r.usize("samples")?,
+            converged: r.bool("converged")?,
+            saturated: r.bool("saturated")?,
+            ..self.point(cell, None)
+        };
+        r.done().then_some(p)
+    }
 }
 
 #[cfg(test)]

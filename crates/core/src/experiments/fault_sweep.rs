@@ -9,14 +9,12 @@
 //! through each [`FaultPlan`], using common random numbers per load so the
 //! per-policy tail columns isolate policy effects from sampling noise.
 
-use crate::cellcache::{
-    assemble, miss_indices, CellCache, CellKey, Digest, PayloadReader, PayloadWriter,
-};
-use crate::exec::ExecPool;
+use super::grid::{self, Grid, GridSpec};
+use crate::cellcache::{CellCache, CellKey, Digest, DigestWriter, PayloadReader, PayloadWriter};
 use duplexity_net::{FaultPlan, RetryPolicy};
 use duplexity_obs::{log_enabled, log_line};
-use duplexity_queueing::des::{try_simulate_mg1_faulted, Mg1Options};
-use duplexity_stats::rng::{derive_stream, SimRng};
+use duplexity_queueing::des::{try_simulate_mg1_faulted, FaultTally, Mg1Options, Mg1Result};
+use duplexity_stats::rng::SimRng;
 use duplexity_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -147,54 +145,7 @@ pub struct FaultSweepPoint {
 /// relabels cached cells without recomputing them.
 #[must_use]
 pub fn cell_keys(opts: &FaultSweepOptions) -> Vec<CellKey> {
-    opts.policies
-        .iter()
-        .flat_map(|policy| {
-            opts.loads.iter().map(move |&load| {
-                CellKey::build("fault_sweep", |w| {
-                    opts.workload.digest(w);
-                    policy.plan.digest(w);
-                    w.field_f64("load", load);
-                    w.field_u64("seed", opts.seed);
-                    w.field("queue", &opts.queue);
-                })
-            })
-        })
-        .collect()
-}
-
-fn encode_point(p: &FaultSweepPoint) -> String {
-    let mut w = PayloadWriter::new();
-    w.f64("p50_us", p.p50_us);
-    w.f64("p99_us", p.p99_us);
-    w.f64("mean_us", p.mean_us);
-    w.f64("mean_attempts", p.mean_attempts);
-    w.f64("drop_rate", p.drop_rate);
-    w.f64("fail_rate", p.fail_rate);
-    w.bool("saturated", p.saturated);
-    w.finish()
-}
-
-// Measured outputs only: the (policy, load) coordinates are rebuilt from
-// the grid at assembly time.
-fn decode_point(payload: &str) -> Option<(f64, f64, f64, f64, f64, f64, bool)> {
-    let mut r = PayloadReader::new(payload);
-    let p50_us = r.f64("p50_us")?;
-    let p99_us = r.f64("p99_us")?;
-    let mean_us = r.f64("mean_us")?;
-    let mean_attempts = r.f64("mean_attempts")?;
-    let drop_rate = r.f64("drop_rate")?;
-    let fail_rate = r.f64("fail_rate")?;
-    let saturated = r.bool("saturated")?;
-    r.done().then_some((
-        p50_us,
-        p99_us,
-        mean_us,
-        mean_attempts,
-        drop_rate,
-        fail_rate,
-        saturated,
-    ))
+    grid::keys(opts)
 }
 
 /// Runs the fault sweep.
@@ -202,122 +153,16 @@ fn decode_point(payload: &str) -> Option<(f64, f64, f64, f64, f64, f64, bool)> {
 /// Every cell derives its queueing RNG from `(seed, load)` only — common
 /// random numbers across policies — so for a given load all policies see
 /// the same arrival process and raw leg-latency stream, and the grid is
-/// bit-identical under [`ExecPool`] at any worker count.
+/// bit-identical under [`ExecPool`](crate::exec::ExecPool) at any worker
+/// count.
 ///
 /// # Panics
 ///
-/// Panics if the options contain no loads or no policies.
+/// Panics if the options contain no loads or no policies, or a load that
+/// is not positive.
 #[must_use]
 pub fn fault_sweep(opts: &FaultSweepOptions) -> Vec<FaultSweepPoint> {
-    assert!(
-        !opts.loads.is_empty() && !opts.policies.is_empty(),
-        "empty fault sweep"
-    );
-    let model = opts.workload.service_model();
-    let leg = opts.workload.stall_leg();
-    let nominal = opts.workload.nominal_service_us();
-
-    let pool = ExecPool::new(opts.threads);
-    let grid: Vec<(usize, f64)> = (0..opts.policies.len())
-        .flat_map(|pi| opts.loads.iter().map(move |&l| (pi, l)))
-        .collect();
-    let keys = cell_keys(opts);
-    let hits = match &opts.cache {
-        Some(cache) => cache.probe(&keys, decode_point),
-        None => grid.iter().map(|_| None).collect(),
-    };
-    let misses = miss_indices(&hits);
-    let fresh = pool.run("fault_sweep/points", misses.len(), |j| {
-        let (pi, load) = grid[misses[j]];
-        let policy = &opts.policies[pi];
-        let lambda = load / nominal;
-        // Saturation guard on a policy-agnostic upper bound of the
-        // effective service mean (timeouts, retries, degradation).
-        let effective_mean =
-            model.mean_compute_us() + policy.plan.effective_mean_bound_us(leg.mean_us());
-        if lambda * effective_mean >= 0.95 {
-            return FaultSweepPoint {
-                policy: policy.name.clone(),
-                load,
-                p50_us: f64::INFINITY,
-                p99_us: f64::INFINITY,
-                mean_us: f64::INFINITY,
-                mean_attempts: 0.0,
-                drop_rate: 0.0,
-                fail_rate: 0.0,
-                saturated: true,
-            };
-        }
-        let mut compute = |rng: &mut SimRng| model.sample_compute(rng);
-        let mut qopts = opts.queue;
-        // Common random numbers across policies at a given load.
-        qopts.seed = derive_stream(opts.seed, 0xFA17 ^ (load * 1000.0) as u64);
-        // The pre-guard above is a cheap bound; the pilot inside the DES is
-        // the authoritative stability check, and its typed Unstable verdict
-        // marks the cell saturated instead of killing the sweep.
-        let Ok((r, tally)) =
-            try_simulate_mg1_faulted(lambda, &mut compute, &leg, &policy.plan, &qopts)
-        else {
-            return FaultSweepPoint {
-                policy: policy.name.clone(),
-                load,
-                p50_us: f64::INFINITY,
-                p99_us: f64::INFINITY,
-                mean_us: f64::INFINITY,
-                mean_attempts: 0.0,
-                drop_rate: 0.0,
-                fail_rate: 0.0,
-                saturated: true,
-            };
-        };
-        let (mean_attempts, drop_rate, fail_rate) = if tally.events == 0 {
-            (1.0, 0.0, 0.0)
-        } else {
-            (
-                tally.attempts as f64 / tally.events as f64,
-                tally.dropped_legs as f64 / tally.attempts.max(1) as f64,
-                tally.failed as f64 / tally.events as f64,
-            )
-        };
-        FaultSweepPoint {
-            policy: policy.name.clone(),
-            load,
-            p50_us: r.p50_us,
-            p99_us: r.tail_us,
-            mean_us: r.mean_sojourn_us,
-            mean_attempts,
-            drop_rate,
-            fail_rate,
-            saturated: false,
-        }
-    });
-    if let Some(cache) = &opts.cache {
-        for (j, &i) in misses.iter().enumerate() {
-            cache.store(&keys[i], &encode_point(&fresh[j]));
-        }
-    }
-    let hit_points = hits
-        .into_iter()
-        .zip(&grid)
-        .map(|(hit, &(pi, load))| {
-            hit.map(
-                |(p50_us, p99_us, mean_us, mean_attempts, drop_rate, fail_rate, saturated)| {
-                    FaultSweepPoint {
-                        policy: opts.policies[pi].name.clone(),
-                        load,
-                        p50_us,
-                        p99_us,
-                        mean_us,
-                        mean_attempts,
-                        drop_rate,
-                        fail_rate,
-                        saturated,
-                    }
-                },
-            )
-        })
-        .collect();
-    let points = assemble(hit_points, fresh);
+    let points = grid::run(opts);
     if log_enabled() {
         let saturated = points.iter().filter(|p| p.saturated).count();
         log_line(&format!(
@@ -330,6 +175,126 @@ pub fn fault_sweep(opts: &FaultSweepOptions) -> Vec<FaultSweepPoint> {
         ));
     }
     points
+}
+
+impl GridSpec for FaultSweepOptions {
+    /// (policy index, load).
+    type Cell = (usize, f64);
+    type Run = (Mg1Result, FaultTally);
+    type Point = FaultSweepPoint;
+    const NAME: &'static str = "fault_sweep";
+
+    fn grid(&self) -> Grid<'_> {
+        Grid {
+            seed: self.seed,
+            stream: 0xFA17,
+            threads: self.threads,
+            cache: self.cache.as_ref(),
+            ..Grid::default()
+        }
+    }
+
+    fn cells(&self) -> Vec<(usize, f64)> {
+        let loads = &self.loads;
+        (0..self.policies.len())
+            .flat_map(|pi| loads.iter().map(move |&l| (pi, l)))
+            .collect()
+    }
+
+    fn digest(&self, &(pi, load): &(usize, f64), w: &mut DigestWriter) {
+        self.workload.digest(w);
+        self.policies[pi].plan.digest(w);
+        w.field_f64("load", load);
+        w.field_u64("seed", self.seed);
+        w.field("queue", &self.queue);
+    }
+
+    fn coords(&self, &(_, load): &(usize, f64)) -> (f64, Option<usize>) {
+        (load, None)
+    }
+
+    fn run(&self, &(pi, load): &(usize, f64), _: f64, seed: u64, _: usize) -> Option<Self::Run> {
+        let model = self.workload.service_model();
+        let leg = self.workload.stall_leg();
+        let plan = &self.policies[pi].plan;
+        let lambda = load / self.workload.nominal_service_us();
+        // Saturation guard on a policy-agnostic upper bound of the
+        // effective service mean (timeouts, retries, degradation).
+        let effective_mean = model.mean_compute_us() + plan.effective_mean_bound_us(leg.mean_us());
+        if lambda * effective_mean >= 0.95 {
+            return None;
+        }
+        let mut compute = |rng: &mut SimRng| model.sample_compute(rng);
+        let mut qopts = self.queue;
+        qopts.seed = seed;
+        // The pre-guard above is a cheap bound; the pilot inside the DES is
+        // the authoritative stability check, and its typed Unstable verdict
+        // marks the cell saturated instead of killing the sweep.
+        try_simulate_mg1_faulted(lambda, &mut compute, &leg, plan, &qopts).ok()
+    }
+
+    fn point(&self, &(pi, load): &(usize, f64), run: Option<Self::Run>) -> FaultSweepPoint {
+        let saturated = FaultSweepPoint {
+            policy: self.policies[pi].name.clone(),
+            load,
+            p50_us: f64::INFINITY,
+            p99_us: f64::INFINITY,
+            mean_us: f64::INFINITY,
+            mean_attempts: 0.0,
+            drop_rate: 0.0,
+            fail_rate: 0.0,
+            saturated: true,
+        };
+        let Some((r, tally)) = run else {
+            return saturated;
+        };
+        let (mean_attempts, drop_rate, fail_rate) = if tally.events == 0 {
+            (1.0, 0.0, 0.0)
+        } else {
+            (
+                tally.attempts as f64 / tally.events as f64,
+                tally.dropped_legs as f64 / tally.attempts.max(1) as f64,
+                tally.failed as f64 / tally.events as f64,
+            )
+        };
+        FaultSweepPoint {
+            p50_us: r.p50_us,
+            p99_us: r.tail_us,
+            mean_us: r.mean_sojourn_us,
+            mean_attempts,
+            drop_rate,
+            fail_rate,
+            saturated: false,
+            ..saturated
+        }
+    }
+
+    fn encode(&self, p: &FaultSweepPoint) -> String {
+        let mut w = PayloadWriter::new();
+        w.f64("p50_us", p.p50_us);
+        w.f64("p99_us", p.p99_us);
+        w.f64("mean_us", p.mean_us);
+        w.f64("mean_attempts", p.mean_attempts);
+        w.f64("drop_rate", p.drop_rate);
+        w.f64("fail_rate", p.fail_rate);
+        w.bool("saturated", p.saturated);
+        w.finish()
+    }
+
+    fn decode(&self, cell: &(usize, f64), payload: &str) -> Option<FaultSweepPoint> {
+        let mut r = PayloadReader::new(payload);
+        let p = FaultSweepPoint {
+            p50_us: r.f64("p50_us")?,
+            p99_us: r.f64("p99_us")?,
+            mean_us: r.f64("mean_us")?,
+            mean_attempts: r.f64("mean_attempts")?,
+            drop_rate: r.f64("drop_rate")?,
+            fail_rate: r.f64("fail_rate")?,
+            saturated: r.bool("saturated")?,
+            ..self.point(cell, None)
+        };
+        r.done().then_some(p)
+    }
 }
 
 #[cfg(test)]

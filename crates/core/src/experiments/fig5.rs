@@ -17,6 +17,7 @@
 //! * **(f)** batch-thread system throughput STP = Σᵢ IPCᵢ(shared) /
 //!   IPCᵢ(alone) \[123\], normalized.
 
+use super::grid::{saturated_service_us, scaled_service, slowdown};
 use crate::cellcache::{miss_indices, CellCache, CellKey, Digest, PayloadReader, PayloadWriter};
 use crate::exec::ExecPool;
 use crate::server::ServerSim;
@@ -24,11 +25,11 @@ use duplexity_cpu::designs::{Design, DesignMetrics, Stepping};
 use duplexity_cpu::inorder::InoEngine;
 use duplexity_cpu::memsys::MemSys;
 use duplexity_cpu::pool::{ContextPool, VirtualContext};
-use duplexity_net::{EventKind, FaultPlan};
+use duplexity_net::FaultPlan;
 use duplexity_obs::{log_enabled, log_line, Registry, TraceLog, Tracer};
 use duplexity_power::{chip_area_mm2, core_kind_for, power_w, CoreKind, LLC_MM2_PER_MB};
 use duplexity_queueing::des::{try_simulate_mg1_traced, Mg1Options};
-use duplexity_stats::rng::{derive_stream, rng_from_seed, SimRng};
+use duplexity_stats::rng::{derive_stream, rng_from_seed};
 use duplexity_uarch::config::LatencyModel;
 use duplexity_workloads::graph::FillerFactory;
 use duplexity_workloads::Workload;
@@ -384,7 +385,13 @@ pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5R
         .collect();
     let services = pool.run("fig5/calibrate", pairs.len(), |i| {
         let (workload, design) = pairs[i];
-        saturated_service_us(design, workload, opts)
+        saturated_service_us(
+            design,
+            workload,
+            opts.horizon_cycles / 3,
+            derive_stream(opts.seed, 0x5A7),
+            opts.stepping,
+        )
     });
     let service_of = |workload: Workload, design: Design| -> Option<f64> {
         pairs
@@ -397,19 +404,9 @@ pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5R
         let base = service_of(workload, Design::Baseline);
         for &design in &opts.designs {
             let mine = service_of(workload, design);
+            // Hit cells carry their slowdown in the payload.
             let stall = workload.service_model().mean_stall_us();
-            let slowdown = match (base, mine) {
-                (Some(b), Some(m)) => {
-                    let (bc, mc) = ((b - stall).max(0.05), (m - stall).max(0.05));
-                    // No design serves faster than the solo baseline; ratios
-                    // below 1 are measurement noise.
-                    (mc / bc).clamp(1.0, 6.0)
-                }
-                // Uncalibrated pairs are exactly those no missed cell
-                // consults (hit cells carry their slowdown in the payload).
-                _ => 1.0,
-            };
-            slowdowns.push((workload, design, slowdown));
+            slowdowns.push((workload, design, slowdown(base, mine, stall)));
         }
     }
 
@@ -581,23 +578,6 @@ pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5R
     }
 }
 
-/// Mean per-request service time (µs) of `design` on `workload` under
-/// back-to-back (saturated) requests; `None` if too few requests completed.
-fn saturated_service_us(design: Design, workload: Workload, opts: &Fig5Options) -> Option<f64> {
-    let m = ServerSim::new(design, workload)
-        .saturated()
-        .horizon_cycles(opts.horizon_cycles / 3)
-        .seed(derive_stream(opts.seed, 0x5A7))
-        .stepping(opts.stepping)
-        .run();
-    // In saturated mode a request's recorded latency is its fetch-to-retire
-    // service time.
-    if m.request_latencies_us.len() < 10 {
-        return None;
-    }
-    Some(m.request_latencies_us.iter().sum::<f64>() / m.request_latencies_us.len() as f64)
-}
-
 fn build_raw(
     design: Design,
     workload: Workload,
@@ -687,30 +667,13 @@ fn tail_latency(
     opts: &Fig5Options,
     tracer: &Tracer,
 ) -> (f64, bool) {
-    let model = cell.workload.service_model();
     let nominal = cell.workload.nominal_service_us();
     let lambda = cell.load / nominal / density_norm.max(f64::MIN_POSITIVE);
-    // `effective_mean_bound_us` is exactly the stall mean for the identity
-    // plan and a conservative bound once faults add timeouts and retries.
-    let scaled_mean = model.mean_compute_us() * cell.slowdown
-        + opts.fault.effective_mean_bound_us(model.mean_stall_us());
+    let model = cell.workload.service_model();
+    let (scaled_mean, mut service) = scaled_service(&model, cell.slowdown, opts.fault);
     if lambda * scaled_mean >= 0.95 {
         return (f64::INFINITY, true);
     }
-    let scaled = model.scale_compute(cell.slowdown);
-    let fault = opts.fault;
-    let mut service = |rng: &mut SimRng| {
-        // Split sampling keeps the identity plan's RNG stream identical to
-        // the historical `sample_parts` path (golden contract).
-        let c = scaled.sample_compute(rng);
-        if fault.is_none() {
-            c + scaled.sample_stall(rng)
-        } else {
-            c + fault
-                .sample_event(EventKind::RemoteMemory, rng, |r| scaled.sample_stall(r))
-                .latency_us
-        }
-    };
     let mut qopts = opts.queue;
     // Common random numbers across designs: every design's queue sees the
     // same arrival/service sample path for a given (workload, load) cell, so

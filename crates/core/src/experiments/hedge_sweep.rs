@@ -20,18 +20,16 @@
 //! plans draw nothing from the duplicate stream, making `none` cells
 //! bitwise comparable to the undecorated balancer.
 
-use crate::cellcache::{
-    assemble, miss_indices, CellCache, CellKey, Digest, PayloadReader, PayloadWriter,
-};
-use crate::exec::ExecPool;
+use super::grid::{self, scaled_service, Grid, GridSpec};
+use crate::cellcache::{CellCache, CellKey, Digest, DigestWriter, PayloadReader, PayloadWriter};
+use duplexity_net::FaultPlan;
 use duplexity_obs::{log_enabled, log_line, Tracer};
 use duplexity_queueing::cluster::{
     merge_hedged_replications, try_simulate_cluster_hedged, BalancerPolicy, ClusterOptions,
-    DuplicationPolicy, HedgedClusterResult,
+    DupMode, DuplicationPolicy, HedgedClusterResult,
 };
 use duplexity_queueing::des::Mg1Options;
 use duplexity_queueing::eventcore::EventQueueKind;
-use duplexity_stats::rng::{derive_stream, SimRng};
 use duplexity_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -69,9 +67,8 @@ pub struct HedgeSweepOptions {
     /// is a pure throughput knob; the bench uses it to race the two.
     pub event_queue: EventQueueKind,
     /// Independent replications per cell, run *within-cell parallel* on
-    /// the pool (flattened into the grid's work list, exactly as
-    /// [`cluster_sweep`](crate::experiments::cluster_sweep) does) with
-    /// per-replication derived seeds and merged in replication order via
+    /// the pool (flattened into the grid's work list, as for every sweep)
+    /// with per-replication derived seeds and merged in replication order via
     /// [`merge_hedged_replications`]. `1` (the default) runs each cell's
     /// historical single pass bitwise; `R > 1` splits the per-cell sample
     /// budget `R` ways so even a tiny grid can keep every worker busy.
@@ -158,34 +155,6 @@ pub struct HedgeSweepPoint {
     pub saturated: bool,
 }
 
-fn saturated_point(
-    policy: BalancerPolicy,
-    plan: &DuplicationPolicy,
-    servers: usize,
-    load: f64,
-) -> HedgeSweepPoint {
-    HedgeSweepPoint {
-        policy: policy.to_string(),
-        plan: plan.label(),
-        servers,
-        load,
-        p99_us: f64::INFINITY,
-        p50_us: f64::INFINITY,
-        mean_us: f64::INFINITY,
-        mean_wait_us: f64::INFINITY,
-        dup_mean_wait_us: f64::INFINITY,
-        utilization: 1.0,
-        added_utilization: 0.0,
-        dup_copies: 0,
-        hedges_fired: 0,
-        purged: 0,
-        wasted_completions: 0,
-        samples: 0,
-        converged: false,
-        saturated: true,
-    }
-}
-
 /// Content-addressed cache keys for every (policy, plan, cluster size,
 /// load) cell of the hedge-sweep grid, in the driver's lexicographic
 /// evaluation order. The plan is digested structurally (mode, purge,
@@ -193,86 +162,7 @@ fn saturated_point(
 /// splits the sample budget and re-derives seeds.
 #[must_use]
 pub fn cell_keys(opts: &HedgeSweepOptions) -> Vec<CellKey> {
-    let mut keys = Vec::new();
-    for &policy in &opts.policies {
-        for &plan in &opts.plans {
-            for &servers in &opts.server_counts {
-                for &load in &opts.loads {
-                    keys.push(CellKey::build("hedge_sweep", |w| {
-                        opts.workload.digest(w);
-                        policy.digest(w);
-                        plan.digest(w);
-                        w.field_usize("servers", servers);
-                        w.field_f64("load", load);
-                        w.field_u64("seed", opts.seed);
-                        w.field("queue", &opts.queue);
-                        w.field("event_queue", &opts.event_queue);
-                        w.field_usize("replications", opts.replications.max(1));
-                    }));
-                }
-            }
-        }
-    }
-    keys
-}
-
-fn encode_point(p: &HedgeSweepPoint) -> String {
-    let mut w = PayloadWriter::new();
-    w.f64("p99_us", p.p99_us);
-    w.f64("p50_us", p.p50_us);
-    w.f64("mean_us", p.mean_us);
-    w.f64("mean_wait_us", p.mean_wait_us);
-    w.f64("dup_mean_wait_us", p.dup_mean_wait_us);
-    w.f64("utilization", p.utilization);
-    w.f64("added_utilization", p.added_utilization);
-    w.u64("dup_copies", p.dup_copies);
-    w.u64("hedges_fired", p.hedges_fired);
-    w.u64("purged", p.purged);
-    w.u64("wasted_completions", p.wasted_completions);
-    w.usize("samples", p.samples);
-    w.bool("converged", p.converged);
-    w.bool("saturated", p.saturated);
-    w.finish()
-}
-
-// Measured outputs only: the (policy, plan, servers, load) coordinates
-// are rebuilt from the grid at assembly time.
-struct CachedPoint {
-    p99_us: f64,
-    p50_us: f64,
-    mean_us: f64,
-    mean_wait_us: f64,
-    dup_mean_wait_us: f64,
-    utilization: f64,
-    added_utilization: f64,
-    dup_copies: u64,
-    hedges_fired: u64,
-    purged: u64,
-    wasted_completions: u64,
-    samples: usize,
-    converged: bool,
-    saturated: bool,
-}
-
-fn decode_point(payload: &str) -> Option<CachedPoint> {
-    let mut r = PayloadReader::new(payload);
-    let p = CachedPoint {
-        p99_us: r.f64("p99_us")?,
-        p50_us: r.f64("p50_us")?,
-        mean_us: r.f64("mean_us")?,
-        mean_wait_us: r.f64("mean_wait_us")?,
-        dup_mean_wait_us: r.f64("dup_mean_wait_us")?,
-        utilization: r.f64("utilization")?,
-        added_utilization: r.f64("added_utilization")?,
-        dup_copies: r.u64("dup_copies")?,
-        hedges_fired: r.u64("hedges_fired")?,
-        purged: r.u64("purged")?,
-        wasted_completions: r.u64("wasted_completions")?,
-        samples: r.usize("samples")?,
-        converged: r.bool("converged")?,
-        saturated: r.bool("saturated")?,
-    };
-    r.done().then_some(p)
+    grid::keys(opts)
 }
 
 /// Runs the hedge sweep: one duplication-aware cluster simulation per
@@ -280,196 +170,16 @@ fn decode_point(payload: &str) -> Option<CachedPoint> {
 ///
 /// Cells derive their queueing seed from `(seed, load, servers)` only, so
 /// the policy and plan axes are paired comparisons over one shared marked
-/// point process; the grid is bit-identical under [`ExecPool`] at any
-/// worker count.
+/// point process; the grid is bit-identical under
+/// [`ExecPool`](crate::exec::ExecPool) at any worker count.
 ///
 /// # Panics
 ///
 /// Panics if the options contain no loads, policies, plans, or server
-/// counts, or contain a zero server count.
+/// counts, or contain a load that is not positive or a zero server count.
 #[must_use]
 pub fn hedge_sweep(opts: &HedgeSweepOptions) -> Vec<HedgeSweepPoint> {
-    assert!(
-        !opts.loads.is_empty()
-            && !opts.policies.is_empty()
-            && !opts.plans.is_empty()
-            && !opts.server_counts.is_empty(),
-        "empty hedge sweep"
-    );
-    assert!(
-        opts.server_counts.iter().all(|&n| n >= 1),
-        "cluster sizes must be >= 1"
-    );
-    let model = opts.workload.service_model();
-    let nominal = opts.workload.nominal_service_us();
-    let mean_service = model.mean_compute_us() + model.mean_stall_us();
-
-    let pool = ExecPool::new(opts.threads);
-
-    // Grid in (policy, plan, servers, load) lexicographic order; each
-    // cell is independent so the pool slots are index-addressed.
-    let grid: Vec<(usize, usize, usize, f64)> = (0..opts.policies.len())
-        .flat_map(|pi| {
-            let plans = &opts.plans;
-            let counts = &opts.server_counts;
-            let loads = &opts.loads;
-            (0..plans.len()).flat_map(move |qi| {
-                counts
-                    .iter()
-                    .flat_map(move |&n| loads.iter().map(move |&l| (pi, qi, n, l)))
-            })
-        })
-        .collect();
-
-    let keys = cell_keys(opts);
-    let hits = match &opts.cache {
-        Some(cache) => cache.probe(&keys, decode_point),
-        None => grid.iter().map(|_| None).collect(),
-    };
-    let misses = miss_indices(&hits);
-
-    // Replications flatten into the pool's work list (cell-major, so a
-    // cell's replications are contiguous and merge in replication order),
-    // exactly as the cluster sweep does; only missed cells enter the list.
-    let reps = opts.replications.max(1);
-    let rep_samples = opts.queue.max_samples.div_ceil(reps);
-    let runs: Vec<Option<HedgedClusterResult>> =
-        pool.run("hedge_sweep/points", misses.len() * reps, |w| {
-            let (pi, qi, servers, load) = grid[misses[w / reps]];
-            let rep = w % reps;
-            let policy = opts.policies[pi];
-            let plan = opts.plans[qi];
-            let lambda = servers as f64 * load / nominal;
-            // Cheap pre-guard mirroring the engine's pilot rule: an eager
-            // no-purge plan must carry every copy to completion.
-            let eager_copies = match plan.mode {
-                duplexity_queueing::cluster::DupMode::Duplicate { copies } if !plan.purge => {
-                    copies as f64
-                }
-                _ => 1.0,
-            };
-            if load / nominal * mean_service * eager_copies >= 0.95 {
-                return None;
-            }
-            let mut service = |rng: &mut SimRng| {
-                // Split sampling: the same draw order as the cluster sweep's
-                // fault-free path.
-                model.sample_compute(rng) + model.sample_stall(rng)
-            };
-            let mut copts = ClusterOptions::from_mg1(servers, &opts.queue);
-            copts.event_queue = opts.event_queue;
-            copts.max_samples = rep_samples;
-            // A lone replication uses the cell seed directly (the
-            // historical stream); R > 1 derives per-replication
-            // sub-streams.
-            let cell_seed = derive_stream(
-                opts.seed,
-                HEDGE_CELL_STREAM ^ ((load * 1000.0) as u64) ^ ((servers as u64) << 32),
-            );
-            copts.seed = if reps == 1 {
-                cell_seed
-            } else {
-                derive_stream(cell_seed, 1 + rep as u64)
-            };
-            let mut balancer = policy.build();
-            try_simulate_cluster_hedged(
-                lambda,
-                &mut service,
-                balancer.as_mut(),
-                &plan,
-                &copts,
-                &Tracer::disabled(),
-            )
-            .ok()
-        });
-
-    // Assemble missed cells from their replications (consumed cell-major,
-    // matching the flattened work list), write them back, then interleave
-    // with cached hits in grid order.
-    let mut run_iter = runs.into_iter();
-    let fresh: Vec<HedgeSweepPoint> = misses
-        .iter()
-        .map(|&i| {
-            let (pi, qi, servers, load) = grid[i];
-            let policy = opts.policies[pi];
-            let plan = opts.plans[qi];
-            let mut parts = Vec::with_capacity(reps);
-            let mut saturated = false;
-            for _ in 0..reps {
-                match run_iter.next().expect("one run per (cell, replication)") {
-                    Some(r) => parts.push(r),
-                    None => saturated = true,
-                }
-            }
-            if saturated {
-                return saturated_point(policy, &plan, servers, load);
-            }
-            // A lone replication passes through untouched (bitwise the
-            // historical cell); pooled replications merge in replication
-            // order.
-            let r = if parts.len() == 1 {
-                parts.pop().expect("one replication")
-            } else {
-                merge_hedged_replications(parts, opts.queue.quantile, opts.queue.confidence)
-            };
-            HedgeSweepPoint {
-                policy: policy.to_string(),
-                plan: plan.label(),
-                servers,
-                load,
-                p99_us: r.cluster.tail_us,
-                p50_us: r.cluster.p50_us,
-                mean_us: r.cluster.mean_sojourn_us,
-                mean_wait_us: r.cluster.mean_wait_us,
-                dup_mean_wait_us: if r.dup_wait.count() > 0 {
-                    r.dup_wait.mean()
-                } else {
-                    0.0
-                },
-                utilization: r.cluster.utilization,
-                added_utilization: r.added_utilization,
-                dup_copies: r.tally.dup_copies,
-                hedges_fired: r.tally.hedges_fired,
-                purged: r.tally.purged_queued + r.tally.purged_in_service,
-                wasted_completions: r.tally.wasted_completions,
-                samples: r.cluster.samples,
-                converged: r.cluster.converged,
-                saturated: false,
-            }
-        })
-        .collect();
-    if let Some(cache) = &opts.cache {
-        for (j, &i) in misses.iter().enumerate() {
-            cache.store(&keys[i], &encode_point(&fresh[j]));
-        }
-    }
-    let hit_points = hits
-        .into_iter()
-        .zip(&grid)
-        .map(|(hit, &(pi, qi, servers, load))| {
-            hit.map(|c| HedgeSweepPoint {
-                policy: opts.policies[pi].to_string(),
-                plan: opts.plans[qi].label(),
-                servers,
-                load,
-                p99_us: c.p99_us,
-                p50_us: c.p50_us,
-                mean_us: c.mean_us,
-                mean_wait_us: c.mean_wait_us,
-                dup_mean_wait_us: c.dup_mean_wait_us,
-                utilization: c.utilization,
-                added_utilization: c.added_utilization,
-                dup_copies: c.dup_copies,
-                hedges_fired: c.hedges_fired,
-                purged: c.purged,
-                wasted_completions: c.wasted_completions,
-                samples: c.samples,
-                converged: c.converged,
-                saturated: c.saturated,
-            })
-        })
-        .collect();
-    let points = assemble(hit_points, fresh);
+    let points = grid::run(opts);
     if log_enabled() {
         let saturated = points.iter().filter(|p| p.saturated).count();
         log_line(&format!(
@@ -484,6 +194,183 @@ pub fn hedge_sweep(opts: &HedgeSweepOptions) -> Vec<HedgeSweepPoint> {
         ));
     }
     points
+}
+
+/// (policy, plan, servers, load).
+type Cell = (BalancerPolicy, DuplicationPolicy, usize, f64);
+
+impl GridSpec for HedgeSweepOptions {
+    type Cell = Cell;
+    type Run = HedgedClusterResult;
+    type Point = HedgeSweepPoint;
+    const NAME: &'static str = "hedge_sweep";
+
+    fn grid(&self) -> Grid<'_> {
+        Grid {
+            seed: self.seed,
+            stream: HEDGE_CELL_STREAM,
+            threads: self.threads,
+            cache: self.cache.as_ref(),
+            replications: self.replications,
+            max_samples: self.queue.max_samples,
+            ..Grid::default()
+        }
+    }
+
+    fn cells(&self) -> Vec<Cell> {
+        let mut cells = Vec::new();
+        for &policy in &self.policies {
+            for &plan in &self.plans {
+                for &servers in &self.server_counts {
+                    for &load in &self.loads {
+                        cells.push((policy, plan, servers, load));
+                    }
+                }
+            }
+        }
+        cells
+    }
+
+    fn digest(&self, &(policy, plan, servers, load): &Cell, w: &mut DigestWriter) {
+        self.workload.digest(w);
+        policy.digest(w);
+        plan.digest(w);
+        w.field_usize("servers", servers);
+        w.field_f64("load", load);
+        w.field_u64("seed", self.seed);
+        w.field("queue", &self.queue);
+        w.field("event_queue", &self.event_queue);
+        w.field_usize("replications", self.replications.max(1));
+    }
+
+    fn coords(&self, &(_, _, servers, load): &Cell) -> (f64, Option<usize>) {
+        (load, Some(servers))
+    }
+
+    fn run(&self, cell: &Cell, _: f64, seed: u64, samples: usize) -> Option<HedgedClusterResult> {
+        let &(policy, plan, servers, load) = cell;
+        let model = self.workload.service_model();
+        let nominal = self.workload.nominal_service_us();
+        let lambda = servers as f64 * load / nominal;
+        // Cheap pre-guard mirroring the engine's pilot rule: an eager
+        // no-purge plan must carry every copy to completion.
+        let eager_copies = match plan.mode {
+            DupMode::Duplicate { copies } if !plan.purge => copies as f64,
+            _ => 1.0,
+        };
+        // The cluster sweep's fault-free service law, unscaled.
+        let (mean_service, mut service) = scaled_service(&model, 1.0, FaultPlan::none());
+        if load / nominal * mean_service * eager_copies >= 0.95 {
+            return None;
+        }
+        let mut copts = ClusterOptions::from_mg1(servers, &self.queue);
+        copts.event_queue = self.event_queue;
+        copts.max_samples = samples;
+        copts.seed = seed;
+        let mut balancer = policy.build();
+        try_simulate_cluster_hedged(
+            lambda,
+            &mut service,
+            balancer.as_mut(),
+            &plan,
+            &copts,
+            &Tracer::disabled(),
+        )
+        .ok()
+    }
+
+    fn merge(&self, parts: Vec<HedgedClusterResult>) -> HedgedClusterResult {
+        merge_hedged_replications(parts, self.queue.quantile, self.queue.confidence)
+    }
+
+    fn point(&self, cell: &Cell, run: Option<HedgedClusterResult>) -> HedgeSweepPoint {
+        let &(policy, plan, servers, load) = cell;
+        let saturated = HedgeSweepPoint {
+            policy: policy.to_string(),
+            plan: plan.label(),
+            servers,
+            load,
+            p99_us: f64::INFINITY,
+            p50_us: f64::INFINITY,
+            mean_us: f64::INFINITY,
+            mean_wait_us: f64::INFINITY,
+            dup_mean_wait_us: f64::INFINITY,
+            utilization: 1.0,
+            added_utilization: 0.0,
+            dup_copies: 0,
+            hedges_fired: 0,
+            purged: 0,
+            wasted_completions: 0,
+            samples: 0,
+            converged: false,
+            saturated: true,
+        };
+        let Some(r) = run else {
+            return saturated;
+        };
+        HedgeSweepPoint {
+            p99_us: r.cluster.tail_us,
+            p50_us: r.cluster.p50_us,
+            mean_us: r.cluster.mean_sojourn_us,
+            mean_wait_us: r.cluster.mean_wait_us,
+            dup_mean_wait_us: if r.dup_wait.count() > 0 {
+                r.dup_wait.mean()
+            } else {
+                0.0
+            },
+            utilization: r.cluster.utilization,
+            added_utilization: r.added_utilization,
+            dup_copies: r.tally.dup_copies,
+            hedges_fired: r.tally.hedges_fired,
+            purged: r.tally.purged_queued + r.tally.purged_in_service,
+            wasted_completions: r.tally.wasted_completions,
+            samples: r.cluster.samples,
+            converged: r.cluster.converged,
+            saturated: false,
+            ..saturated
+        }
+    }
+
+    fn encode(&self, p: &HedgeSweepPoint) -> String {
+        let mut w = PayloadWriter::new();
+        w.f64("p99_us", p.p99_us);
+        w.f64("p50_us", p.p50_us);
+        w.f64("mean_us", p.mean_us);
+        w.f64("mean_wait_us", p.mean_wait_us);
+        w.f64("dup_mean_wait_us", p.dup_mean_wait_us);
+        w.f64("utilization", p.utilization);
+        w.f64("added_utilization", p.added_utilization);
+        w.u64("dup_copies", p.dup_copies);
+        w.u64("hedges_fired", p.hedges_fired);
+        w.u64("purged", p.purged);
+        w.u64("wasted_completions", p.wasted_completions);
+        w.usize("samples", p.samples);
+        w.bool("converged", p.converged);
+        w.bool("saturated", p.saturated);
+        w.finish()
+    }
+
+    fn decode(&self, cell: &Cell, payload: &str) -> Option<HedgeSweepPoint> {
+        let mut r = PayloadReader::new(payload);
+        let p = HedgeSweepPoint {
+            p99_us: r.f64("p99_us")?,
+            p50_us: r.f64("p50_us")?,
+            mean_us: r.f64("mean_us")?,
+            mean_wait_us: r.f64("mean_wait_us")?,
+            dup_mean_wait_us: r.f64("dup_mean_wait_us")?,
+            utilization: r.f64("utilization")?,
+            added_utilization: r.f64("added_utilization")?,
+            dup_copies: r.u64("dup_copies")?,
+            hedges_fired: r.u64("hedges_fired")?,
+            purged: r.u64("purged")?,
+            wasted_completions: r.u64("wasted_completions")?,
+            samples: r.usize("samples")?,
+            converged: r.bool("converged")?,
+            saturated: r.bool("saturated")?,
+            ..self.point(cell, None)
+        };
+        r.done().then_some(p)
+    }
 }
 
 #[cfg(test)]

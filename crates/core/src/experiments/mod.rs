@@ -6,6 +6,7 @@ pub mod fig1;
 pub mod fig2;
 pub mod fig5;
 pub mod fig6;
+mod grid;
 pub mod hedge_sweep;
 pub mod rack_sweep;
 pub mod sweep;

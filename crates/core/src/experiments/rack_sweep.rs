@@ -10,27 +10,26 @@
 //! signal staleness Δ, optional idle-server work stealing, centralized or
 //! distributed dispatch planes, and Zipf-skewed tenant traffic.
 //!
-//! The grid shares the cluster sweep's calibration (one saturated
-//! cycle-level run per design) *and* its per-cell seed derivation, so a
-//! fresh plan's cells — Δ=0, no stealing, single tenant — are bitwise
+//! Both sweeps run on the crate's grid runner (`experiments/grid.rs`),
+//! which owns calibration, cell seeds, replications and the cache; this
+//! sweep uses the cluster sweep's seed stream and fault-free service law,
+//! so a fresh plan's cells — Δ=0, no stealing, single tenant — are bitwise
 //! identical to the corresponding [`cluster_sweep`] cells: the rack sweep
 //! strictly generalizes the cluster sweep without perturbing one golden
 //! byte.
 //!
 //! [`cluster_sweep`]: crate::experiments::cluster_sweep
 
-use crate::cellcache::{
-    assemble, miss_indices, CellCache, CellKey, Digest, PayloadReader, PayloadWriter,
-};
-use crate::exec::ExecPool;
-use crate::server::ServerSim;
+use super::cluster_sweep::CLUSTER_CELL_STREAM;
+use super::grid::{self, scaled_service, Grid, GridSpec};
+use crate::cellcache::{CellCache, CellKey, Digest, DigestWriter, PayloadReader, PayloadWriter};
 use duplexity_cpu::designs::Design;
+use duplexity_net::FaultPlan;
 use duplexity_obs::{log_enabled, log_line, Tracer};
 use duplexity_queueing::cluster::{BalancerPolicy, ClusterOptions};
 use duplexity_queueing::des::Mg1Options;
 use duplexity_queueing::eventcore::EventQueueKind;
 use duplexity_queueing::rack::{merge_rack_replications, try_simulate_rack, RackPlan, RackResult};
-use duplexity_stats::rng::{derive_stream, SimRng};
 use duplexity_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -147,35 +146,6 @@ pub struct RackSweepPoint {
     pub saturated: bool,
 }
 
-fn saturated_point(
-    design: Design,
-    policy: BalancerPolicy,
-    plan: &RackPlan,
-    servers: usize,
-    load: f64,
-) -> RackSweepPoint {
-    RackSweepPoint {
-        design,
-        policy: policy.to_string(),
-        plan: plan.label(),
-        coordination: plan.coordination.label(),
-        delta_us: plan.delta_us,
-        servers,
-        load,
-        p99_us: f64::INFINITY,
-        p50_us: f64::INFINITY,
-        mean_us: f64::INFINITY,
-        mean_wait_us: f64::INFINITY,
-        hot_p99_us: f64::INFINITY,
-        utilization: 1.0,
-        steals: 0,
-        steals_empty: 0,
-        samples: 0,
-        converged: false,
-        saturated: true,
-    }
-}
-
 /// Content-addressed cache keys for every cell of the rack-sweep grid, in
 /// the driver's lexicographic evaluation order.
 ///
@@ -187,324 +157,28 @@ fn saturated_point(
 /// resolved thread count.
 #[must_use]
 pub fn cell_keys(opts: &RackSweepOptions) -> Vec<CellKey> {
-    let mut keys = Vec::new();
-    for &design in &opts.designs {
-        for &policy in &opts.policies {
-            for plan in &opts.plans {
-                for &servers in &opts.server_counts {
-                    for &load in &opts.loads {
-                        keys.push(CellKey::build("rack_sweep", |w| {
-                            opts.workload.digest(w);
-                            design.digest(w);
-                            policy.digest(w);
-                            plan.digest(w);
-                            w.field_usize("servers", servers);
-                            w.field_f64("load", load);
-                            w.field_u64("calibration_cycles", opts.calibration_cycles);
-                            w.field_u64("seed", opts.seed);
-                            w.field("queue", &opts.queue);
-                            w.field_usize("replications", opts.replications.max(1));
-                        }));
-                    }
-                }
-            }
-        }
-    }
-    keys
-}
-
-fn encode_point(p: &RackSweepPoint) -> String {
-    let mut w = PayloadWriter::new();
-    w.f64("p99_us", p.p99_us);
-    w.f64("p50_us", p.p50_us);
-    w.f64("mean_us", p.mean_us);
-    w.f64("mean_wait_us", p.mean_wait_us);
-    w.f64("hot_p99_us", p.hot_p99_us);
-    w.f64("utilization", p.utilization);
-    w.u64("steals", p.steals);
-    w.u64("steals_empty", p.steals_empty);
-    w.usize("samples", p.samples);
-    w.bool("converged", p.converged);
-    w.bool("saturated", p.saturated);
-    w.finish()
-}
-
-// Measured outputs only: the grid coordinates (and the plan's labels) are
-// rebuilt from the options at assembly time.
-struct CachedPoint {
-    p99_us: f64,
-    p50_us: f64,
-    mean_us: f64,
-    mean_wait_us: f64,
-    hot_p99_us: f64,
-    utilization: f64,
-    steals: u64,
-    steals_empty: u64,
-    samples: usize,
-    converged: bool,
-    saturated: bool,
-}
-
-fn decode_point(payload: &str) -> Option<CachedPoint> {
-    let mut r = PayloadReader::new(payload);
-    let p = CachedPoint {
-        p99_us: r.f64("p99_us")?,
-        p50_us: r.f64("p50_us")?,
-        mean_us: r.f64("mean_us")?,
-        mean_wait_us: r.f64("mean_wait_us")?,
-        hot_p99_us: r.f64("hot_p99_us")?,
-        utilization: r.f64("utilization")?,
-        steals: r.u64("steals")?,
-        steals_empty: r.u64("steals_empty")?,
-        samples: r.usize("samples")?,
-        converged: r.bool("converged")?,
-        saturated: r.bool("saturated")?,
-    };
-    r.done().then_some(p)
+    grid::keys(opts)
 }
 
 /// Runs the rack sweep: one saturated calibration per design, then a rack
 /// simulation per (design, policy, plan, cluster size, load) cell.
 ///
-/// Per-cell seeds use the cluster sweep's exact derivation —
-/// `derive_stream(seed, 0xC105 ^ load-bits ^ servers-bits)` — so cells
-/// are common-random-number comparable across designs, policies, *and*
-/// plans, and a fresh plan's cells reproduce [`cluster_sweep`] cells
-/// bitwise. Bit-identical under [`ExecPool`] at any worker count.
+/// Per-cell seeds are the cluster sweep's — `(seed, load, servers)` on the
+/// same stream — so cells are common-random-number comparable across
+/// designs, policies, *and* plans, and a fresh plan's cells reproduce
+/// [`cluster_sweep`] cells bitwise. Bit-identical under
+/// [`ExecPool`](crate::exec::ExecPool) at any worker count.
 ///
 /// [`cluster_sweep`]: crate::experiments::cluster_sweep::cluster_sweep
 ///
 /// # Panics
 ///
 /// Panics if the options contain no loads, designs, policies, plans, or
-/// server counts, contain a zero server count, or omit
-/// [`Design::Baseline`] (the slowdown reference).
+/// server counts, contain a load that is not positive or a zero server
+/// count, or omit [`Design::Baseline`] (the slowdown reference).
 #[must_use]
 pub fn rack_sweep(opts: &RackSweepOptions) -> Vec<RackSweepPoint> {
-    assert!(
-        !opts.loads.is_empty()
-            && !opts.designs.is_empty()
-            && !opts.policies.is_empty()
-            && !opts.plans.is_empty()
-            && !opts.server_counts.is_empty(),
-        "empty rack sweep"
-    );
-    assert!(
-        opts.designs.contains(&Design::Baseline),
-        "baseline required as the slowdown reference"
-    );
-    assert!(
-        opts.server_counts.iter().all(|&n| n >= 1),
-        "cluster sizes must be >= 1"
-    );
-    let model = opts.workload.service_model();
-    let nominal = opts.workload.nominal_service_us();
-    let stall = model.mean_stall_us();
-
-    let pool = ExecPool::new(opts.threads);
-
-    // Grid in (design, policy, plan, servers, load) lexicographic order.
-    let grid: Vec<(usize, usize, usize, usize, f64)> = (0..opts.designs.len())
-        .flat_map(|di| {
-            let policies = &opts.policies;
-            let plans = &opts.plans;
-            let counts = &opts.server_counts;
-            let loads = &opts.loads;
-            (0..policies.len()).flat_map(move |pi| {
-                (0..plans.len()).flat_map(move |li| {
-                    counts
-                        .iter()
-                        .flat_map(move |&n| loads.iter().map(move |&l| (di, pi, li, n, l)))
-                })
-            })
-        })
-        .collect();
-    let keys = cell_keys(opts);
-    let hits = match &opts.cache {
-        Some(cache) => cache.probe(&keys, decode_point),
-        None => grid.iter().map(|_| None).collect(),
-    };
-    let misses = miss_indices(&hits);
-
-    // The cluster sweep's calibration verbatim: one saturated cycle sim
-    // per design (stream 0x53E9), baseline anchors every slowdown, and
-    // only designs with a missed cell pay for it.
-    let saturated_service = |design: Design| -> Option<f64> {
-        let m = ServerSim::new(design, opts.workload)
-            .saturated()
-            .horizon_cycles(opts.calibration_cycles)
-            .seed(derive_stream(opts.seed, 0x53E9))
-            .run();
-        if m.request_latencies_us.len() < 10 {
-            return None;
-        }
-        Some(m.request_latencies_us.iter().sum::<f64>() / m.request_latencies_us.len() as f64)
-    };
-    let mut needed = vec![false; opts.designs.len()];
-    for &i in &misses {
-        needed[grid[i].0] = true;
-    }
-    let base_idx = opts
-        .designs
-        .iter()
-        .position(|&d| d == Design::Baseline)
-        .expect("asserted above");
-    if !misses.is_empty() {
-        needed[base_idx] = true;
-    }
-    let needed_idx: Vec<usize> = (0..opts.designs.len()).filter(|&i| needed[i]).collect();
-    let calibrated = pool.run("rack_sweep/calibrate", needed_idx.len(), |j| {
-        saturated_service(opts.designs[needed_idx[j]])
-    });
-    let mut services: Vec<Option<f64>> = vec![None; opts.designs.len()];
-    for (j, &di) in needed_idx.iter().enumerate() {
-        services[di] = calibrated[j];
-    }
-    let base_service = services[base_idx];
-    let slowdowns: Vec<f64> = services
-        .iter()
-        .map(|mine| match (base_service, *mine) {
-            (Some(b), Some(m)) => {
-                let (bc, mc) = ((b - stall).max(0.05), (m - stall).max(0.05));
-                (mc / bc).clamp(1.0, 6.0)
-            }
-            _ => 1.0,
-        })
-        .collect();
-
-    // Replications flatten cell-major into the pool's work list, exactly
-    // as in the cluster sweep. Only missed cells enter.
-    let reps = opts.replications.max(1);
-    let rep_samples = opts.queue.max_samples.div_ceil(reps);
-    let runs: Vec<Option<RackResult>> = pool.run("rack_sweep/points", misses.len() * reps, |w| {
-        let (di, pi, li, servers, load) = grid[misses[w / reps]];
-        let rep = w % reps;
-        let policy = opts.policies[pi];
-        let plan = &opts.plans[li];
-        let slowdown = slowdowns[di];
-        let lambda = servers as f64 * load / nominal;
-        // The cluster sweep's fault-free pre-guard: mean service is the
-        // scaled compute leg plus the (fault-free) stall leg.
-        let scaled_mean = model.mean_compute_us() * slowdown + stall;
-        if load / nominal * scaled_mean >= 0.95 {
-            return None;
-        }
-        let scaled = model.scale_compute(slowdown);
-        // The cluster sweep's fault-free service closure: split sampling
-        // keeps the RNG stream identical to the historical path, which is
-        // what makes fresh-plan cells reproduce cluster cells bitwise.
-        let mut service = |rng: &mut SimRng| scaled.sample_compute(rng) + scaled.sample_stall(rng);
-        let mut copts = ClusterOptions::from_mg1(servers, &opts.queue);
-        copts.max_samples = rep_samples;
-        copts.event_queue = opts.event_queue;
-        // The cluster sweep's cell-seed derivation verbatim: common random
-        // numbers across designs, policies, and plans at a given (load,
-        // cluster size).
-        let cell_seed = derive_stream(
-            opts.seed,
-            0xC105 ^ ((load * 1000.0) as u64) ^ ((servers as u64) << 32),
-        );
-        copts.seed = if reps == 1 {
-            cell_seed
-        } else {
-            derive_stream(cell_seed, 1 + rep as u64)
-        };
-        try_simulate_rack(
-            lambda,
-            &mut service,
-            policy,
-            plan,
-            &copts,
-            &Tracer::disabled(),
-        )
-        .ok()
-    });
-
-    // Assemble missed cells cell-major, write back, interleave with hits.
-    let mut run_iter = runs.into_iter();
-    let fresh: Vec<RackSweepPoint> = misses
-        .iter()
-        .map(|&i| {
-            let (di, pi, li, servers, load) = grid[i];
-            let design = opts.designs[di];
-            let policy = opts.policies[pi];
-            let plan = &opts.plans[li];
-            let mut parts = Vec::with_capacity(reps);
-            let mut saturated = false;
-            for _ in 0..reps {
-                match run_iter.next().expect("one run per (cell, replication)") {
-                    Some(r) => parts.push(r),
-                    None => saturated = true,
-                }
-            }
-            if saturated {
-                return saturated_point(design, policy, plan, servers, load);
-            }
-            let r = if parts.len() == 1 {
-                parts.pop().expect("one replication")
-            } else {
-                merge_rack_replications(parts, opts.queue.quantile, opts.queue.confidence)
-            };
-            // Single-tenant plans put every sample in the hot sketch, so
-            // the hot tail degenerates to the overall sketch tail.
-            let hot_p99 = r.hot_sketch.quantile(0.99).unwrap_or(0.0);
-            RackSweepPoint {
-                design,
-                policy: policy.to_string(),
-                plan: plan.label(),
-                coordination: plan.coordination.label(),
-                delta_us: plan.delta_us,
-                servers,
-                load,
-                p99_us: r.cluster.tail_us,
-                p50_us: r.cluster.p50_us,
-                mean_us: r.cluster.mean_sojourn_us,
-                mean_wait_us: r.cluster.mean_wait_us,
-                hot_p99_us: hot_p99,
-                utilization: r.cluster.utilization,
-                steals: r.tally.steals,
-                steals_empty: r.tally.steals_empty,
-                samples: r.cluster.samples,
-                converged: r.cluster.converged,
-                saturated: false,
-            }
-        })
-        .collect();
-    if let Some(cache) = &opts.cache {
-        for (j, &i) in misses.iter().enumerate() {
-            cache.store(&keys[i], &encode_point(&fresh[j]));
-        }
-    }
-    let hit_points = hits
-        .into_iter()
-        .zip(&grid)
-        .map(|(hit, &(di, pi, li, servers, load))| {
-            hit.map(|c| {
-                let plan = &opts.plans[li];
-                RackSweepPoint {
-                    design: opts.designs[di],
-                    policy: opts.policies[pi].to_string(),
-                    plan: plan.label(),
-                    coordination: plan.coordination.label(),
-                    delta_us: plan.delta_us,
-                    servers,
-                    load,
-                    p99_us: c.p99_us,
-                    p50_us: c.p50_us,
-                    mean_us: c.mean_us,
-                    mean_wait_us: c.mean_wait_us,
-                    hot_p99_us: c.hot_p99_us,
-                    utilization: c.utilization,
-                    steals: c.steals,
-                    steals_empty: c.steals_empty,
-                    samples: c.samples,
-                    converged: c.converged,
-                    saturated: c.saturated,
-                }
-            })
-        })
-        .collect();
-    let points = assemble(hit_points, fresh);
+    let points = grid::run(opts);
     if log_enabled() {
         let saturated = points.iter().filter(|p| p.saturated).count();
         log_line(&format!(
@@ -520,6 +194,174 @@ pub fn rack_sweep(opts: &RackSweepOptions) -> Vec<RackSweepPoint> {
         ));
     }
     points
+}
+
+/// (design, policy, plan, servers, load).
+type Cell = (Design, BalancerPolicy, RackPlan, usize, f64);
+
+impl GridSpec for RackSweepOptions {
+    type Cell = Cell;
+    type Run = RackResult;
+    type Point = RackSweepPoint;
+    const NAME: &'static str = "rack_sweep";
+
+    fn grid(&self) -> Grid<'_> {
+        Grid {
+            seed: self.seed,
+            stream: CLUSTER_CELL_STREAM,
+            threads: self.threads,
+            cache: self.cache.as_ref(),
+            replications: self.replications,
+            max_samples: self.queue.max_samples,
+            calibration: Some((self.workload, &self.designs, self.calibration_cycles)),
+        }
+    }
+
+    fn cells(&self) -> Vec<Cell> {
+        let mut cells = Vec::new();
+        for &design in &self.designs {
+            for &policy in &self.policies {
+                for &plan in &self.plans {
+                    for &servers in &self.server_counts {
+                        for &load in &self.loads {
+                            cells.push((design, policy, plan, servers, load));
+                        }
+                    }
+                }
+            }
+        }
+        cells
+    }
+
+    fn digest(&self, &(design, policy, plan, servers, load): &Cell, w: &mut DigestWriter) {
+        self.workload.digest(w);
+        design.digest(w);
+        policy.digest(w);
+        plan.digest(w);
+        w.field_usize("servers", servers);
+        w.field_f64("load", load);
+        w.field_u64("calibration_cycles", self.calibration_cycles);
+        w.field_u64("seed", self.seed);
+        w.field("queue", &self.queue);
+        w.field_usize("replications", self.replications.max(1));
+    }
+
+    fn coords(&self, &(.., servers, load): &Cell) -> (f64, Option<usize>) {
+        (load, Some(servers))
+    }
+
+    fn design(&self, &(design, ..): &Cell) -> Design {
+        design
+    }
+
+    fn run(&self, cell: &Cell, slowdown: f64, seed: u64, samples: usize) -> Option<RackResult> {
+        let &(_, policy, plan, servers, load) = cell;
+        let nominal = self.workload.nominal_service_us();
+        let lambda = servers as f64 * load / nominal;
+        // The cluster sweep's fault-free service law and pre-guard: the
+        // same RNG stream is what makes fresh-plan cells reproduce cluster
+        // cells bitwise.
+        let model = self.workload.service_model();
+        let (scaled_mean, mut service) = scaled_service(&model, slowdown, FaultPlan::none());
+        if load / nominal * scaled_mean >= 0.95 {
+            return None;
+        }
+        let mut copts = ClusterOptions::from_mg1(servers, &self.queue);
+        copts.max_samples = samples;
+        copts.event_queue = self.event_queue;
+        copts.seed = seed;
+        try_simulate_rack(
+            lambda,
+            &mut service,
+            policy,
+            &plan,
+            &copts,
+            &Tracer::disabled(),
+        )
+        .ok()
+    }
+
+    fn merge(&self, parts: Vec<RackResult>) -> RackResult {
+        merge_rack_replications(parts, self.queue.quantile, self.queue.confidence)
+    }
+
+    fn point(&self, cell: &Cell, run: Option<RackResult>) -> RackSweepPoint {
+        let &(design, policy, plan, servers, load) = cell;
+        let saturated = RackSweepPoint {
+            design,
+            policy: policy.to_string(),
+            plan: plan.label(),
+            coordination: plan.coordination.label(),
+            delta_us: plan.delta_us,
+            servers,
+            load,
+            p99_us: f64::INFINITY,
+            p50_us: f64::INFINITY,
+            mean_us: f64::INFINITY,
+            mean_wait_us: f64::INFINITY,
+            hot_p99_us: f64::INFINITY,
+            utilization: 1.0,
+            steals: 0,
+            steals_empty: 0,
+            samples: 0,
+            converged: false,
+            saturated: true,
+        };
+        let Some(r) = run else {
+            return saturated;
+        };
+        RackSweepPoint {
+            p99_us: r.cluster.tail_us,
+            p50_us: r.cluster.p50_us,
+            mean_us: r.cluster.mean_sojourn_us,
+            mean_wait_us: r.cluster.mean_wait_us,
+            // Single-tenant plans put every sample in the hot sketch, so
+            // the hot tail degenerates to the overall sketch tail.
+            hot_p99_us: r.hot_sketch.quantile(0.99).unwrap_or(0.0),
+            utilization: r.cluster.utilization,
+            steals: r.tally.steals,
+            steals_empty: r.tally.steals_empty,
+            samples: r.cluster.samples,
+            converged: r.cluster.converged,
+            saturated: false,
+            ..saturated
+        }
+    }
+
+    fn encode(&self, p: &RackSweepPoint) -> String {
+        let mut w = PayloadWriter::new();
+        w.f64("p99_us", p.p99_us);
+        w.f64("p50_us", p.p50_us);
+        w.f64("mean_us", p.mean_us);
+        w.f64("mean_wait_us", p.mean_wait_us);
+        w.f64("hot_p99_us", p.hot_p99_us);
+        w.f64("utilization", p.utilization);
+        w.u64("steals", p.steals);
+        w.u64("steals_empty", p.steals_empty);
+        w.usize("samples", p.samples);
+        w.bool("converged", p.converged);
+        w.bool("saturated", p.saturated);
+        w.finish()
+    }
+
+    fn decode(&self, cell: &Cell, payload: &str) -> Option<RackSweepPoint> {
+        let mut r = PayloadReader::new(payload);
+        let p = RackSweepPoint {
+            p99_us: r.f64("p99_us")?,
+            p50_us: r.f64("p50_us")?,
+            mean_us: r.f64("mean_us")?,
+            mean_wait_us: r.f64("mean_wait_us")?,
+            hot_p99_us: r.f64("hot_p99_us")?,
+            utilization: r.f64("utilization")?,
+            steals: r.u64("steals")?,
+            steals_empty: r.u64("steals_empty")?,
+            samples: r.usize("samples")?,
+            converged: r.bool("converged")?,
+            saturated: r.bool("saturated")?,
+            ..self.point(cell, None)
+        };
+        r.done().then_some(p)
+    }
 }
 
 #[cfg(test)]

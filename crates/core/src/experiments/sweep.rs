@@ -7,16 +7,12 @@
 //! each design's **SLO capacity** — the highest load whose p99 stays within
 //! budget.
 
-use crate::cellcache::{
-    assemble, miss_indices, CellCache, CellKey, Digest, PayloadReader, PayloadWriter,
-};
-use crate::exec::ExecPool;
-use crate::server::ServerSim;
+use super::grid::{self, scaled_service, Grid, GridSpec};
+use crate::cellcache::{CellCache, CellKey, Digest, DigestWriter, PayloadReader, PayloadWriter};
 use duplexity_cpu::designs::Design;
-use duplexity_net::{EventKind, FaultPlan};
+use duplexity_net::FaultPlan;
 use duplexity_obs::{log_enabled, log_line};
-use duplexity_queueing::des::{try_simulate_mg1, Mg1Options};
-use duplexity_stats::rng::{derive_stream, SimRng};
+use duplexity_queueing::des::{try_simulate_mg1, Mg1Options, Mg1Result};
 use duplexity_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -91,40 +87,7 @@ pub struct SweepPoint {
 /// overlapping cells.
 #[must_use]
 pub fn cell_keys(opts: &SweepOptions) -> Vec<CellKey> {
-    opts.designs
-        .iter()
-        .flat_map(|&design| {
-            opts.loads.iter().map(move |&load| {
-                CellKey::build("sweep", |w| {
-                    opts.workload.digest(w);
-                    design.digest(w);
-                    w.field_f64("load", load);
-                    w.field_u64("calibration_cycles", opts.calibration_cycles);
-                    w.field_u64("seed", opts.seed);
-                    w.field("queue", &opts.queue);
-                    w.field("fault", &opts.fault);
-                })
-            })
-        })
-        .collect()
-}
-
-fn encode_point(p: &SweepPoint) -> String {
-    let mut w = PayloadWriter::new();
-    w.f64("p99_us", p.p99_us);
-    w.f64("mean_us", p.mean_us);
-    w.bool("saturated", p.saturated);
-    w.finish()
-}
-
-// Measured outputs only: the (design, load) coordinates are rebuilt from
-// the grid at assembly time.
-fn decode_point(payload: &str) -> Option<(f64, f64, bool)> {
-    let mut r = PayloadReader::new(payload);
-    let p99_us = r.f64("p99_us")?;
-    let mean_us = r.f64("mean_us")?;
-    let saturated = r.bool("saturated")?;
-    r.done().then_some((p99_us, mean_us, saturated))
+    grid::keys(opts)
 }
 
 /// Runs the sweep: one saturated calibration per design, then a queueing
@@ -132,155 +95,11 @@ fn decode_point(payload: &str) -> Option<(f64, f64, bool)> {
 ///
 /// # Panics
 ///
-/// Panics if the options contain no loads, no designs, or omit
-/// [`Design::Baseline`] (the slowdown reference).
+/// Panics if the options contain no loads or no designs, a load that is
+/// not positive, or omit [`Design::Baseline`] (the slowdown reference).
 #[must_use]
 pub fn latency_load_sweep(opts: &SweepOptions) -> Vec<SweepPoint> {
-    assert!(
-        !opts.loads.is_empty() && !opts.designs.is_empty(),
-        "empty sweep"
-    );
-    assert!(
-        opts.designs.contains(&Design::Baseline),
-        "baseline required as the slowdown reference"
-    );
-    let model = opts.workload.service_model();
-    let nominal = opts.workload.nominal_service_us();
-    let stall = model.mean_stall_us();
-
-    let pool = ExecPool::new(opts.threads);
-
-    // Every (design, load) point builds its queueing RNG from
-    // (seed, load) — common random numbers across designs — so the grid
-    // parallelizes with bit-identical results in design-major order.
-    let grid: Vec<(usize, f64)> = (0..opts.designs.len())
-        .flat_map(|di| opts.loads.iter().map(move |&l| (di, l)))
-        .collect();
-    let keys = cell_keys(opts);
-    let hits = match &opts.cache {
-        Some(cache) => cache.probe(&keys, decode_point),
-        None => grid.iter().map(|_| None).collect(),
-    };
-    let misses = miss_indices(&hits);
-
-    let saturated_service = |design: Design| -> Option<f64> {
-        let m = ServerSim::new(design, opts.workload)
-            .saturated()
-            .horizon_cycles(opts.calibration_cycles)
-            .seed(derive_stream(opts.seed, 0x53E9))
-            .run();
-        if m.request_latencies_us.len() < 10 {
-            return None;
-        }
-        Some(m.request_latencies_us.iter().sum::<f64>() / m.request_latencies_us.len() as f64)
-    };
-
-    // Calibrations are independent cycle simulations — one per design — so
-    // they run on the pool; the baseline's slot is the slowdown reference.
-    // Only designs with a missed cell calibrate (plus the baseline, which
-    // anchors every slowdown): each calibration is a pure function of
-    // (design, workload, horizon, seed), so a subset run is bit-identical.
-    let mut needed = vec![false; opts.designs.len()];
-    for &i in &misses {
-        needed[grid[i].0] = true;
-    }
-    let base_idx = opts
-        .designs
-        .iter()
-        .position(|&d| d == Design::Baseline)
-        .expect("asserted above");
-    if !misses.is_empty() {
-        needed[base_idx] = true;
-    }
-    let needed_idx: Vec<usize> = (0..opts.designs.len()).filter(|&i| needed[i]).collect();
-    let calibrated = pool.run("sweep/calibrate", needed_idx.len(), |j| {
-        saturated_service(opts.designs[needed_idx[j]])
-    });
-    let mut services: Vec<Option<f64>> = vec![None; opts.designs.len()];
-    for (j, &di) in needed_idx.iter().enumerate() {
-        services[di] = calibrated[j];
-    }
-    let base_service = services[base_idx];
-    let slowdowns: Vec<f64> = services
-        .iter()
-        .map(|mine| match (base_service, *mine) {
-            (Some(b), Some(m)) => {
-                let (bc, mc) = ((b - stall).max(0.05), (m - stall).max(0.05));
-                (mc / bc).clamp(1.0, 6.0)
-            }
-            _ => 1.0,
-        })
-        .collect();
-
-    let fresh = pool.run("sweep/points", misses.len(), |j| {
-        let (di, load) = grid[misses[j]];
-        let design = opts.designs[di];
-        let slowdown = slowdowns[di];
-        let lambda = load / nominal;
-        let scaled_mean =
-            model.mean_compute_us() * slowdown + opts.fault.effective_mean_bound_us(stall);
-        if lambda * scaled_mean >= 0.95 {
-            return SweepPoint {
-                design,
-                load,
-                p99_us: f64::INFINITY,
-                mean_us: f64::INFINITY,
-                saturated: true,
-            };
-        }
-        let scaled = model.scale_compute(slowdown);
-        let fault = opts.fault;
-        let mut service = |rng: &mut SimRng| {
-            let c = scaled.sample_compute(rng);
-            if fault.is_none() {
-                c + scaled.sample_stall(rng)
-            } else {
-                c + fault
-                    .sample_event(EventKind::RemoteMemory, rng, |r| scaled.sample_stall(r))
-                    .latency_us
-            }
-        };
-        let mut qopts = opts.queue;
-        qopts.seed = derive_stream(opts.seed, 0x53EA ^ (load * 1000.0) as u64);
-        // The pre-guard above is a cheap bound; the DES pilot is the
-        // authoritative stability check, and its typed Unstable verdict
-        // marks the point saturated instead of killing the sweep.
-        match try_simulate_mg1(lambda, &mut service, &qopts) {
-            Ok(r) => SweepPoint {
-                design,
-                load,
-                p99_us: r.tail_us,
-                mean_us: r.mean_sojourn_us,
-                saturated: false,
-            },
-            Err(_) => SweepPoint {
-                design,
-                load,
-                p99_us: f64::INFINITY,
-                mean_us: f64::INFINITY,
-                saturated: true,
-            },
-        }
-    });
-    if let Some(cache) = &opts.cache {
-        for (j, &i) in misses.iter().enumerate() {
-            cache.store(&keys[i], &encode_point(&fresh[j]));
-        }
-    }
-    let hit_points = hits
-        .into_iter()
-        .zip(&grid)
-        .map(|(hit, &(di, load))| {
-            hit.map(|(p99_us, mean_us, saturated)| SweepPoint {
-                design: opts.designs[di],
-                load,
-                p99_us,
-                mean_us,
-                saturated,
-            })
-        })
-        .collect();
-    let points = assemble(hit_points, fresh);
+    let points = grid::run(opts);
     if log_enabled() {
         let saturated = points.iter().filter(|p| p.saturated).count();
         log_line(&format!(
@@ -293,6 +112,104 @@ pub fn latency_load_sweep(opts: &SweepOptions) -> Vec<SweepPoint> {
         ));
     }
     points
+}
+
+/// (design, load).
+type Cell = (Design, f64);
+
+// Every (design, load) point builds its queueing RNG from (seed, load) —
+// common random numbers across designs — in design-major order.
+impl GridSpec for SweepOptions {
+    type Cell = Cell;
+    type Run = Mg1Result;
+    type Point = SweepPoint;
+    const NAME: &'static str = "sweep";
+
+    fn grid(&self) -> Grid<'_> {
+        Grid {
+            seed: self.seed,
+            stream: 0x53EA,
+            threads: self.threads,
+            cache: self.cache.as_ref(),
+            calibration: Some((self.workload, &self.designs, self.calibration_cycles)),
+            ..Grid::default()
+        }
+    }
+
+    fn cells(&self) -> Vec<Cell> {
+        let loads = &self.loads;
+        self.designs
+            .iter()
+            .flat_map(|&d| loads.iter().map(move |&l| (d, l)))
+            .collect()
+    }
+
+    fn digest(&self, &(design, load): &Cell, w: &mut DigestWriter) {
+        self.workload.digest(w);
+        design.digest(w);
+        w.field_f64("load", load);
+        w.field_u64("calibration_cycles", self.calibration_cycles);
+        w.field_u64("seed", self.seed);
+        w.field("queue", &self.queue);
+        w.field("fault", &self.fault);
+    }
+
+    fn coords(&self, &(_, load): &Cell) -> (f64, Option<usize>) {
+        (load, None)
+    }
+
+    fn design(&self, &(design, _): &Cell) -> Design {
+        design
+    }
+
+    fn run(&self, &(_, load): &Cell, slowdown: f64, seed: u64, _: usize) -> Option<Mg1Result> {
+        let lambda = load / self.workload.nominal_service_us();
+        let model = self.workload.service_model();
+        let (scaled_mean, mut service) = scaled_service(&model, slowdown, self.fault);
+        if lambda * scaled_mean >= 0.95 {
+            return None;
+        }
+        let mut qopts = self.queue;
+        qopts.seed = seed;
+        // The pre-guard above is a cheap bound; the DES pilot is the
+        // authoritative stability check, and its typed Unstable verdict
+        // marks the point saturated instead of killing the sweep.
+        try_simulate_mg1(lambda, &mut service, &qopts).ok()
+    }
+
+    fn point(&self, &(design, load): &Cell, run: Option<Mg1Result>) -> SweepPoint {
+        let saturated = run.is_none();
+        let (p99_us, mean_us) = run.map_or((f64::INFINITY, f64::INFINITY), |r| {
+            (r.tail_us, r.mean_sojourn_us)
+        });
+        SweepPoint {
+            design,
+            load,
+            p99_us,
+            mean_us,
+            saturated,
+        }
+    }
+
+    fn encode(&self, p: &SweepPoint) -> String {
+        let mut w = PayloadWriter::new();
+        w.f64("p99_us", p.p99_us);
+        w.f64("mean_us", p.mean_us);
+        w.bool("saturated", p.saturated);
+        w.finish()
+    }
+
+    fn decode(&self, &(design, load): &Cell, payload: &str) -> Option<SweepPoint> {
+        let mut r = PayloadReader::new(payload);
+        let p = SweepPoint {
+            design,
+            load,
+            p99_us: r.f64("p99_us")?,
+            mean_us: r.f64("mean_us")?,
+            saturated: r.bool("saturated")?,
+        };
+        r.done().then_some(p)
+    }
 }
 
 /// The highest swept load whose p99 stays within `budget_us` for `design`

@@ -14,18 +14,19 @@
 //! Determinism: the observability layer draws zero RNG values, cells
 //! derive their seeds from `(seed, load, servers)` alone, and per-cell
 //! logs merge in load-index order under `load{l}/` prefixes — so the
-//! artifact is byte-identical at any [`ExecPool`] worker count, which
+//! artifact is byte-identical at any [`ExecPool`](crate::exec::ExecPool)
+//! worker count, which
 //! `tests/obs_determinism.rs` holds it to.
 
-use crate::cellcache::{miss_indices, CellCache, CellKey, PayloadReader, PayloadWriter};
-use crate::exec::ExecPool;
+use super::grid::{self, Grid, GridSpec};
+use crate::cellcache::{CellCache, CellKey, DigestWriter, PayloadReader, PayloadWriter};
 use duplexity_obs::{log_enabled, log_line, Bin, Observation, Registry, TimeSeriesSet, Tracer};
 use duplexity_queueing::cluster::{
     try_simulate_cluster_hedged, BalancerPolicy, ClusterOptions, DuplicationPolicy,
 };
 use duplexity_queueing::des::Mg1Options;
 use duplexity_queueing::eventcore::EventQueueKind;
-use duplexity_stats::rng::{derive_stream, SimRng};
+use duplexity_stats::rng::SimRng;
 use duplexity_workloads::Workload;
 
 /// Stream label for per-cell seeds (keyed on load and cluster size only,
@@ -98,123 +99,7 @@ impl Default for TimelineOptions {
 /// overwrites it from the digested experiment seed).
 #[must_use]
 pub fn cell_keys(opts: &TimelineOptions) -> Vec<CellKey> {
-    opts.loads
-        .iter()
-        .map(|&load| {
-            CellKey::build("timeline", |w| {
-                w.field("workload", &opts.workload);
-                w.field("policy", &opts.policy);
-                w.field("plan", &opts.plan);
-                w.field_usize("servers", opts.servers);
-                w.field_f64("load", load);
-                w.field_f64("bin_us", opts.bin_us);
-                w.field_u64("seed", opts.seed);
-                w.field("queue", &opts.queue);
-                w.field("event_queue", &opts.event_queue);
-            })
-        })
-        .collect()
-}
-
-/// A reconstructed load cell: endpoint summary (minus the load
-/// coordinate, which the grid supplies) plus the cell's gauge series and
-/// registry, exactly as the live tracer would have produced them.
-struct CachedTimelineCell {
-    samples: usize,
-    p99_us: f64,
-    sketch_p99_us: f64,
-    saturated: bool,
-    series: Option<TimeSeriesSet>,
-    registry: Registry,
-}
-
-fn encode_cell(cell: &TimelineCell, series: Option<&TimeSeriesSet>, registry: &Registry) -> String {
-    let mut w = PayloadWriter::new();
-    w.usize("samples", cell.samples);
-    w.f64("p99_us", cell.p99_us);
-    w.f64("sketch_p99_us", cell.sketch_p99_us);
-    w.bool("saturated", cell.saturated);
-    w.bool("has_series", series.is_some());
-    if let Some(ts) = series {
-        w.usize("series_count", ts.series().count());
-        for (name, s) in ts.series() {
-            w.str("name", name);
-            let bins = s.bins();
-            w.usize("bins", bins.len());
-            for b in bins {
-                w.u64("count", b.count);
-                w.f64("sum", b.sum);
-                w.f64("min", b.min);
-                w.f64("max", b.max);
-                w.f64("last", b.last);
-            }
-        }
-    }
-    w.usize("counters", registry.counters().count());
-    for (path, v) in registry.counters() {
-        w.u64("value", v);
-        w.str("path", path);
-    }
-    w.usize("observations", registry.observations().count());
-    for (path, o) in registry.observations() {
-        w.u64("count", o.count);
-        w.f64("sum", o.sum);
-        w.f64("min", o.min);
-        w.f64("max", o.max);
-        w.str("path", path);
-    }
-    w.finish()
-}
-
-fn decode_cell(bin_us: f64, payload: &str) -> Option<CachedTimelineCell> {
-    let mut r = PayloadReader::new(payload);
-    let samples = r.usize("samples")?;
-    let p99_us = r.f64("p99_us")?;
-    let sketch_p99_us = r.f64("sketch_p99_us")?;
-    let saturated = r.bool("saturated")?;
-    let series = if r.bool("has_series")? {
-        let mut ts = TimeSeriesSet::new(bin_us);
-        for _ in 0..r.usize("series_count")? {
-            let name = r.str("name")?.to_string();
-            for idx in 0..r.usize("bins")? {
-                let bin = Bin {
-                    count: r.u64("count")?,
-                    sum: r.f64("sum")?,
-                    min: r.f64("min")?,
-                    max: r.f64("max")?,
-                    last: r.f64("last")?,
-                };
-                ts.insert_bin(&name, idx, bin);
-            }
-        }
-        Some(ts)
-    } else {
-        None
-    };
-    let mut registry = Registry::default();
-    for _ in 0..r.usize("counters")? {
-        let v = r.u64("value")?;
-        let path = r.str("path")?.to_string();
-        registry.incr(&path, v);
-    }
-    for _ in 0..r.usize("observations")? {
-        let o = Observation {
-            count: r.u64("count")?,
-            sum: r.f64("sum")?,
-            min: r.f64("min")?,
-            max: r.f64("max")?,
-        };
-        let path = r.str("path")?.to_string();
-        registry.set_observation(&path, o);
-    }
-    r.done().then_some(CachedTimelineCell {
-        samples,
-        p99_us,
-        sketch_p99_us,
-        saturated,
-        series,
-        registry,
-    })
+    grid::keys(opts)
 }
 
 /// Per-load endpoint summary riding along with the series.
@@ -293,112 +178,31 @@ impl Timeline {
 ///
 /// # Panics
 ///
-/// Panics on an empty load list, a zero server count, or a non-positive
-/// bin width.
+/// Panics on an empty load list, a load that is not positive, a zero
+/// server count, or a non-positive bin width.
 #[must_use]
 pub fn timeline(opts: &TimelineOptions) -> Timeline {
-    assert!(!opts.loads.is_empty(), "empty timeline");
-    assert!(opts.servers >= 1, "cluster needs at least one server");
     assert!(
         opts.bin_us.is_finite() && opts.bin_us > 0.0,
         "bin width must be positive"
     );
-    let model = opts.workload.service_model();
-    let nominal = opts.workload.nominal_service_us();
-
-    let keys = cell_keys(opts);
-    let hits = match opts.cache.as_ref() {
-        Some(c) => c.probe(&keys, |payload| decode_cell(opts.bin_us, payload)),
-        None => opts.loads.iter().map(|_| None).collect(),
-    };
-    let misses = miss_indices(&hits);
-
-    let pool = ExecPool::new(opts.threads);
-    let fresh = pool.run("timeline/cells", misses.len(), |j| {
-        let load = opts.loads[misses[j]];
-        let lambda = opts.servers as f64 * load / nominal;
-        let tracer = Tracer::enabled(opts.trace_capacity, TIMELINE_TICKS_PER_US)
-            .with_timeseries(opts.bin_us);
-        let mut service = |rng: &mut SimRng| model.sample_compute(rng) + model.sample_stall(rng);
-        let mut copts = ClusterOptions::from_mg1(opts.servers, &opts.queue);
-        copts.event_queue = opts.event_queue;
-        copts.seed = derive_stream(
-            opts.seed,
-            TIMELINE_CELL_STREAM ^ ((load * 1000.0) as u64) ^ ((opts.servers as u64) << 32),
-        );
-        let mut balancer = opts.policy.build();
-        let result = try_simulate_cluster_hedged(
-            lambda,
-            &mut service,
-            balancer.as_mut(),
-            &opts.plan,
-            &copts,
-            &tracer,
-        );
-        let log = tracer.take();
-        let cell = match &result {
-            Ok(r) => TimelineCell {
-                load,
-                samples: r.cluster.samples,
-                p99_us: r.cluster.tail_us,
-                sketch_p99_us: r.cluster.sketch.quantile(0.99).unwrap_or(0.0),
-                saturated: false,
-            },
-            Err(_) => TimelineCell {
-                load,
-                samples: 0,
-                p99_us: f64::INFINITY,
-                sketch_p99_us: f64::INFINITY,
-                saturated: true,
-            },
-        };
-        (cell, log)
-    });
-    if let Some(c) = opts.cache.as_ref() {
-        for ((cell, log), &i) in fresh.iter().zip(&misses) {
-            c.store(
-                &keys[i],
-                &encode_cell(cell, log.timeseries.as_ref(), &log.registry),
-            );
-        }
-    }
-
     // Merge in load-index order regardless of which cells came from the
-    // cache, so cold, warm, and mixed runs assemble identical artifacts.
-    let mut fresh = fresh.into_iter();
+    // cache, so cold, warm, and mixed runs produce identical artifacts.
     let mut series = TimeSeriesSet::new(opts.bin_us);
     let mut registry = Registry::default();
-    let mut summaries = Vec::with_capacity(opts.loads.len());
-    for (&load, hit) in opts.loads.iter().zip(hits) {
-        let prefix = format!("load{load}");
-        match hit {
-            Some(c) => {
-                if let Some(ts) = &c.series {
-                    series.merge_prefixed(&prefix, ts);
-                }
-                registry.merge_prefixed(&prefix, &c.registry);
-                summaries.push(TimelineCell {
-                    load,
-                    samples: c.samples,
-                    p99_us: c.p99_us,
-                    sketch_p99_us: c.sketch_p99_us,
-                    saturated: c.saturated,
-                });
-            }
-            None => {
-                let (cell, log) = fresh.next().expect("one fresh cell per miss");
-                if let Some(ts) = &log.timeseries {
-                    series.merge_prefixed(&prefix, ts);
-                }
-                registry.merge_prefixed(&prefix, &log.registry);
-                summaries.push(cell);
-            }
+    let mut cells = Vec::with_capacity(opts.loads.len());
+    for (cell, cell_series, cell_registry) in grid::run(opts) {
+        let prefix = format!("load{}", cell.load);
+        if let Some(ts) = &cell_series {
+            series.merge_prefixed(&prefix, ts);
         }
+        registry.merge_prefixed(&prefix, &cell_registry);
+        cells.push(cell);
     }
     if log_enabled() {
         log_line(&format!(
             "timeline: {} loads x {} servers ({}, {}, {}), {} gauge series",
-            summaries.len(),
+            cells.len(),
             opts.servers,
             opts.workload,
             opts.policy,
@@ -410,7 +214,184 @@ pub fn timeline(opts: &TimelineOptions) -> Timeline {
         bin_us: opts.bin_us,
         series,
         registry,
-        cells: summaries,
+        cells,
+    }
+}
+
+/// A load cell as the live tracer produced it: endpoint summary, gauge
+/// series, and registry.
+type TracedCell = (TimelineCell, Option<TimeSeriesSet>, Registry);
+
+impl GridSpec for TimelineOptions {
+    type Cell = f64;
+    type Run = TracedCell;
+    type Point = TracedCell;
+    const NAME: &'static str = "timeline";
+    const CELLS: &'static str = "cells";
+
+    fn grid(&self) -> Grid<'_> {
+        Grid {
+            seed: self.seed,
+            stream: TIMELINE_CELL_STREAM,
+            threads: self.threads,
+            cache: self.cache.as_ref(),
+            ..Grid::default()
+        }
+    }
+
+    fn cells(&self) -> Vec<f64> {
+        self.loads.clone()
+    }
+
+    fn digest(&self, &load: &f64, w: &mut DigestWriter) {
+        w.field("workload", &self.workload);
+        w.field("policy", &self.policy);
+        w.field("plan", &self.plan);
+        w.field_usize("servers", self.servers);
+        w.field_f64("load", load);
+        w.field_f64("bin_us", self.bin_us);
+        w.field_u64("seed", self.seed);
+        w.field("queue", &self.queue);
+        w.field("event_queue", &self.event_queue);
+    }
+
+    fn coords(&self, &load: &f64) -> (f64, Option<usize>) {
+        (load, Some(self.servers))
+    }
+
+    // A cell the DES pilot finds unstable still carries the tracer's log.
+    fn run(&self, &load: &f64, _: f64, seed: u64, _: usize) -> Option<Self::Run> {
+        let model = self.workload.service_model();
+        let lambda = self.servers as f64 * load / self.workload.nominal_service_us();
+        // An unbounded arrival rate saturates before a single draw.
+        if lambda.is_infinite() {
+            return None;
+        }
+        let tracer = Tracer::enabled(self.trace_capacity, TIMELINE_TICKS_PER_US)
+            .with_timeseries(self.bin_us);
+        let mut service = |rng: &mut SimRng| model.sample_compute(rng) + model.sample_stall(rng);
+        let mut copts = ClusterOptions::from_mg1(self.servers, &self.queue);
+        copts.event_queue = self.event_queue;
+        copts.seed = seed;
+        let mut balancer = self.policy.build();
+        let result = try_simulate_cluster_hedged(
+            lambda,
+            &mut service,
+            balancer.as_mut(),
+            &self.plan,
+            &copts,
+            &tracer,
+        );
+        let cell = match &result {
+            Ok(r) => TimelineCell {
+                load,
+                samples: r.cluster.samples,
+                p99_us: r.cluster.tail_us,
+                sketch_p99_us: r.cluster.sketch.quantile(0.99).unwrap_or(0.0),
+                saturated: false,
+            },
+            Err(_) => self.point(&load, None).0,
+        };
+        let log = tracer.take();
+        Some((cell, log.timeseries, log.registry))
+    }
+
+    fn point(&self, &load: &f64, run: Option<TracedCell>) -> TracedCell {
+        run.unwrap_or_else(|| {
+            let cell = TimelineCell {
+                load,
+                samples: 0,
+                p99_us: f64::INFINITY,
+                sketch_p99_us: f64::INFINITY,
+                saturated: true,
+            };
+            (cell, None, Registry::default())
+        })
+    }
+
+    fn encode(&self, (cell, series, registry): &TracedCell) -> String {
+        let mut w = PayloadWriter::new();
+        w.usize("samples", cell.samples);
+        w.f64("p99_us", cell.p99_us);
+        w.f64("sketch_p99_us", cell.sketch_p99_us);
+        w.bool("saturated", cell.saturated);
+        w.bool("has_series", series.is_some());
+        if let Some(ts) = series {
+            w.usize("series_count", ts.series().count());
+            for (name, s) in ts.series() {
+                w.str("name", name);
+                let bins = s.bins();
+                w.usize("bins", bins.len());
+                for b in bins {
+                    w.u64("count", b.count);
+                    w.f64("sum", b.sum);
+                    w.f64("min", b.min);
+                    w.f64("max", b.max);
+                    w.f64("last", b.last);
+                }
+            }
+        }
+        w.usize("counters", registry.counters().count());
+        for (path, v) in registry.counters() {
+            w.u64("value", v);
+            w.str("path", path);
+        }
+        w.usize("observations", registry.observations().count());
+        for (path, o) in registry.observations() {
+            w.u64("count", o.count);
+            w.f64("sum", o.sum);
+            w.f64("min", o.min);
+            w.f64("max", o.max);
+            w.str("path", path);
+        }
+        w.finish()
+    }
+
+    fn decode(&self, &load: &f64, payload: &str) -> Option<TracedCell> {
+        let mut r = PayloadReader::new(payload);
+        let cell = TimelineCell {
+            load,
+            samples: r.usize("samples")?,
+            p99_us: r.f64("p99_us")?,
+            sketch_p99_us: r.f64("sketch_p99_us")?,
+            saturated: r.bool("saturated")?,
+        };
+        let series = if r.bool("has_series")? {
+            let mut ts = TimeSeriesSet::new(self.bin_us);
+            for _ in 0..r.usize("series_count")? {
+                let name = r.str("name")?.to_string();
+                for idx in 0..r.usize("bins")? {
+                    let bin = Bin {
+                        count: r.u64("count")?,
+                        sum: r.f64("sum")?,
+                        min: r.f64("min")?,
+                        max: r.f64("max")?,
+                        last: r.f64("last")?,
+                    };
+                    ts.insert_bin(&name, idx, bin);
+                }
+            }
+            Some(ts)
+        } else {
+            None
+        };
+        let mut registry = Registry::default();
+        for _ in 0..r.usize("counters")? {
+            let v = r.u64("value")?;
+            let path = r.str("path")?.to_string();
+            registry.incr(&path, v);
+        }
+        for _ in 0..r.usize("observations")? {
+            let o = Observation {
+                count: r.u64("count")?,
+                sum: r.f64("sum")?,
+                min: r.f64("min")?,
+                max: r.f64("max")?,
+            };
+            let path = r.str("path")?.to_string();
+            registry.set_observation(&path, o);
+        }
+        r.done().then_some((cell, series, registry))
     }
 }
 

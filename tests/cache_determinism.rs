@@ -5,12 +5,16 @@
 //! cold run (every cell computed, then stored), a warm run (every cell
 //! loaded), and a mixed run (a sub-grid populated first, the rest computed)
 //! must all serialize to exactly the bytes of a cache-free run — at one
-//! worker and at eight. Exercised for the two standing bench grids, fig5
-//! and the cluster sweep.
+//! worker and at eight. Exercised for fig5 and for every driver on the grid
+//! runner (the rack sweep's case lives in `tests/rack_determinism.rs`).
 
 use duplexity::experiments::cluster_sweep::{cluster_sweep, ClusterSweepOptions};
+use duplexity::experiments::fault_sweep::{fault_sweep, FaultSweepOptions};
 use duplexity::experiments::fig5::{run_fig5, Fig5Options};
-use duplexity::{CellCache, Design, Workload};
+use duplexity::experiments::hedge_sweep::{hedge_sweep, HedgeSweepOptions};
+use duplexity::experiments::sweep::{latency_load_sweep, SweepOptions};
+use duplexity::experiments::timeline::{timeline, TimelineOptions};
+use duplexity::{CellCache, Design, DuplicationPolicy, Workload};
 use duplexity_queueing::cluster::BalancerPolicy;
 use duplexity_queueing::des::Mg1Options;
 use std::path::PathBuf;
@@ -24,118 +28,154 @@ fn tmp_dir(label: &str) -> PathBuf {
     dir
 }
 
-fn fig5_opts(loads: Vec<f64>, threads: usize, cache: Option<CellCache>) -> Fig5Options {
-    Fig5Options {
-        loads,
-        workloads: vec![Workload::McRouter],
-        designs: vec![Design::Baseline, Design::Smt, Design::Duplexity],
-        horizon_cycles: 1_200_000,
-        seed: 42,
-        queue: Mg1Options {
-            max_samples: 100_000,
-            warmup: 1_000,
-            ..Mg1Options::default()
-        },
-        threads,
-        cache,
-        ..Fig5Options::default()
+fn queue(max_samples: usize) -> Mg1Options {
+    Mg1Options {
+        max_samples,
+        warmup: 500,
+        ..Mg1Options::default()
     }
 }
 
-fn cluster_opts(loads: Vec<f64>, threads: usize) -> ClusterSweepOptions {
-    ClusterSweepOptions {
-        designs: vec![Design::Baseline],
-        policies: vec![BalancerPolicy::Random, BalancerPolicy::Jsq],
-        server_counts: vec![4],
-        loads,
-        calibration_cycles: 200_000,
-        seed: 7,
-        queue: Mg1Options {
-            max_samples: 20_000,
-            warmup: 500,
-            ..Mg1Options::default()
-        },
-        threads,
-        ..ClusterSweepOptions::default()
-    }
+/// Runs `run(loads, threads, cache)` cache-free at one worker, then cold at
+/// one worker, warm at eight, and mixed at eight (a fresh cache seeded by
+/// the `sub` loads first), asserting each serializes to the cache-free
+/// bytes and that the warm run computes nothing.
+fn assert_cache_is_invisible(
+    label: &str,
+    loads: &[f64],
+    sub: &[f64],
+    run: impl Fn(Vec<f64>, usize, Option<CellCache>) -> String,
+) {
+    let reference = run(loads.to_vec(), 1, None);
+
+    let dir = tmp_dir(label);
+    let cold = CellCache::new(&dir);
+    let out = run(loads.to_vec(), 1, Some(cold.clone()));
+    assert!(out == reference, "cold cached {label} diverged");
+    assert_eq!(cold.hits(), 0);
+    assert!(cold.misses() > 0);
+
+    let warm = CellCache::new(&dir);
+    let out = run(loads.to_vec(), 8, Some(warm.clone()));
+    assert!(out == reference, "warm cached {label} diverged");
+    assert_eq!(warm.misses(), 0);
+    assert_eq!(warm.hits(), cold.misses());
+
+    let mixed_dir = tmp_dir(&format!("{label}-mixed"));
+    let _ = run(sub.to_vec(), 1, Some(CellCache::new(&mixed_dir)));
+    let mixed = CellCache::new(&mixed_dir);
+    let out = run(loads.to_vec(), 8, Some(mixed.clone()));
+    assert!(out == reference, "mixed cached {label} diverged");
+    assert!(mixed.hits() > 0, "{label}: sub-grid cells were not reused");
+    assert!(
+        mixed.misses() > 0,
+        "{label}: full grid found nothing to compute"
+    );
+
+    let _ = std::fs::remove_dir_all(dir);
+    let _ = std::fs::remove_dir_all(mixed_dir);
+}
+
+fn json<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string_pretty(value).expect("serialize artifact")
 }
 
 #[test]
 fn fig5_cold_warm_and_mixed_runs_are_byte_identical() {
-    let loads = vec![0.3, 0.5];
-    let reference =
-        serde_json::to_string_pretty(&run_fig5(&fig5_opts(loads.clone(), 1, None))).unwrap();
-
-    let dir = tmp_dir("fig5");
-    // Cold at 1 worker: every cell computed and stored.
-    let cold = CellCache::new(&dir);
-    let out =
-        serde_json::to_string_pretty(&run_fig5(&fig5_opts(loads.clone(), 1, Some(cold.clone()))))
-            .unwrap();
-    assert_eq!(out, reference, "cold cached fig5 diverged");
-    assert_eq!(cold.hits(), 0);
-    assert!(cold.misses() > 0);
-
-    // Warm at 8 workers: every cell loaded.
-    let warm = CellCache::new(&dir);
-    let out =
-        serde_json::to_string_pretty(&run_fig5(&fig5_opts(loads.clone(), 8, Some(warm.clone()))))
-            .unwrap();
-    assert_eq!(out, reference, "warm cached fig5 diverged");
-    assert_eq!(warm.misses(), 0);
-    assert_eq!(warm.hits(), cold.misses());
-
-    // Mixed at 8 workers: a fresh directory seeded by a one-load sub-grid,
-    // then the full grid — the overlap loads, the rest computes.
-    let dir = tmp_dir("fig5-mixed");
-    let seedc = CellCache::new(&dir);
-    let _ = run_fig5(&fig5_opts(vec![0.5], 1, Some(seedc)));
-    let mixed = CellCache::new(&dir);
-    let out =
-        serde_json::to_string_pretty(&run_fig5(&fig5_opts(loads, 8, Some(mixed.clone())))).unwrap();
-    assert_eq!(out, reference, "mixed cached fig5 diverged");
-    assert!(mixed.hits() > 0, "sub-grid cells were not reused");
-    assert!(mixed.misses() > 0, "full grid found nothing to compute");
-
-    let _ = std::fs::remove_dir_all(tmp_dir("fig5"));
-    let _ = std::fs::remove_dir_all(tmp_dir("fig5-mixed"));
+    assert_cache_is_invisible("fig5", &[0.3, 0.5], &[0.5], |loads, threads, cache| {
+        json(&run_fig5(&Fig5Options {
+            loads,
+            workloads: vec![Workload::McRouter],
+            designs: vec![Design::Baseline, Design::Smt, Design::Duplexity],
+            horizon_cycles: 1_200_000,
+            seed: 42,
+            queue: Mg1Options {
+                max_samples: 100_000,
+                warmup: 1_000,
+                ..Mg1Options::default()
+            },
+            threads,
+            cache,
+            ..Fig5Options::default()
+        }))
+    });
 }
 
 #[test]
 fn cluster_sweep_cold_warm_and_mixed_runs_are_byte_identical() {
-    let loads = vec![0.4, 0.7];
-    let reference =
-        serde_json::to_string_pretty(&cluster_sweep(&cluster_opts(loads.clone(), 1))).unwrap();
+    assert_cache_is_invisible("cluster", &[0.4, 0.7], &[0.4], |loads, threads, cache| {
+        json(&cluster_sweep(&ClusterSweepOptions {
+            designs: vec![Design::Baseline],
+            policies: vec![BalancerPolicy::Random, BalancerPolicy::Jsq],
+            server_counts: vec![4],
+            loads,
+            calibration_cycles: 200_000,
+            seed: 7,
+            queue: queue(20_000),
+            threads,
+            cache,
+            ..ClusterSweepOptions::default()
+        }))
+    });
+}
 
-    let dir = tmp_dir("cluster");
-    let cold = CellCache::new(&dir);
-    let mut opts = cluster_opts(loads.clone(), 1);
-    opts.cache = Some(cold.clone());
-    let out = serde_json::to_string_pretty(&cluster_sweep(&opts)).unwrap();
-    assert_eq!(out, reference, "cold cached cluster sweep diverged");
-    assert_eq!(cold.hits(), 0);
-    assert!(cold.misses() > 0);
+#[test]
+fn sweep_cold_warm_and_mixed_runs_are_byte_identical() {
+    assert_cache_is_invisible("sweep", &[0.3, 0.6], &[0.6], |loads, threads, cache| {
+        json(&latency_load_sweep(&SweepOptions {
+            designs: vec![Design::Baseline, Design::Smt],
+            loads,
+            calibration_cycles: 200_000,
+            queue: queue(20_000),
+            threads,
+            cache,
+            ..SweepOptions::default()
+        }))
+    });
+}
 
-    let warm = CellCache::new(&dir);
-    let mut opts = cluster_opts(loads.clone(), 8);
-    opts.cache = Some(warm.clone());
-    let out = serde_json::to_string_pretty(&cluster_sweep(&opts)).unwrap();
-    assert_eq!(out, reference, "warm cached cluster sweep diverged");
-    assert_eq!(warm.misses(), 0);
-    assert_eq!(warm.hits(), cold.misses());
+#[test]
+fn fault_sweep_cold_warm_and_mixed_runs_are_byte_identical() {
+    assert_cache_is_invisible("fault", &[0.3, 0.6], &[0.3], |loads, threads, cache| {
+        json(&fault_sweep(&FaultSweepOptions {
+            loads,
+            queue: queue(20_000),
+            threads,
+            cache,
+            ..FaultSweepOptions::default()
+        }))
+    });
+}
 
-    let dir = tmp_dir("cluster-mixed");
-    let mut sub = cluster_opts(vec![0.4], 1);
-    sub.cache = Some(CellCache::new(&dir));
-    let _ = cluster_sweep(&sub);
-    let mixed = CellCache::new(&dir);
-    let mut opts = cluster_opts(loads, 8);
-    opts.cache = Some(mixed.clone());
-    let out = serde_json::to_string_pretty(&cluster_sweep(&opts)).unwrap();
-    assert_eq!(out, reference, "mixed cached cluster sweep diverged");
-    assert!(mixed.hits() > 0, "sub-grid cells were not reused");
-    assert!(mixed.misses() > 0, "full grid found nothing to compute");
+#[test]
+fn replicated_hedge_sweep_cold_warm_and_mixed_runs_are_byte_identical() {
+    assert_cache_is_invisible("hedge", &[0.3, 0.5], &[0.5], |loads, threads, cache| {
+        json(&hedge_sweep(&HedgeSweepOptions {
+            policies: vec![BalancerPolicy::Jsq],
+            plans: vec![DuplicationPolicy::none(), DuplicationPolicy::duplicate(2)],
+            server_counts: vec![4],
+            loads,
+            queue: queue(20_000),
+            threads,
+            replications: 2,
+            cache,
+            ..HedgeSweepOptions::default()
+        }))
+    });
+}
 
-    let _ = std::fs::remove_dir_all(tmp_dir("cluster"));
-    let _ = std::fs::remove_dir_all(tmp_dir("cluster-mixed"));
+#[test]
+fn timeline_cold_warm_and_mixed_runs_are_byte_identical() {
+    assert_cache_is_invisible("timeline", &[0.3, 0.6], &[0.3], |loads, threads, cache| {
+        timeline(&TimelineOptions {
+            servers: 4,
+            loads,
+            bin_us: 5_000.0,
+            queue: queue(5_000),
+            threads,
+            cache,
+            ..TimelineOptions::default()
+        })
+        .to_json()
+    });
 }
