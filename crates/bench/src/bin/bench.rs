@@ -10,7 +10,8 @@
 //! two grids are cell-for-cell identical, then times the fault-policy sweep,
 //! the cluster balancing sweep, and the duplication/hedging sweep once
 //! each. Two event-core sections follow: requests/sec per engine (legacy
-//! Lindley loop, event heap, event wheel; cluster and hedged cells) and the
+//! Lindley loop, event heap, event wheel; cluster and hedged cells; the
+//! rack front end under a fresh plan) and the
 //! legacy-vs-fast cluster-sweep path (timing wheel + batched RNG +
 //! within-cell parallel replications). An `obs` section times latency
 //! collection through the streaming [`LatencySketch`] against the exact
@@ -54,6 +55,7 @@ use duplexity_queueing::cluster::{
 };
 use duplexity_queueing::des::Mg1Options;
 use duplexity_queueing::eventcore::EventQueueKind;
+use duplexity_queueing::rack::{try_simulate_rack, RackPlan};
 use duplexity_stats::dist::{Distribution, Exponential};
 use duplexity_stats::quantile::QuantileEstimator;
 use duplexity_stats::rng::{rng_from_seed, SimRng};
@@ -142,11 +144,17 @@ struct EngineCoreBench {
     cluster: Vec<EngineTiming>,
     /// Hedged cell (`hedge10`): event heap vs event wheel.
     hedged: Vec<EngineTiming>,
+    /// The rack front end with a fresh plan on the wheel, same cell.
+    rack_fresh: EngineTiming,
     /// Wheel:heap throughput ratio over the combined cluster + hedged
     /// work (total heap wall / total wheel wall) — a machine-relative
     /// number (both runs share the process and inputs), so a committed
     /// baseline of it travels across CI hosts.
     wheel_vs_heap_rps_ratio: f64,
+    /// Fresh-rack:event-wheel throughput ratio on the zero-duplication
+    /// cell. Both run the one request engine, so a fresh plan must cost
+    /// what `none` costs; a drop means fresh plans pay for rack features.
+    rack_fresh_vs_event_rps_ratio: f64,
 }
 
 /// The legacy sweep path (Lindley, one worker, one pass per cell) against
@@ -241,6 +249,51 @@ fn value_as_f64(v: &Value) -> Option<f64> {
     }
 }
 
+/// Mean service time of the engine benchmark cell, µs.
+const BENCH_MEAN_SERVICE_US: f64 = 2.0;
+
+/// The fixed benchmark cell: arrival rate and run options for `servers`
+/// at `load` with exponential service on `kind`. Early stopping is off,
+/// so every engine does identical work.
+fn bench_cell(
+    servers: usize,
+    load: f64,
+    samples: usize,
+    seed: u64,
+    kind: EventQueueKind,
+) -> (f64, ClusterOptions) {
+    let opts = ClusterOptions {
+        servers,
+        max_samples: samples,
+        warmup: 1_000,
+        max_relative_error: 0.001,
+        seed,
+        event_queue: kind,
+        ..ClusterOptions::default()
+    };
+    (servers as f64 * load / BENCH_MEAN_SERVICE_US, opts)
+}
+
+/// Times `run` (which returns the requests it measured), best of three
+/// passes: the work is deterministic, so the fastest wall is the least
+/// scheduler-perturbed measurement (matters for the ratios the CI guard
+/// compares).
+fn best_of_three(label: &str, mut run: impl FnMut() -> u64) -> EngineTiming {
+    let mut requests = 0u64;
+    let mut wall_s = f64::INFINITY;
+    for _ in 0..3 {
+        let t = Instant::now();
+        requests = run();
+        wall_s = wall_s.min(t.elapsed().as_secs_f64());
+    }
+    EngineTiming {
+        engine: label.to_string(),
+        requests,
+        wall_s,
+        requests_per_sec: requests as f64 / wall_s.max(1e-12),
+    }
+}
+
 /// Times one engine over the fixed benchmark cell and returns its
 /// requests/sec entry.
 fn time_engine(
@@ -252,32 +305,16 @@ fn time_engine(
     samples: usize,
     seed: u64,
 ) -> EngineTiming {
-    let mean_service = 2.0;
-    let lambda = servers as f64 * load / mean_service;
-    let opts = ClusterOptions {
-        servers,
-        max_samples: samples,
-        warmup: 1_000,
-        // Disable early stopping: every engine must do identical work.
-        max_relative_error: 0.001,
-        seed,
-        event_queue: match engine {
-            ClusterEngine::Event(kind) => kind,
-            ClusterEngine::Lindley => EventQueueKind::default(),
-        },
-        ..ClusterOptions::default()
+    let kind = match engine {
+        ClusterEngine::Event(kind) => kind,
+        ClusterEngine::Lindley => EventQueueKind::default(),
     };
-    let service = Exponential::new(mean_service);
-    // Best of three passes: the work is deterministic, so the fastest wall
-    // is the least scheduler-perturbed measurement (matters for the ratio
-    // the CI guard compares).
-    let mut requests = 0u64;
-    let mut wall_s = f64::INFINITY;
-    for _ in 0..3 {
+    let (lambda, opts) = bench_cell(servers, load, samples, seed, kind);
+    let service = Exponential::new(BENCH_MEAN_SERVICE_US);
+    best_of_three(label, || {
         let mut svc = |rng: &mut SimRng| service.sample(rng);
         let mut balancer = BalancerPolicy::Jsq.build();
-        let t = Instant::now();
-        requests = match engine {
+        let samples = match engine {
             ClusterEngine::Lindley => {
                 try_simulate_cluster(
                     lambda,
@@ -287,7 +324,7 @@ fn time_engine(
                     &Tracer::disabled(),
                 )
                 .expect("stable bench cell")
-                .samples as u64
+                .samples
             }
             ClusterEngine::Event(_) => {
                 try_simulate_cluster_hedged(
@@ -300,17 +337,32 @@ fn time_engine(
                 )
                 .expect("stable bench cell")
                 .cluster
-                .samples as u64
+                .samples
             }
         };
-        wall_s = wall_s.min(t.elapsed().as_secs_f64());
-    }
-    EngineTiming {
-        engine: label.to_string(),
-        requests,
-        wall_s,
-        requests_per_sec: requests as f64 / wall_s.max(1e-12),
-    }
+        samples as u64
+    })
+}
+
+/// Times the rack front end under [`RackPlan::fresh`] on the timing wheel
+/// over the same cell.
+fn time_rack_fresh(servers: usize, load: f64, samples: usize, seed: u64) -> EngineTiming {
+    let (lambda, opts) = bench_cell(servers, load, samples, seed, EventQueueKind::Wheel);
+    let service = Exponential::new(BENCH_MEAN_SERVICE_US);
+    best_of_three("rack_fresh_wheel", || {
+        let mut svc = |rng: &mut SimRng| service.sample(rng);
+        try_simulate_rack(
+            lambda,
+            &mut svc,
+            BalancerPolicy::Jsq,
+            &RackPlan::fresh(),
+            &opts,
+            &Tracer::disabled(),
+        )
+        .expect("stable bench cell")
+        .cluster
+        .samples as u64
+    })
 }
 
 /// Times latency collection through the exact estimator and the streaming
@@ -590,16 +642,24 @@ fn main() {
             .map(|r| r.wall_s)
             .sum()
     };
+    let rack_fresh = time_rack_fresh(eng_servers, eng_load, eng_samples, seed);
     let both: [&[EngineTiming]; 2] = [&cluster_runs, &hedged_runs];
     let wheel_vs_heap =
         total_wall(&both, "event_heap") / total_wall(&both, "event_wheel").max(1e-12);
+    let event_wheel_rps = cluster_runs
+        .iter()
+        .find(|r| r.engine == "event_wheel")
+        .map_or(0.0, |r| r.requests_per_sec);
+    let rack_fresh_vs_event = rack_fresh.requests_per_sec / event_wheel_rps.max(1e-12);
     let engine_core = EngineCoreBench {
         servers: eng_servers,
         load: eng_load,
         samples_per_run: eng_samples,
         cluster: cluster_runs,
         hedged: hedged_runs,
+        rack_fresh,
         wheel_vs_heap_rps_ratio: wheel_vs_heap,
+        rack_fresh_vs_event_rps_ratio: rack_fresh_vs_event,
     };
 
     eprintln!("bench: cluster sweep, legacy path vs wheel + replications");
@@ -653,7 +713,8 @@ fn main() {
             / (legacy_requests as f64 / legacy_s.max(1e-12)).max(1e-12),
     };
     eprintln!(
-        "bench: sweep path {:.2}x ({:.2}s legacy -> {:.2}s fast), wheel:heap ratio {wheel_vs_heap:.3}",
+        "bench: sweep path {:.2}x ({:.2}s legacy -> {:.2}s fast), wheel:heap ratio {wheel_vs_heap:.3}, \
+         fresh-rack:event ratio {rack_fresh_vs_event:.3}",
         sweep_path.speedup, legacy_s, fast_s2
     );
 
@@ -808,6 +869,10 @@ fn main() {
             (
                 "engine_core.wheel_vs_heap_rps_ratio",
                 report.engine_core.wheel_vs_heap_rps_ratio,
+            ),
+            (
+                "engine_core.rack_fresh_vs_event_rps_ratio",
+                report.engine_core.rack_fresh_vs_event_rps_ratio,
             ),
             ("sweep_path.speedup", report.sweep_path.speedup),
             ("fig5.speedup", report.fig5.speedup),

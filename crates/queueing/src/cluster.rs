@@ -9,6 +9,14 @@
 //! choice — Random vs JSQ vs power-of-d — dominates the tail at
 //! microsecond scale, so the policy is a first-class grid axis.
 //!
+//! Two engines live here. [`try_simulate_cluster`] is the arrival-ordered
+//! Lindley loop, kept as the zero-duplication reference. The event engine
+//! behind [`try_simulate_cluster_hedged`] is the only request-domain event
+//! loop in the crate: it also runs [`rack`](crate::rack) plans, whose
+//! stale views, stealing and tenants are plan components beside the
+//! duplication plan. Apart from trace naming, the loop branches only on
+//! plan values: Δ > 0, steal probes > 0, tenants > 1 and the dup mode.
+//!
 //! Determinism contract: the arrival/service draws and the balancer's own
 //! randomness come from two *independent* derived streams
 //! ([`derive_stream`]). Every policy therefore sees the identical marked
@@ -23,6 +31,7 @@
 
 use crate::des::{Mg1Options, Unstable};
 use crate::eventcore::{EventQueue, EventQueueKind, HeapEventQueue, WheelEventQueue};
+use crate::rack::{RackPlan, RackState};
 use duplexity_obs::{LatencySketch, TraceEvent, Tracer};
 use duplexity_stats::ci::ConfidenceInterval;
 use duplexity_stats::dist::{Distribution, Exponential};
@@ -32,16 +41,14 @@ use duplexity_stats::summary::Summary;
 use rand::RngExt;
 use std::collections::VecDeque;
 
-/// Cluster traces share the DES clock domain: 1000 ticks per simulated µs.
-/// Shared with [`rack`](crate::rack), whose traces live in the same domain.
-pub(crate) const CLUSTER_TICKS_PER_US: f64 = 1000.0;
+/// Cluster and rack traces share the DES clock domain: 1000 ticks per
+/// simulated µs.
+const CLUSTER_TICKS_PER_US: f64 = 1000.0;
 
-/// Stream label for the balancer's private RNG (vs the arrival stream).
-/// Shared with [`rack`](crate::rack): the rack scheduler derives its
-/// balancer stream from the *same* label so a fresh-signal (Δ=0) rack plan
-/// consumes draw-for-draw the cluster engine's balancer sequence — the
-/// bitwise-degeneracy contract.
-pub(crate) const BALANCER_STREAM: u64 = 0xBA1A;
+/// Stream label for the balancer's private RNG (vs the arrival stream),
+/// used by both the Lindley loop and the event engine, so every dispatcher
+/// of every front end draws the same balancer sequence.
+const BALANCER_STREAM: u64 = 0xBA1A;
 
 /// Stream label for duplicate-copy service demands. Like the balancer
 /// stream, this is derived independently from the seed so the primary
@@ -50,7 +57,7 @@ pub(crate) const BALANCER_STREAM: u64 = 0xBA1A;
 /// which is what keeps every pre-existing golden fixture byte-identical.
 const DUPLICATE_STREAM: u64 = 0xD0B7;
 
-pub(crate) fn ns_ticks(us: f64) -> u64 {
+fn ns_ticks(us: f64) -> u64 {
     (us * CLUSTER_TICKS_PER_US).round().max(0.0) as u64
 }
 
@@ -433,26 +440,76 @@ pub fn merge_replications(
         sketch.merge(&part.sketch);
         sojourns.extend(part.sojourn_samples.into_sorted());
     }
-    ClusterResult {
-        tail_us: sojourns.quantile(quantile).unwrap_or(0.0),
-        tail_ci: sojourns.quantile_ci(quantile, confidence),
-        mean_sojourn_us: sojourns.mean().unwrap_or(0.0),
-        p50_us: sojourns.quantile(0.5).unwrap_or(0.0),
-        mean_wait_us: if wait.count() > 0 { wait.mean() } else { 0.0 },
+    ClusterResult::assemble(
+        sojourns,
+        sketch,
         wait,
         sojourn,
-        utilization: if measured_us > 0.0 {
-            (busy / (servers as f64 * measured_us)).min(1.0)
-        } else {
-            0.0
-        },
-        per_server_requests: per_server,
+        busy,
+        measured_us,
+        per_server,
         samples,
         converged,
-        sojourn_samples: sojourns,
-        sketch,
-        measured_us,
+        quantile,
+        confidence,
+    )
+}
+
+impl ClusterResult {
+    /// Assembles a result from one run's (or a pooled run set's)
+    /// collectors: `busy_us` of delivered service over `measured_us` of
+    /// simulated time on `per_server_requests.len()` servers.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        mut sojourns: QuantileEstimator,
+        sketch: LatencySketch,
+        wait: Summary,
+        sojourn: Summary,
+        busy_us: f64,
+        measured_us: f64,
+        per_server_requests: Vec<u64>,
+        samples: usize,
+        converged: bool,
+        quantile: f64,
+        confidence: f64,
+    ) -> Self {
+        Self {
+            tail_us: sojourns.quantile(quantile).unwrap_or(0.0),
+            tail_ci: sojourns.quantile_ci(quantile, confidence),
+            mean_sojourn_us: sojourns.mean().unwrap_or(0.0),
+            p50_us: sojourns.quantile(0.5).unwrap_or(0.0),
+            mean_wait_us: if wait.count() > 0 { wait.mean() } else { 0.0 },
+            wait,
+            sojourn,
+            utilization: busy_fraction(busy_us, per_server_requests.len(), measured_us),
+            per_server_requests,
+            samples,
+            converged,
+            sojourn_samples: sojourns,
+            sketch,
+            measured_us,
+        }
     }
+}
+
+/// Per-server busy fraction: `busy_us` of service over `measured_us` on
+/// `servers` servers, capped at 1 (0 for an empty window).
+fn busy_fraction(busy_us: f64, servers: usize, measured_us: f64) -> f64 {
+    if measured_us > 0.0 {
+        (busy_us / (servers as f64 * measured_us)).min(1.0)
+    } else {
+        0.0
+    }
+}
+
+/// Mean of the 512-draw pilot every engine takes on the arrival stream to
+/// reject saturated inputs. Drawn as one batch — bitwise the same stream
+/// as 512 sequential draws (see `draw_batch`), just without 512
+/// closure-call overheads in between.
+fn pilot_mean(rng: &mut SimRng, service: &mut dyn FnMut(&mut SimRng) -> f64) -> f64 {
+    let mut buf = Vec::new();
+    draw_batch(rng, 512, &mut buf, service);
+    buf.iter().sum::<f64>() / 512.0
 }
 
 /// Simulates `n` FCFS servers behind `balancer` with aggregate Poisson
@@ -507,13 +564,7 @@ pub fn try_simulate_cluster(
     let mut brng = rng_from_seed(derive_stream(opts.seed, BALANCER_STREAM));
     let interarrival = Exponential::from_rate(lambda_per_us);
 
-    // Pilot: estimate the mean service demand to reject saturated inputs.
-    // Drawn as one batch — bitwise the same stream as 512 sequential
-    // draws (see `draw_batch`), just without 512 closure-call overheads
-    // in between.
-    let mut pilot_buf = Vec::new();
-    draw_batch(&mut rng, 512, &mut pilot_buf, &mut *service);
-    let pilot: f64 = pilot_buf.iter().sum::<f64>() / 512.0;
+    let pilot = pilot_mean(&mut rng, service);
     let rho_estimate = lambda_per_us * pilot / n as f64;
     if rho_estimate >= 1.0 {
         return Err(Unstable { rho_estimate });
@@ -620,30 +671,19 @@ pub fn try_simulate_cluster(
     }
 
     let samples = sojourns.count();
-    Ok(ClusterResult {
-        tail_us: sojourns.quantile(opts.quantile).unwrap_or(0.0),
-        tail_ci: sojourns.quantile_ci(opts.quantile, opts.confidence),
-        mean_sojourn_us: sojourns.mean().unwrap_or(0.0),
-        p50_us: sojourns.quantile(0.5).unwrap_or(0.0),
-        mean_wait_us: if wait_sum.count() > 0 {
-            wait_sum.mean()
-        } else {
-            0.0
-        },
-        wait: wait_sum,
-        sojourn: sojourn_sum,
-        utilization: if clock > 0.0 {
-            (busy_time / (n as f64 * clock)).min(1.0)
-        } else {
-            0.0
-        },
-        per_server_requests: per_server,
+    Ok(ClusterResult::assemble(
+        sojourns,
+        sketch,
+        wait_sum,
+        sojourn_sum,
+        busy_time,
+        clock,
+        per_server,
         samples,
         converged,
-        sojourn_samples: sojourns,
-        sketch,
-        measured_us: clock,
-    })
+        opts.quantile,
+        opts.confidence,
+    ))
 }
 
 /// How duplicate copies of a request are launched.
@@ -844,12 +884,8 @@ pub fn merge_hedged_replications(
         clusters.push(part.cluster);
     }
     let cluster = merge_replications(clusters, quantile, confidence);
-    let denom = cluster.per_server_requests.len() as f64 * cluster.measured_us;
-    let added_utilization = if denom > 0.0 {
-        (tally.dup_delivered_us / denom).min(1.0)
-    } else {
-        0.0
-    };
+    let servers = cluster.per_server_requests.len();
+    let added_utilization = busy_fraction(tally.dup_delivered_us, servers, cluster.measured_us);
     HedgedClusterResult {
         cluster,
         tally,
@@ -866,14 +902,21 @@ enum CopyState {
     Purged,
 }
 
+/// End of a request's copy chain.
+const NO_COPY: usize = usize::MAX;
+
+/// One dispatched copy of a request. A request's copies form an intrusive
+/// chain through `next`, in issue order, so dispatch masking and purges
+/// walk them without a per-request allocation.
 #[derive(Debug, Clone, Copy)]
-struct CopyCell {
+pub(crate) struct CopyCell {
     req: usize,
-    demand: f64,
-    server: usize,
+    pub(crate) demand: f64,
+    pub(crate) server: usize,
     issued_at: f64,
     is_dup: bool,
     state: CopyState,
+    next: usize,
 }
 
 #[derive(Debug)]
@@ -881,7 +924,22 @@ struct ReqCell {
     arrival: f64,
     measured: bool,
     completed: bool,
-    copies: Vec<usize>,
+    /// From a hot tenant (every request of a single-tenant plan is).
+    hot: bool,
+    /// Head and tail of the copy chain (`NO_COPY` before the first copy).
+    first: usize,
+    last: usize,
+}
+
+/// Whether the copy chain starting at `c` holds a copy on `server`.
+fn chain_holds(copies: &[CopyCell], mut c: usize, server: usize) -> bool {
+    while c != NO_COPY {
+        if copies[c].server == server {
+            return true;
+        }
+        c = copies[c].next;
+    }
+    false
 }
 
 /// Per-server queue state in struct-of-arrays layout. The dispatch hot
@@ -890,20 +948,20 @@ struct ReqCell {
 /// dense cache lines instead of striding over whole per-server structs —
 /// the same reason the cycle sims pre-size their ROB/LSQ arrays.
 #[derive(Debug, Default)]
-struct ServerSoa {
-    prim_q: Vec<VecDeque<usize>>,
+pub(crate) struct ServerSoa {
+    pub(crate) prim_q: Vec<VecDeque<usize>>,
     dup_q: Vec<VecDeque<usize>>,
-    serving: Vec<Option<usize>>,
+    pub(crate) serving: Vec<Option<usize>>,
     serve_start: Vec<f64>,
-    serve_end: Vec<f64>,
+    pub(crate) serve_end: Vec<f64>,
     /// Bumped at every service start *and* every in-service abort, so a
     /// Depart event scheduled for an aborted service is recognized as
     /// stale and ignored (lazy cancellation).
     epoch: Vec<u64>,
     /// Live copies per server: queued + in service.
-    in_system: Vec<u32>,
+    pub(crate) in_system: Vec<u32>,
     /// Unstarted demand queued per server, µs.
-    queued_work: Vec<f64>,
+    pub(crate) queued_work: Vec<f64>,
 }
 
 impl ServerSoa {
@@ -918,6 +976,18 @@ impl ServerSoa {
             in_system: vec![0; n],
             queued_work: vec![0.0; n],
         }
+    }
+
+    /// Server `i`'s live dispatch signal at `t`: copies in system and
+    /// unfinished work (queued demand plus the in-service residual).
+    #[inline]
+    pub(crate) fn view(&self, i: usize, t: f64) -> (u32, f64) {
+        let residual = if self.serving[i].is_some() {
+            (self.serve_end[i] - t).max(0.0)
+        } else {
+            0.0
+        };
+        (self.in_system[i], self.queued_work[i] + residual)
     }
 }
 
@@ -946,29 +1016,25 @@ impl EvKind {
     }
 }
 
-/// Duplication-aware cluster simulation, panicking on saturation. See
-/// [`try_simulate_cluster_hedged`].
-///
-/// # Panics
-///
-/// Panics on non-positive `lambda_per_us`, zero servers, or a saturated
-/// pilot estimate.
-pub fn simulate_cluster_hedged(
-    lambda_per_us: f64,
-    service: &mut dyn FnMut(&mut SimRng) -> f64,
-    balancer: &mut dyn Balancer,
-    plan: &DuplicationPolicy,
-    opts: &ClusterOptions,
-) -> HedgedClusterResult {
-    try_simulate_cluster_hedged(
-        lambda_per_us,
-        service,
-        balancer,
-        plan,
-        opts,
-        &Tracer::disabled(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
+/// The public front end driving the engine. It selects the trace
+/// vocabulary only (`cluster/*` or `rack/*`); behaviour follows the plans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Front {
+    Cluster,
+    Rack,
+}
+
+impl Front {
+    fn prefix(self) -> &'static str {
+        self.pick("cluster", "rack")
+    }
+
+    fn pick(self, cluster: &'static str, rack: &'static str) -> &'static str {
+        match self {
+            Front::Cluster => cluster,
+            Front::Rack => rack,
+        }
+    }
 }
 
 /// Event-driven cluster simulation with request duplication and hedging.
@@ -1006,6 +1072,11 @@ pub fn simulate_cluster_hedged(
 /// copy must complete) and `1` otherwise (purged duplicates add a bounded
 /// extra load that vanishes as siblings win races; hedged/purged plans
 /// whose *primary* load is stable always drain).
+///
+/// # Panics
+///
+/// Panics on non-positive `lambda_per_us`, zero servers, or a `Duplicate`
+/// plan with zero copies.
 pub fn try_simulate_cluster_hedged(
     lambda_per_us: f64,
     service: &mut dyn FnMut(&mut SimRng) -> f64,
@@ -1014,28 +1085,55 @@ pub fn try_simulate_cluster_hedged(
     opts: &ClusterOptions,
     tracer: &Tracer,
 ) -> Result<HedgedClusterResult, Unstable> {
-    assert!(lambda_per_us > 0.0, "arrival rate must be positive");
-    assert!(opts.servers >= 1, "cluster needs at least one server");
     if let DupMode::Duplicate { copies } = plan.mode {
         assert!(copies >= 1, "Duplicate needs at least the primary copy");
     }
-    tracer.set_ticks_per_us(CLUSTER_TICKS_PER_US);
-    let n = opts.servers;
+    let rack = RackState::new(&RackPlan::fresh(), opts);
+    let (result, _) = simulate_requests(
+        lambda_per_us,
+        service,
+        &mut [balancer],
+        plan,
+        rack,
+        Front::Cluster,
+        opts,
+        tracer,
+    )?;
+    Ok(result)
+}
 
+/// The request-domain event engine behind both public front ends: the
+/// hedged cluster ([`try_simulate_cluster_hedged`]: its plan, one
+/// dispatcher, a fresh rack plan) and the rack
+/// ([`try_simulate_rack`](crate::rack::try_simulate_rack): no duplication,
+/// one balancer per dispatcher, its rack plan). Runs the pilot stability
+/// check, then the event loop on the chosen future-event set, and hands
+/// back the rack state for its tallies and tenant sketches.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn simulate_requests(
+    lambda_per_us: f64,
+    service: &mut dyn FnMut(&mut SimRng) -> f64,
+    dispatchers: &mut [&mut dyn Balancer],
+    plan: &DuplicationPolicy,
+    rack: RackState,
+    front: Front,
+    opts: &ClusterOptions,
+    tracer: &Tracer,
+) -> Result<(HedgedClusterResult, RackState), Unstable> {
+    assert!(lambda_per_us > 0.0, "arrival rate must be positive");
+    assert!(opts.servers >= 1, "a farm needs at least one server");
+    tracer.set_ticks_per_us(CLUSTER_TICKS_PER_US);
     let mut rng = rng_from_seed(opts.seed);
     let interarrival = Exponential::from_rate(lambda_per_us);
 
-    // Same 512-draw pilot as the base simulator (identical arrival-stream
-    // offset, so results are CRN-comparable across engines and plans),
-    // batched exactly like the legacy engine's.
-    let mut pilot_buf = Vec::new();
-    draw_batch(&mut rng, 512, &mut pilot_buf, &mut *service);
-    let pilot: f64 = pilot_buf.iter().sum::<f64>() / 512.0;
+    // Same 512-draw pilot as the Lindley loop (identical arrival-stream
+    // offset, so results are CRN-comparable across engines and plans).
+    let pilot = pilot_mean(&mut rng, service);
     let eager_copies = match plan.mode {
         DupMode::Duplicate { copies } if !plan.purge => copies as f64,
         _ => 1.0,
     };
-    let rho_estimate = lambda_per_us * pilot * eager_copies / n as f64;
+    let rho_estimate = lambda_per_us * pilot * eager_copies / opts.servers as f64;
     if rho_estimate >= 1.0 {
         return Err(Unstable { rho_estimate });
     }
@@ -1048,64 +1146,70 @@ pub fn try_simulate_cluster_hedged(
         DupMode::Duplicate { copies } => copies,
         DupMode::Hedge { .. } => 2,
     };
-    match opts.event_queue {
-        EventQueueKind::Heap => run_hedged(
+    Ok(match opts.event_queue {
+        EventQueueKind::Heap => run(
             HeapEventQueue::new(),
             copies_hint,
             service,
-            balancer,
+            dispatchers,
             plan,
+            rack,
+            front,
             opts,
             tracer,
             rng,
             interarrival,
         ),
-        EventQueueKind::Wheel => {
-            // Every copy contributes ~2 events (dispatch-side arrival or
-            // hedge fire, plus a departure); size buckets for that rate.
-            let event_rate = lambda_per_us * 2.0 * copies_hint as f64;
-            run_hedged(
-                WheelEventQueue::for_rate(event_rate),
-                copies_hint,
-                service,
-                balancer,
-                plan,
-                opts,
-                tracer,
-                rng,
-                interarrival,
-            )
-        }
-    }
+        // Every copy contributes ~2 events (dispatch-side arrival or
+        // hedge fire, plus a departure); size buckets for that rate.
+        EventQueueKind::Wheel => run(
+            WheelEventQueue::for_rate(lambda_per_us * 2.0 * copies_hint as f64),
+            copies_hint,
+            service,
+            dispatchers,
+            plan,
+            rack,
+            front,
+            opts,
+            tracer,
+            rng,
+            interarrival,
+        ),
+    })
 }
 
-/// The engine proper, generic over the future-event set. Both
+/// The event loop, generic over the future-event set. Both
 /// instantiations execute the identical push sequence, so by the
 /// [`eventcore`](crate::eventcore) total-order contract they pop the
 /// identical event sequence and produce bit-identical results — the
 /// differential suite holds them to that.
 #[allow(clippy::too_many_arguments)]
-fn run_hedged<Q: EventQueue<EvKind>>(
+fn run<Q: EventQueue<EvKind>>(
     queue: Q,
     copies_hint: usize,
     service: &mut dyn FnMut(&mut SimRng) -> f64,
-    balancer: &mut dyn Balancer,
+    dispatchers: &mut [&mut dyn Balancer],
     plan: &DuplicationPolicy,
+    rack: RackState,
+    front: Front,
     opts: &ClusterOptions,
     tracer: &Tracer,
     mut rng: SimRng,
     interarrival: Exponential,
-) -> Result<HedgedClusterResult, Unstable> {
+) -> (HedgedClusterResult, RackState) {
     let n = opts.servers;
     let mut brng = rng_from_seed(derive_stream(opts.seed, BALANCER_STREAM));
     let mut drng = rng_from_seed(derive_stream(opts.seed, DUPLICATE_STREAM));
     let total = opts.warmup + opts.max_samples;
     let req_cap = total.min(1 << 20);
-    let mut sim = HedgeSim {
+    let mut sim = RequestSim {
         plan,
+        rack,
+        front,
         opts,
         tracer,
         traced: tracer.is_enabled(),
+        series_on: tracer.has_timeseries(),
         servers: ServerSoa::new(n),
         copies: Vec::with_capacity(req_cap.saturating_mul(copies_hint).min(1 << 21)),
         reqs: Vec::with_capacity(req_cap),
@@ -1114,7 +1218,6 @@ fn run_hedged<Q: EventQueue<EvKind>>(
         sketch: LatencySketch::new(),
         ev_pushed: [0; 3],
         ev_popped: [0; 3],
-        series_on: tracer.has_timeseries(),
         sojourn_sum: Summary::new(),
         wait_sum: Summary::new(),
         dup_wait: Summary::new(),
@@ -1145,19 +1248,23 @@ fn run_hedged<Q: EventQueue<EvKind>>(
                     key.t,
                     total,
                     service,
-                    balancer,
+                    dispatchers,
                     &interarrival,
                     &mut rng,
                     &mut brng,
                     &mut drng,
                 );
             }
-            EvKind::HedgeFire { req } => {
-                sim.on_hedge_fire(req, key.t, service, balancer, &mut brng, &mut drng);
-            }
-            EvKind::Depart { server, epoch } => {
-                sim.on_depart(server, epoch, key.t);
-            }
+            // Hedges exist only on the single-dispatcher cluster front end.
+            EvKind::HedgeFire { req } => sim.on_hedge_fire(
+                req,
+                key.t,
+                service,
+                &mut *dispatchers[0],
+                &mut brng,
+                &mut drng,
+            ),
+            EvKind::Depart { server, epoch } => sim.on_depart(server, epoch, key.t),
         }
         if sim.series_on {
             sim.sample_gauges(key.t);
@@ -1167,49 +1274,40 @@ fn run_hedged<Q: EventQueue<EvKind>>(
         sim.flush_profile();
     }
 
-    let n_f = n as f64;
-    let clock = sim.clock;
-    let util = |busy: f64| {
-        if clock > 0.0 {
-            (busy / (n_f * clock)).min(1.0)
-        } else {
-            0.0
-        }
-    };
     let samples = sim.sojourns.count();
-    let added_utilization = util(sim.tally.dup_delivered_us);
-    Ok(HedgedClusterResult {
-        cluster: ClusterResult {
-            tail_us: sim.sojourns.quantile(opts.quantile).unwrap_or(0.0),
-            tail_ci: sim.sojourns.quantile_ci(opts.quantile, opts.confidence),
-            mean_sojourn_us: sim.sojourns.mean().unwrap_or(0.0),
-            p50_us: sim.sojourns.quantile(0.5).unwrap_or(0.0),
-            mean_wait_us: if sim.wait_sum.count() > 0 {
-                sim.wait_sum.mean()
-            } else {
-                0.0
-            },
-            wait: sim.wait_sum,
-            sojourn: sim.sojourn_sum,
-            utilization: util(sim.delivered_us),
-            per_server_requests: sim.per_server,
+    let result = HedgedClusterResult {
+        added_utilization: busy_fraction(sim.tally.dup_delivered_us, n, sim.clock),
+        cluster: ClusterResult::assemble(
+            sim.sojourns,
+            sim.sketch,
+            sim.wait_sum,
+            sim.sojourn_sum,
+            sim.delivered_us,
+            sim.clock,
+            sim.per_server,
             samples,
-            converged: sim.converged,
-            sojourn_samples: sim.sojourns,
-            sketch: sim.sketch,
-            measured_us: clock,
-        },
+            sim.converged,
+            opts.quantile,
+            opts.confidence,
+        ),
         tally: sim.tally,
         dup_wait: sim.dup_wait,
-        added_utilization,
-    })
+    };
+    (result, sim.rack)
 }
 
-struct HedgeSim<'a, Q> {
+struct RequestSim<'a, Q> {
     plan: &'a DuplicationPolicy,
+    /// Rack plan state: stale views, stealing, tenants. Inert under
+    /// [`RackPlan::fresh`].
+    rack: RackState,
+    front: Front,
     opts: &'a ClusterOptions,
     tracer: &'a Tracer,
     traced: bool,
+    /// Cached `tracer.has_timeseries()`, so the per-event gauge pass is a
+    /// single branch when sampling is off.
+    series_on: bool,
     servers: ServerSoa,
     copies: Vec<CopyCell>,
     reqs: Vec<ReqCell>,
@@ -1221,9 +1319,6 @@ struct HedgeSim<'a, Q> {
     /// Depart) — pure counts over the deterministic event sequence.
     ev_pushed: [u64; 3],
     ev_popped: [u64; 3],
-    /// Cached `tracer.has_timeseries()`, so the per-event gauge pass is a
-    /// single branch when sampling is off.
-    series_on: bool,
     sojourn_sum: Summary,
     wait_sum: Summary,
     dup_wait: Summary,
@@ -1242,7 +1337,7 @@ struct HedgeSim<'a, Q> {
     demand_buf: Vec<f64>,
 }
 
-impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
+impl<Q: EventQueue<EvKind>> RequestSim<'_, Q> {
     fn schedule(&mut self, t: f64, kind: EvKind) {
         self.ev_pushed[usize::from(kind.rank())] += 1;
         self.queue.push(t, kind.rank(), kind);
@@ -1265,7 +1360,7 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
         t: f64,
         total: usize,
         service: &mut dyn FnMut(&mut SimRng) -> f64,
-        balancer: &mut dyn Balancer,
+        dispatchers: &mut [&mut dyn Balancer],
         interarrival: &Exponential,
         rng: &mut SimRng,
         brng: &mut SimRng,
@@ -1277,22 +1372,27 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
         // the interarrival gap.
         let s = service(rng);
         let measured = k >= self.opts.warmup;
+        let (disp, hot) = self.rack.tenant(dispatchers.len(), measured);
         let req = self.reqs.len();
         self.reqs.push(ReqCell {
             arrival: t,
             measured,
             completed: false,
-            copies: Vec::new(),
+            hot,
+            first: NO_COPY,
+            last: NO_COPY,
         });
         if measured {
             self.tally.requests += 1;
             if self.traced {
                 self.tracer
                     .emit(|| TraceEvent::RequestArrive { at: ns_ticks(t) });
-                self.tracer.count("cluster/requests", 1);
+                self.tracer
+                    .count(self.front.pick("cluster/requests", "rack/requests"), 1);
             }
         }
-        self.dispatch_copy(req, s, t, false, balancer, brng);
+        let balancer = &mut *dispatchers[disp];
+        self.dispatch_copy(req, s, t, false, disp, balancer, brng);
         let extras = self.eager_extras();
         if extras > 0 {
             // Duplicate demands batch into the reused buffer. The dup
@@ -1303,7 +1403,7 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
             let mut demands = std::mem::take(&mut self.demand_buf);
             draw_batch(drng, extras, &mut demands, &mut *service);
             for &d in &demands {
-                self.dispatch_copy(req, d, t, true, balancer, brng);
+                self.dispatch_copy(req, d, t, true, disp, balancer, brng);
             }
             self.demand_buf = demands;
         }
@@ -1341,7 +1441,7 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
             return;
         }
         let d = service(drng);
-        let server = self.dispatch_copy(req, d, t, true, balancer, brng);
+        let server = self.dispatch_copy(req, d, t, true, 0, balancer, brng);
         if measured {
             self.tally.hedges_fired += 1;
             if self.traced {
@@ -1354,50 +1454,52 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
         }
     }
 
-    /// Places one copy: masked pick (servers already holding a copy of
-    /// this request are hidden from the balancer, unless that would leave
-    /// it nothing to choose from), enqueue at the plan's priority, and a
-    /// service start if the server is idle. Returns the chosen server.
+    /// Places one copy through dispatcher `disp`: masked pick (servers
+    /// already holding a copy of this request are hidden from the
+    /// balancer, unless that would leave it nothing to choose from) over
+    /// the dispatcher's view — live, or Δ-stale plus its own recent
+    /// placements — then enqueue at the plan's priority, and a service
+    /// start if the server is idle. Returns the chosen server.
+    #[allow(clippy::too_many_arguments)]
     fn dispatch_copy(
         &mut self,
         req: usize,
         demand: f64,
         t: f64,
         is_dup: bool,
+        disp: usize,
         balancer: &mut dyn Balancer,
         brng: &mut SimRng,
     ) -> usize {
         let n = self.servers.serving.len();
-        // Masked candidate list and its queue/backlog views, rebuilt in
-        // the reused scratch buffers (no per-dispatch allocation). A
-        // request's existing copies are few, so the containment scan is
-        // cheaper than materializing a taken-set.
-        let held = &self.reqs[req].copies;
-        let copies = &self.copies;
+        // Candidates and their queue/backlog views live in reused scratch
+        // buffers (no per-dispatch allocation). `pick_map` lists the
+        // servers without a copy of this request; it stays empty — every
+        // server a candidate — for a first copy or when all hold one.
+        let (first, copies) = (self.reqs[req].first, &self.copies);
         self.pick_map.clear();
-        self.pick_map
-            .extend((0..n).filter(|&i| !held.iter().any(|&c| copies[c].server == i)));
-        if self.pick_map.is_empty() {
-            self.pick_map.extend(0..n);
+        if first != NO_COPY {
+            self.pick_map
+                .extend((0..n).filter(|&i| !chain_holds(copies, first, i)));
         }
+        let masked = !self.pick_map.is_empty();
         self.pick_queues.clear();
         self.pick_backlog.clear();
-        for &i in &self.pick_map {
-            self.pick_queues.push(self.servers.in_system[i]);
-            let residual = if self.servers.serving[i].is_some() {
-                (self.servers.serve_end[i] - t).max(0.0)
-            } else {
-                0.0
-            };
-            self.pick_backlog
-                .push(self.servers.queued_work[i] + residual);
+        for k in 0..if masked { self.pick_map.len() } else { n } {
+            let i = if masked { self.pick_map[k] } else { k };
+            let (queued, backlog) = self.rack.dispatch_view(&self.servers, i, t);
+            self.pick_queues.push(queued);
+            self.pick_backlog.push(backlog);
         }
+        // Rack plans issue one copy per request, so candidate i is server i.
+        self.rack
+            .compensate(disp, t, &mut self.pick_queues, &mut self.pick_backlog);
         let local = balancer.pick(&self.pick_queues, &self.pick_backlog, brng);
         debug_assert!(
-            local < self.pick_map.len(),
+            local < self.pick_queues.len(),
             "balancer picked out-of-range {local}"
         );
-        let server = self.pick_map[local];
+        let server = if masked { self.pick_map[local] } else { local };
 
         let copy = self.copies.len();
         self.copies.push(CopyCell {
@@ -1407,10 +1509,16 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
             issued_at: t,
             is_dup,
             state: CopyState::Queued,
+            next: NO_COPY,
         });
-        self.reqs[req].copies.push(copy);
-        let measured = self.reqs[req].measured;
-        if measured {
+        let r = &mut self.reqs[req];
+        if r.first == NO_COPY {
+            r.first = copy;
+        } else {
+            self.copies[r.last].next = copy;
+        }
+        r.last = copy;
+        if r.measured {
             self.per_server[server] += 1;
             self.tally.copies_issued += 1;
             if is_dup {
@@ -1426,8 +1534,9 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
                     server: server as u32,
                     queue_len,
                 });
+                let prefix = self.front.prefix();
                 self.tracer
-                    .count(&format!("cluster/server/{server}/requests"), 1);
+                    .count(&format!("{prefix}/server/{server}/requests"), 1);
             }
         }
         self.servers.in_system[server] += 1;
@@ -1437,6 +1546,8 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
         } else {
             self.servers.prim_q[server].push_back(copy);
         }
+        self.rack
+            .note_placement(&self.servers, disp, server, demand, t);
         self.maybe_start(server, t);
         server
     }
@@ -1477,11 +1588,13 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
             } else {
                 self.wait_sum.record(w);
                 if self.traced {
-                    self.tracer.observe("cluster/wait_us", w);
+                    self.tracer
+                        .observe(self.front.pick("cluster/wait_us", "rack/wait_us"), w);
                 }
             }
         }
         self.schedule(end, EvKind::Depart { server, epoch });
+        self.rack.record_snap(&self.servers, server, t);
     }
 
     fn on_depart(&mut self, server: usize, epoch: u64, t: f64) {
@@ -1516,6 +1629,7 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
                 self.sojourns.record(sojourn);
                 self.sketch.record(sojourn);
                 self.sojourn_sum.record(sojourn);
+                self.rack.record_sojourn(self.reqs[req].hot, sojourn);
                 if self.traced {
                     let at = ns_ticks(t);
                     let arrived = ns_ticks(self.reqs[req].arrival);
@@ -1523,7 +1637,10 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
                         at,
                         latency: at.saturating_sub(arrived),
                     });
-                    self.tracer.observe("cluster/sojourn_us", sojourn);
+                    self.tracer.observe(
+                        self.front.pick("cluster/sojourn_us", "rack/sojourn_us"),
+                        sojourn,
+                    );
                 }
                 if self.sojourns.count().is_multiple_of(self.opts.check_every) {
                     if let Some(ci) = self
@@ -1537,15 +1654,27 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
                 }
             }
             if self.plan.purge {
-                let siblings = self.reqs[req].copies.clone();
-                for sib in siblings {
+                let mut sib = self.reqs[req].first;
+                while sib != NO_COPY {
                     if sib != c {
                         self.purge_copy(sib, t, measured);
                     }
+                    sib = self.copies[sib].next;
                 }
             }
         }
+        self.rack.record_snap(&self.servers, server, t);
         self.maybe_start(server, t);
+        // Work stealing: a server that stays idle after a departure pulls
+        // from the longest visible backlog.
+        if self.rack.plan.steal.probes > 0
+            && self.servers.serving[server].is_none()
+            && self
+                .rack
+                .try_steal(&mut self.servers, &mut self.copies, server, t, self.tracer)
+        {
+            self.maybe_start(server, t);
+        }
     }
 
     /// Purges one sibling copy at the winning completion's instant `t`.
@@ -1601,30 +1730,43 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
     }
 
     /// Samples the event-clock gauge series at simulated time `t` (µs):
-    /// busy servers, copies in flight, pending hedge deadlines, cumulative
-    /// purges, delivered utilization, and per-server depth. Runs once per
-    /// popped event, and only when the tracer opted into time series, so
-    /// the default path pays a single cached-bool branch.
+    /// busy servers, copies in flight, delivered utilization, per-server
+    /// depth, and — per front end — pending hedge deadlines and cumulative
+    /// purges, or cumulative steals. Runs once per popped event, and only
+    /// when the tracer opted into time series, so the default path pays a
+    /// single cached-bool branch.
     fn sample_gauges(&self, t: f64) {
         let n = self.servers.serving.len();
         let busy = self.servers.serving.iter().filter(|s| s.is_some()).count();
         let in_flight: u32 = self.servers.in_system.iter().sum();
         let hedges = self.ev_pushed[1] - self.ev_popped[1];
         let purges = self.tally.purged_queued + self.tally.purged_in_service;
-        let util = if self.clock > 0.0 {
-            (self.delivered_us / (n as f64 * self.clock)).min(1.0)
-        } else {
-            0.0
-        };
-        let depths = &self.servers.in_system;
+        let steals = self.rack.tally.steals;
+        let util = busy_fraction(self.delivered_us, n, self.clock);
+        let (front, depths) = (self.front, &self.servers.in_system);
         self.tracer.sample(|ts| {
-            ts.observe("cluster/busy_servers", t, busy as f64);
-            ts.observe("cluster/in_flight", t, f64::from(in_flight));
-            ts.observe("cluster/hedges_in_flight", t, hedges as f64);
-            ts.observe("cluster/purges", t, purges as f64);
-            ts.observe("cluster/utilization", t, util);
+            let name = |cluster, rack| front.pick(cluster, rack);
+            ts.observe(
+                name("cluster/busy_servers", "rack/busy_servers"),
+                t,
+                busy as f64,
+            );
+            ts.observe(
+                name("cluster/in_flight", "rack/in_flight"),
+                t,
+                f64::from(in_flight),
+            );
+            ts.observe(name("cluster/utilization", "rack/utilization"), t, util);
+            match front {
+                Front::Cluster => {
+                    ts.observe("cluster/hedges_in_flight", t, hedges as f64);
+                    ts.observe("cluster/purges", t, purges as f64);
+                }
+                Front::Rack => ts.observe("rack/steals", t, steals as f64),
+            }
             for (i, &d) in depths.iter().enumerate() {
-                ts.observe(&format!("cluster/server/{i}/depth"), t, f64::from(d));
+                let path = format!("{}/server/{i}/depth", front.prefix());
+                ts.observe(&path, t, f64::from(d));
             }
         });
     }
@@ -1635,12 +1777,16 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
     /// deterministic event sequence — identical at any worker count and
     /// for both queue implementations (wheel-specific fields aside).
     fn flush_profile(&self) {
-        const KIND_NAMES: [&str; 3] = ["arrive", "hedge_fire", "depart"];
-        for (i, name) in KIND_NAMES.iter().enumerate() {
+        let prefix = self.front.prefix();
+        for (i, name) in ["arrive", "hedge_fire", "depart"].iter().enumerate() {
+            // The rack front end issues no hedges and keeps no hedge counters.
+            if i == 1 && self.front == Front::Rack {
+                continue;
+            }
             self.tracer
-                .count(&format!("cluster/events/{name}/pushed"), self.ev_pushed[i]);
+                .count(&format!("{prefix}/events/{name}/pushed"), self.ev_pushed[i]);
             self.tracer
-                .count(&format!("cluster/events/{name}/popped"), self.ev_popped[i]);
+                .count(&format!("{prefix}/events/{name}/popped"), self.ev_popped[i]);
         }
         let p = self.queue.profile();
         for (name, v) in [
@@ -1654,12 +1800,12 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
             ("slots_skipped", p.slots_skipped),
             ("max_bucket_len", p.max_bucket_len),
         ] {
-            self.tracer.count(&format!("cluster/eventq/{name}"), v);
+            self.tracer.count(&format!("{prefix}/eventq/{name}"), v);
         }
         // Non-finite sojourns rejected by the sketch (should be zero; a
         // nonzero value explains any sketch-vs-exact count drift).
         self.tracer.count(
-            "cluster/sketch/dropped_nonfinite",
+            &format!("{prefix}/sketch/dropped_nonfinite"),
             self.sketch.dropped_nonfinite(),
         );
     }
@@ -1819,7 +1965,15 @@ mod tests {
         opts: &ClusterOptions,
     ) -> HedgedClusterResult {
         let mut svc = exp_service(1.0);
-        simulate_cluster_hedged(lambda, &mut svc, &mut *policy.build(), &plan, opts)
+        try_simulate_cluster_hedged(
+            lambda,
+            &mut svc,
+            &mut *policy.build(),
+            &plan,
+            opts,
+            &Tracer::disabled(),
+        )
+        .expect("stable hedged cell")
     }
 
     #[test]

@@ -247,29 +247,15 @@ pub fn try_simulate_mg1(
     try_simulate_mg1_traced(lambda_per_us, service, opts, &Tracer::disabled())
 }
 
-/// [`simulate_mg1`] with a cycle-domain tracer attached: every measured
-/// request emits a [`TraceEvent::RequestArrive`]/[`TraceEvent::RequestComplete`]
+/// [`try_simulate_mg1`] with a cycle-domain tracer attached: every
+/// measured request emits a [`TraceEvent::RequestArrive`]/[`TraceEvent::RequestComplete`]
 /// pair stamped in nanosecond ticks (1000 ticks per simulated µs; the
 /// tracer's `ticks_per_us` is set accordingly).
 ///
-/// With a disabled tracer this is `simulate_mg1` exactly; with an enabled
-/// one the RNG draw sequence — and therefore every statistic in the
+/// With a disabled tracer this is `try_simulate_mg1` exactly; with an
+/// enabled one the RNG draw sequence — and therefore every statistic in the
 /// returned [`Mg1Result`] — is still bit-identical, because timestamps come
 /// from a pure-arithmetic accumulator over draws already consumed.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate_mg1`].
-pub fn simulate_mg1_traced(
-    lambda_per_us: f64,
-    service: &mut dyn FnMut(&mut SimRng) -> f64,
-    opts: &Mg1Options,
-    tracer: &Tracer,
-) -> Mg1Result {
-    try_simulate_mg1_traced(lambda_per_us, service, opts, tracer).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`simulate_mg1_traced`]: saturation yields `Err(Unstable)`.
 pub fn try_simulate_mg1_traced(
     lambda_per_us: f64,
     service: &mut dyn FnMut(&mut SimRng) -> f64,
@@ -330,14 +316,8 @@ pub fn simulate_mg1_faulted(
     plan: &FaultPlan,
     opts: &Mg1Options,
 ) -> (Mg1Result, FaultTally) {
-    simulate_mg1_faulted_traced(
-        lambda_per_us,
-        compute,
-        stall_leg,
-        plan,
-        opts,
-        &Tracer::disabled(),
-    )
+    try_simulate_mg1_faulted(lambda_per_us, compute, stall_leg, plan, opts)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Non-panicking [`simulate_mg1_faulted`]: saturation yields `Err(Unstable)`.
@@ -358,32 +338,14 @@ pub fn try_simulate_mg1_faulted(
     )
 }
 
-/// [`simulate_mg1_faulted`] with a tracer attached: request events as in
-/// [`simulate_mg1_traced`], plus per-event fault instants
+/// [`try_simulate_mg1_faulted`] with a tracer attached: request events as
+/// in [`try_simulate_mg1_traced`], plus per-event fault instants
 /// (inject/retry/timeout) stamped at the arrival time of the request whose
 /// service leg suffered the fault, in the same nanosecond-tick domain.
 /// Fault events from the 512-draw stability pilot are stamped at tick 0.
 ///
 /// The tracer consumes no RNG draws: results and tallies are bit-identical
-/// to [`simulate_mg1_faulted`] regardless of tracing.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate_mg1`].
-pub fn simulate_mg1_faulted_traced(
-    lambda_per_us: f64,
-    compute: &mut dyn FnMut(&mut SimRng) -> f64,
-    stall_leg: &LatencyDist,
-    plan: &FaultPlan,
-    opts: &Mg1Options,
-    tracer: &Tracer,
-) -> (Mg1Result, FaultTally) {
-    try_simulate_mg1_faulted_traced(lambda_per_us, compute, stall_leg, plan, opts, tracer)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`simulate_mg1_faulted_traced`]: saturation yields
-/// `Err(Unstable)`.
+/// to [`try_simulate_mg1_faulted`] regardless of tracing.
 pub fn try_simulate_mg1_faulted_traced(
     lambda_per_us: f64,
     compute: &mut dyn FnMut(&mut SimRng) -> f64,
@@ -603,7 +565,7 @@ mod tests {
         };
         let plain = simulate_mg1(0.5, &mut svc, &opts);
         let tracer = Tracer::enabled(1 << 20, 1000.0);
-        let traced = simulate_mg1_traced(0.5, &mut svc, &opts, &tracer);
+        let traced = try_simulate_mg1_traced(0.5, &mut svc, &opts, &tracer).expect("stable");
         assert_eq!(plain.tail_us, traced.tail_us);
         assert_eq!(plain.sojourn, traced.sojourn);
         assert_eq!(plain.samples, traced.samples);
@@ -634,7 +596,8 @@ mod tests {
         let (plain, plain_tally) = simulate_mg1_faulted(0.1, &mut compute, &leg, &plan, &opts);
         let tracer = Tracer::enabled(1 << 20, 1000.0);
         let (traced, traced_tally) =
-            simulate_mg1_faulted_traced(0.1, &mut compute, &leg, &plan, &opts, &tracer);
+            try_simulate_mg1_faulted_traced(0.1, &mut compute, &leg, &plan, &opts, &tracer)
+                .expect("stable");
         assert_eq!(plain.tail_us, traced.tail_us);
         assert_eq!(plain_tally, traced_tally);
         let log = tracer.take();

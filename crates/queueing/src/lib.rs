@@ -19,19 +19,20 @@
 //!   McRouter model;
 //! * [`cluster`] — the n-server load-balanced farm (Random / RoundRobin /
 //!   JSQ / power-of-d / least-work balancers over per-server FCFS queues),
-//!   scaling the single dyad to the paper's server-level results, plus the
-//!   event-driven duplication/hedging engine (eager duplicate-to-d,
-//!   deadline hedges, purge-on-first-completion, low-priority duplicate
-//!   queues) that cuts cluster-level stragglers;
-//! * [`eventcore`] — the shared future-event set behind the cluster
-//!   engines: a total-order `(t, kind, seq)` contract with a `BinaryHeap`
-//!   reference and a calendar-queue timing wheel that are bit-identical
-//!   by construction (and differentially tested);
-//! * [`rack`] — the two-level rack model over the cluster engine:
-//!   bounded-delay dispatch on stale queue signals (the balancer sees
-//!   state as of `t − Δ`), idle-server work stealing, and centralized vs
-//!   distributed dispatch planes under Zipf-skewed tenant traffic, with
-//!   the Δ=0/no-steal plan bitwise identical to the cluster engine;
+//!   scaling the single dyad to the paper's server-level results: the
+//!   Lindley-loop reference, and the one request-domain event engine,
+//!   whose plans compose duplication (eager duplicate-to-d, deadline
+//!   hedges, purge-on-first-completion, low-priority duplicate queues)
+//!   with the rack components below;
+//! * [`eventcore`] — the future-event set behind the event engine: a
+//!   total-order `(t, kind, seq)` contract with a `BinaryHeap` reference
+//!   and a calendar-queue timing wheel that are bit-identical by
+//!   construction (and differentially tested);
+//! * [`rack`] — the two-level rack model as plan components of that
+//!   engine: bounded-delay dispatch on stale queue signals (the balancer
+//!   sees state as of `t − Δ`), idle-server work stealing, and centralized
+//!   vs distributed dispatch planes under Zipf-skewed tenant traffic, with
+//!   the Δ=0/no-steal plan bitwise identical to the hedged engine's `none`;
 //! * [`mmk`] — analytic M/M/k (Erlang-C) and two-class non-preemptive
 //!   priority M/M/1 cross-checks for the cluster simulator.
 
@@ -49,21 +50,21 @@ pub mod rack;
 
 pub use closed_loop::{closed_loop_utilization, utilization_surface};
 pub use cluster::{
-    merge_replications, simulate_cluster, simulate_cluster_hedged, try_simulate_cluster,
-    try_simulate_cluster_hedged, BalancerPolicy, ClusterEngine, ClusterOptions, ClusterResult,
-    DupMode, DupTally, DuplicationPolicy, HedgedClusterResult,
+    merge_replications, simulate_cluster, try_simulate_cluster, try_simulate_cluster_hedged,
+    BalancerPolicy, ClusterEngine, ClusterOptions, ClusterResult, DupMode, DupTally,
+    DuplicationPolicy, HedgedClusterResult,
 };
 pub use eventcore::{EventKey, EventQueue, EventQueueKind, HeapEventQueue, WheelEventQueue};
 
 pub use des::{
-    simulate_mg1, simulate_mg1_faulted, simulate_mg1_faulted_traced, simulate_mg1_traced,
-    try_simulate_mg1, try_simulate_mg1_faulted, try_simulate_mg1_faulted_traced,
-    try_simulate_mg1_traced, FaultTally, Mg1Options, Mg1Result, Unstable,
+    simulate_mg1, simulate_mg1_faulted, try_simulate_mg1, try_simulate_mg1_faulted,
+    try_simulate_mg1_faulted_traced, try_simulate_mg1_traced, FaultTally, Mg1Options, Mg1Result,
+    Unstable,
 };
 pub use fanout::{exponential_fanout_mean, exponential_fanout_quantile, FanOut};
 pub use mg1::{idle_period_cdf, mean_idle_period_us, Mg1Analytic};
 pub use mmk::{Mm1PriorityAnalytic, MmkAnalytic};
 pub use rack::{
-    merge_rack_replications, simulate_rack, try_simulate_rack, Coordination, RackPlan, RackResult,
-    RackTally, StealPolicy,
+    merge_rack_replications, try_simulate_rack, Coordination, RackPlan, RackResult, RackTally,
+    StealPolicy,
 };

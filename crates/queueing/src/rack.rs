@@ -1,10 +1,10 @@
 //! Two-level rack scheduler: stale-signal dispatch and inter-server work
-//! stealing over the cluster engine.
+//! stealing, as a plan component of the one request-domain engine.
 //!
 //! RackSched-style results (PAPERS.md) argue that a per-rack inter-server
 //! scheduler composed with intra-server scheduling beats per-server-only
-//! policies at microsecond scale. This module models that composition on
-//! top of the [`cluster`](crate::cluster) event engine: a rack-level
+//! policies at microsecond scale. This module models that composition
+//! inside the [`cluster`](crate::cluster) event engine: a rack-level
 //! dispatcher places requests onto per-server FCFS queues, but — unlike the
 //! idealized cluster balancer — it sees queue lengths **as of `t − Δ`**
 //! (bounded-delay JSQ / power-of-d), servers that go idle may **steal**
@@ -13,12 +13,19 @@
 //! **distributed** (k dispatchers, each blind to the others' placements),
 //! with Zipf-skewed per-tenant traffic hashed across dispatchers.
 //!
+//! There is no rack event loop. [`try_simulate_rack`] runs the engine
+//! behind [`try_simulate_cluster_hedged`](crate::cluster::try_simulate_cluster_hedged)
+//! with [`DuplicationPolicy::none`], one balancer per dispatcher, and a
+//! crate-private `RackState` holding what only rack plans need: snapshot
+//! history, per-dispatcher compensation windows, steal scratch, the tenant
+//! mix and the hot/cold sketches. The hedged front end passes
+//! [`RackPlan::fresh`], under which that state is inert. Duplication and
+//! rack features therefore never combine through the public API.
+//!
 //! Determinism contract, extending the cluster's: the arrival/service
-//! stream and the balancer stream are the *same* derived streams as
-//! [`try_simulate_cluster_hedged`](crate::cluster::try_simulate_cluster_hedged)
-//! (labels shared via `pub(crate)` constants), and the three rack-only
-//! features draw from independent derived streams that are consumed
-//! **only when the feature is on**:
+//! stream and the balancer stream are the engine's own, and the three
+//! rack-only features draw from independent derived streams that are
+//! consumed **only when the feature is on**:
 //!
 //! * signal staleness (`Δ > 0`) consumes no RNG at all — it only changes
 //!   which state the balancer observes;
@@ -27,13 +34,10 @@
 //! * tenant ranks draw from `RACK_TENANT_STREAM` (`0x7E2A`, only when
 //!   `tenants > 1`).
 //!
-//! A plan with `Δ = 0`, stealing off, and a single tenant therefore
-//! consumes draw-for-draw the cluster engine's RNG sequences and performs
-//! the identical floating-point bookkeeping: its [`ClusterResult`] is
+//! A plan with `Δ = 0`, stealing off, and a single tenant therefore takes
+//! the identical path through the engine: its [`ClusterResult`] is
 //! **bitwise identical** to `try_simulate_cluster_hedged` with
-//! [`DuplicationPolicy::none`](crate::cluster::DuplicationPolicy::none) —
-//! the degeneracy the test suite pins, and the reason every pre-existing
-//! golden fixture survives this module untouched.
+//! [`DuplicationPolicy::none`] — the degeneracy the test suite pins.
 //!
 //! Staleness semantics: the dispatcher observes each server's state at
 //! `τ = t − Δ` (per-server snapshot history), *compensated by its own
@@ -44,16 +48,12 @@
 //! only their own window, so information degrades with both Δ and k.
 
 use crate::cluster::{
-    merge_replications, ns_ticks, Balancer, BalancerPolicy, ClusterOptions, ClusterResult,
-    BALANCER_STREAM, CLUSTER_TICKS_PER_US,
+    merge_replications, simulate_requests, Balancer, BalancerPolicy, ClusterOptions, ClusterResult,
+    CopyCell, DuplicationPolicy, Front, ServerSoa,
 };
 use crate::des::Unstable;
-use crate::eventcore::{EventQueue, EventQueueKind, HeapEventQueue, WheelEventQueue};
-use duplexity_obs::{LatencySketch, TraceEvent, Tracer};
-use duplexity_stats::dist::{Distribution, Exponential};
-use duplexity_stats::quantile::QuantileEstimator;
-use duplexity_stats::rng::{derive_stream, draw_batch, rng_from_seed, SimRng};
-use duplexity_stats::summary::Summary;
+use duplexity_obs::{LatencySketch, Tracer};
+use duplexity_stats::rng::{derive_stream, rng_from_seed, SimRng};
 use duplexity_stats::zipf::Zipf;
 use rand::RngExt;
 use std::collections::VecDeque;
@@ -311,22 +311,6 @@ pub fn merge_rack_replications(
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobState {
-    Queued,
-    InService,
-    Done,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Job {
-    arrival: f64,
-    demand: f64,
-    measured: bool,
-    hot: bool,
-    state: JobState,
-}
-
 /// One entry of a server's visible-state history: the server's full
 /// dispatch-relevant state as of time `t`. The balancer's stale view at
 /// `τ` is the last snapshot with `t ≤ τ`.
@@ -339,48 +323,6 @@ struct Snap {
     serve_end: f64,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum RackEv {
-    Arrive,
-    Depart { server: usize, epoch: u64 },
-}
-
-impl RackEv {
-    /// Tie-break ranks shared with the cluster engine's event kinds
-    /// (Arrive = 0, Depart = 2), so at equal times the rack pops events in
-    /// the identical order — part of the bitwise-degeneracy contract.
-    fn rank(self) -> u8 {
-        match self {
-            RackEv::Arrive => 0,
-            RackEv::Depart { .. } => 2,
-        }
-    }
-}
-
-/// Rack simulation, panicking on saturation. See [`try_simulate_rack`].
-///
-/// # Panics
-///
-/// Panics on non-positive `lambda_per_us`, zero servers, an invalid plan,
-/// or a saturated pilot estimate.
-pub fn simulate_rack(
-    lambda_per_us: f64,
-    service: &mut dyn FnMut(&mut SimRng) -> f64,
-    policy: BalancerPolicy,
-    plan: &RackPlan,
-    opts: &ClusterOptions,
-) -> RackResult {
-    try_simulate_rack(
-        lambda_per_us,
-        service,
-        policy,
-        plan,
-        opts,
-        &Tracer::disabled(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Two-level rack simulation: a rack dispatcher placing Poisson arrivals
 /// at `lambda_per_us` onto `opts.servers` FCFS servers under `policy`,
 /// with the plan's signal staleness, work stealing, coordination, and
@@ -390,9 +332,11 @@ pub fn simulate_rack(
 /// distributed plan instantiates one balancer per dispatcher.
 ///
 /// Trace vocabulary: measured requests emit
-/// [`TraceEvent::RequestArrive`] / [`TraceEvent::Dispatch`] /
-/// [`TraceEvent::RequestComplete`] in the shared DES tick domain; counters
-/// land under `rack/*` (`rack/requests`, `rack/server/{i}/requests`,
+/// [`TraceEvent::RequestArrive`](duplexity_obs::TraceEvent::RequestArrive) /
+/// [`TraceEvent::Dispatch`](duplexity_obs::TraceEvent::Dispatch) /
+/// [`TraceEvent::RequestComplete`](duplexity_obs::TraceEvent::RequestComplete)
+/// in the shared DES tick domain; counters land under `rack/*`
+/// (`rack/requests`, `rack/server/{i}/requests`,
 /// `rack/steal/{probes,ok,empty}`), tails under `rack/sojourn_us` and
 /// `rack/wait_us`, and the end-of-run DES self-profile under
 /// `rack/events/*` and `rack/eventq/*`.
@@ -415,8 +359,6 @@ pub fn try_simulate_rack(
     opts: &ClusterOptions,
     tracer: &Tracer,
 ) -> Result<RackResult, Unstable> {
-    assert!(lambda_per_us > 0.0, "arrival rate must be positive");
-    assert!(opts.servers >= 1, "rack needs at least one server");
     assert!(
         plan.coordination.dispatchers() >= 1,
         "rack needs at least one dispatcher"
@@ -430,210 +372,36 @@ pub fn try_simulate_rack(
         plan.skew >= 0.0 && plan.skew.is_finite(),
         "tenant skew must be finite and non-negative"
     );
-    tracer.set_ticks_per_us(CLUSTER_TICKS_PER_US);
-    let n = opts.servers;
-
-    let mut rng = rng_from_seed(opts.seed);
-    let interarrival = Exponential::from_rate(lambda_per_us);
-
-    // Identical 512-draw pilot to the cluster engines: same arrival-stream
-    // offset, so rack and cluster cells are CRN-comparable (and the Δ=0
-    // degeneracy starts from the first post-pilot draw).
-    let mut pilot_buf = Vec::new();
-    draw_batch(&mut rng, 512, &mut pilot_buf, &mut *service);
-    let pilot: f64 = pilot_buf.iter().sum::<f64>() / 512.0;
-    let rho_estimate = lambda_per_us * pilot / n as f64;
-    if rho_estimate >= 1.0 {
-        return Err(Unstable { rho_estimate });
-    }
-
-    match opts.event_queue {
-        EventQueueKind::Heap => run_rack(
-            HeapEventQueue::new(),
-            service,
-            policy,
-            plan,
-            opts,
-            tracer,
-            rng,
-            interarrival,
-        ),
-        EventQueueKind::Wheel => {
-            // One arrival + one departure per request: the cluster's event
-            // rate with a copies hint of 1, so the wheel geometry (and its
-            // profile counters) match the degenerate cluster run exactly.
-            run_rack(
-                WheelEventQueue::for_rate(lambda_per_us * 2.0),
-                service,
-                policy,
-                plan,
-                opts,
-                tracer,
-                rng,
-                interarrival,
-            )
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_rack<Q: EventQueue<RackEv>>(
-    queue: Q,
-    service: &mut dyn FnMut(&mut SimRng) -> f64,
-    policy: BalancerPolicy,
-    plan: &RackPlan,
-    opts: &ClusterOptions,
-    tracer: &Tracer,
-    mut rng: SimRng,
-    interarrival: Exponential,
-) -> Result<RackResult, Unstable> {
-    let n = opts.servers;
-    let stale = plan.delta_us > 0.0;
-    let mut brng = rng_from_seed(derive_stream(opts.seed, BALANCER_STREAM));
-    // Feature streams, derived independently: consumed only when their
-    // feature is enabled, so disabled features are RNG no-ops.
-    let mut srng = rng_from_seed(derive_stream(opts.seed, RACK_STEAL_STREAM));
-    let mut trng = rng_from_seed(derive_stream(opts.seed, RACK_TENANT_STREAM));
-    let tenant_mix = (plan.tenants > 1).then(|| Zipf::new(plan.tenants, plan.skew));
-    // Hot tenants: the smallest rank head holding ≥ HOT_MASS of traffic.
-    let hot_cutoff = tenant_mix.as_ref().map_or(1, |z| {
-        let mut k = 1;
-        while z.head_mass(k) < HOT_MASS && k < z.n() {
-            k += 1;
-        }
-        k
-    });
-    let k_disp = plan.coordination.dispatchers();
-    let mut dispatchers: Vec<Box<dyn Balancer>> = (0..k_disp).map(|_| policy.build()).collect();
-
-    let total = opts.warmup + opts.max_samples;
-    let req_cap = total.min(1 << 20);
-    let mut sim = RackSim {
-        plan,
+    let mut built: Vec<Box<dyn Balancer>> = (0..plan.coordination.dispatchers())
+        .map(|_| policy.build())
+        .collect();
+    let mut dispatchers: Vec<&mut dyn Balancer> = built
+        .iter_mut()
+        .map(|b| b.as_mut() as &mut dyn Balancer)
+        .collect();
+    let (run, rack) = simulate_requests(
+        lambda_per_us,
+        service,
+        &mut dispatchers,
+        &DuplicationPolicy::none(),
+        RackState::new(plan, opts),
+        Front::Rack,
         opts,
         tracer,
-        traced: tracer.is_enabled(),
-        series_on: tracer.has_timeseries(),
-        stale,
-        q: vec![VecDeque::new(); n],
-        serving: vec![None; n],
-        serve_start: vec![0.0; n],
-        serve_end: vec![0.0; n],
-        epoch: vec![0; n],
-        in_system: vec![0; n],
-        queued_work: vec![0.0; n],
-        hist: vec![VecDeque::new(); if stale { n } else { 0 }],
-        windows: vec![VecDeque::new(); if stale { k_disp } else { 0 }],
-        jobs: Vec::with_capacity(req_cap),
-        queue,
-        sojourns: QuantileEstimator::with_capacity(opts.max_samples.min(1 << 20)),
-        sketch: LatencySketch::new(),
-        hot_sketch: LatencySketch::new(),
-        cold_sketch: LatencySketch::new(),
-        ev_pushed: [0; 3],
-        ev_popped: [0; 3],
-        sojourn_sum: Summary::new(),
-        wait_sum: Summary::new(),
-        per_server: vec![0u64; n],
-        tally: RackTally::default(),
-        delivered_us: 0.0,
-        clock: 0.0,
-        converged: false,
-        arrivals: 0,
-        pick_queues: Vec::with_capacity(n),
-        pick_backlog: Vec::with_capacity(n),
-        probe_scratch: Vec::with_capacity(n),
-    };
-    sim.schedule(0.0, RackEv::Arrive);
-
-    while let Some((key, kind)) = sim.queue.pop() {
-        sim.ev_popped[usize::from(kind.rank())] += 1;
-        match kind {
-            RackEv::Arrive => {
-                // Same admission rule as the cluster engine: pending
-                // arrivals drop once the stopping rule fires; in-flight
-                // work drains.
-                if sim.converged || sim.arrivals >= total {
-                    continue;
-                }
-                sim.on_arrive(
-                    key.t,
-                    total,
-                    service,
-                    &interarrival,
-                    tenant_mix.as_ref(),
-                    hot_cutoff,
-                    &mut dispatchers,
-                    &mut rng,
-                    &mut brng,
-                    &mut trng,
-                );
-            }
-            RackEv::Depart { server, epoch } => {
-                sim.on_depart(server, epoch, key.t, &mut srng);
-            }
-        }
-        if sim.series_on {
-            sim.sample_gauges(key.t);
-        }
-    }
-    if sim.traced {
-        sim.flush_profile();
-    }
-
-    let n_f = n as f64;
-    let clock = sim.clock;
-    let samples = sim.sojourns.count();
-    Ok(RackResult {
-        cluster: ClusterResult {
-            tail_us: sim.sojourns.quantile(opts.quantile).unwrap_or(0.0),
-            tail_ci: sim.sojourns.quantile_ci(opts.quantile, opts.confidence),
-            mean_sojourn_us: sim.sojourns.mean().unwrap_or(0.0),
-            p50_us: sim.sojourns.quantile(0.5).unwrap_or(0.0),
-            mean_wait_us: if sim.wait_sum.count() > 0 {
-                sim.wait_sum.mean()
-            } else {
-                0.0
-            },
-            wait: sim.wait_sum,
-            sojourn: sim.sojourn_sum,
-            utilization: if clock > 0.0 {
-                (sim.delivered_us / (n_f * clock)).min(1.0)
-            } else {
-                0.0
-            },
-            per_server_requests: sim.per_server,
-            samples,
-            converged: sim.converged,
-            sojourn_samples: sim.sojourns,
-            sketch: sim.sketch,
-            measured_us: clock,
-        },
-        tally: sim.tally,
-        hot_sketch: sim.hot_sketch,
-        cold_sketch: sim.cold_sketch,
-    })
+    )?;
+    Ok(rack.into_result(run.cluster, run.tally.requests))
 }
 
-struct RackSim<'a, Q> {
-    plan: &'a RackPlan,
-    opts: &'a ClusterOptions,
-    tracer: &'a Tracer,
-    traced: bool,
-    series_on: bool,
+/// The rack plan's share of the request engine's state: stale-view
+/// history, per-dispatcher compensation windows, steal scratch, tenant mix
+/// and the hot/cold sketches. Under [`RackPlan::fresh`] every method is a
+/// no-op or the live view, and neither feature stream is drawn from.
+pub(crate) struct RackState {
+    pub(crate) plan: RackPlan,
     /// Cached `plan.delta_us > 0.0`: the fresh path must skip all history
     /// bookkeeping (not just produce equal views) to stay bitwise equal to
     /// the cluster engine.
     stale: bool,
-    // Per-server FCFS state (the cluster engine's SoA layout, one queue
-    // class since the rack issues no duplicates).
-    q: Vec<VecDeque<usize>>,
-    serving: Vec<Option<usize>>,
-    serve_start: Vec<f64>,
-    serve_end: Vec<f64>,
-    epoch: Vec<u64>,
-    in_system: Vec<u32>,
-    queued_work: Vec<f64>,
     /// Per-server snapshot history for stale views (empty when Δ = 0).
     /// Front-pruned as `τ = t − Δ` advances; queries are monotone in `t`
     /// because events pop in time order.
@@ -641,47 +409,93 @@ struct RackSim<'a, Q> {
     /// Per-dispatcher compensation windows: own placements `(t, server,
     /// demand)` younger than Δ (empty when Δ = 0).
     windows: Vec<VecDeque<(f64, usize, f64)>>,
-    jobs: Vec<Job>,
-    queue: Q,
-    sojourns: QuantileEstimator,
-    sketch: LatencySketch,
+    probe_scratch: Vec<usize>,
+    /// Feature streams, derived independently: consumed only when their
+    /// feature is enabled, so disabled features are RNG no-ops.
+    srng: SimRng,
+    trng: SimRng,
+    /// Tenant rank law, present only when the plan has several tenants.
+    tenant_mix: Option<Zipf>,
+    /// Ranks below this are hot: the smallest rank head holding ≥
+    /// `HOT_MASS` of traffic.
+    hot_cutoff: usize,
+    pub(crate) tally: RackTally,
     hot_sketch: LatencySketch,
     cold_sketch: LatencySketch,
-    /// Events pushed / popped per rank (Arrive = 0, Depart = 2; slot 1 is
-    /// the cluster's hedge rank, unused here).
-    ev_pushed: [u64; 3],
-    ev_popped: [u64; 3],
-    sojourn_sum: Summary,
-    wait_sum: Summary,
-    per_server: Vec<u64>,
-    tally: RackTally,
-    delivered_us: f64,
-    clock: f64,
-    converged: bool,
-    arrivals: usize,
-    pick_queues: Vec<u32>,
-    pick_backlog: Vec<f64>,
-    probe_scratch: Vec<usize>,
 }
 
-impl<Q: EventQueue<RackEv>> RackSim<'_, Q> {
-    fn schedule(&mut self, t: f64, kind: RackEv) {
-        self.ev_pushed[usize::from(kind.rank())] += 1;
-        self.queue.push(t, kind.rank(), kind);
+impl RackState {
+    pub(crate) fn new(plan: &RackPlan, opts: &ClusterOptions) -> Self {
+        let stale = plan.delta_us > 0.0;
+        let tenant_mix = (plan.tenants > 1).then(|| Zipf::new(plan.tenants, plan.skew));
+        let hot_cutoff = tenant_mix.as_ref().map_or(1, |z| {
+            let mut k = 1;
+            while z.head_mass(k) < HOT_MASS && k < z.n() {
+                k += 1;
+            }
+            k
+        });
+        let dispatchers = plan.coordination.dispatchers();
+        Self {
+            plan: *plan,
+            stale,
+            hist: vec![VecDeque::new(); if stale { opts.servers } else { 0 }],
+            windows: vec![VecDeque::new(); if stale { dispatchers } else { 0 }],
+            probe_scratch: Vec::with_capacity(opts.servers),
+            srng: rng_from_seed(derive_stream(opts.seed, RACK_STEAL_STREAM)),
+            trng: rng_from_seed(derive_stream(opts.seed, RACK_TENANT_STREAM)),
+            tenant_mix,
+            hot_cutoff,
+            tally: RackTally::default(),
+            hot_sketch: LatencySketch::new(),
+            cold_sketch: LatencySketch::new(),
+        }
+    }
+
+    /// Draws an arrival's tenant rank — only when the plan models several
+    /// tenants, so a single-tenant plan never touches the tenant stream —
+    /// and returns the dispatcher it hashes to and whether it is hot.
+    /// Counts measured hot requests.
+    #[inline]
+    pub(crate) fn tenant(&mut self, dispatchers: usize, measured: bool) -> (usize, bool) {
+        let Some(mix) = &self.tenant_mix else {
+            self.tally.hot_requests += u64::from(measured);
+            return (0, true);
+        };
+        let rank = mix.sample(&mut self.trng);
+        let hot = rank < self.hot_cutoff;
+        self.tally.hot_requests += u64::from(measured && hot);
+        (rank % dispatchers, hot)
+    }
+
+    /// Files a measured sojourn under its tenant class. A single-tenant
+    /// plan skips this: every request is hot, so its hot sketch is the
+    /// aggregate sketch ([`RackState::into_result`]).
+    #[inline]
+    pub(crate) fn record_sojourn(&mut self, hot: bool, sojourn: f64) {
+        if self.tenant_mix.is_none() {
+            return;
+        }
+        if hot {
+            self.hot_sketch.record(sojourn);
+        } else {
+            self.cold_sketch.record(sojourn);
+        }
     }
 
     /// Records the server's post-mutation state into its visible history.
     /// No-op on the fresh path.
-    fn record_snap(&mut self, server: usize, t: f64) {
+    #[inline]
+    pub(crate) fn record_snap(&mut self, servers: &ServerSoa, server: usize, t: f64) {
         if !self.stale {
             return;
         }
         let snap = Snap {
             t,
-            in_system: self.in_system[server],
-            queued_work: self.queued_work[server],
-            serving: self.serving[server].is_some(),
-            serve_end: self.serve_end[server],
+            in_system: servers.in_system[server],
+            queued_work: servers.queued_work[server],
+            serving: servers.serving[server].is_some(),
+            serve_end: servers.serve_end[server],
         };
         let h = &mut self.hist[server];
         // Several mutations at one instant collapse to the final state —
@@ -696,6 +510,7 @@ impl<Q: EventQueue<RackEv>> RackSim<'_, Q> {
     /// `τ`, with the in-service residual projected to `τ`. Before any
     /// snapshot the server looks empty. Prunes history the observer can
     /// never need again (queries are monotone in `τ`).
+    #[inline]
     fn visible(&mut self, server: usize, tau: f64) -> (u32, f64) {
         let h = &mut self.hist[server];
         while h.len() >= 2 && h[1].t <= tau {
@@ -716,215 +531,59 @@ impl<Q: EventQueue<RackEv>> RackSim<'_, Q> {
 
     /// The server state as the dispatcher sees it right now: fresh at
     /// Δ = 0 (bitwise the cluster's view), else the Δ-stale snapshot.
-    fn dispatch_view(&mut self, server: usize, t: f64) -> (u32, f64) {
-        if !self.stale {
-            let residual = if self.serving[server].is_some() {
-                (self.serve_end[server] - t).max(0.0)
-            } else {
-                0.0
-            };
-            (self.in_system[server], self.queued_work[server] + residual)
-        } else {
-            self.visible(server, t - self.plan.delta_us)
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn on_arrive(
+    #[inline]
+    pub(crate) fn dispatch_view(
         &mut self,
+        servers: &ServerSoa,
+        server: usize,
         t: f64,
-        total: usize,
-        service: &mut dyn FnMut(&mut SimRng) -> f64,
-        interarrival: &Exponential,
-        tenant_mix: Option<&Zipf>,
-        hot_cutoff: usize,
-        dispatchers: &mut [Box<dyn Balancer>],
-        rng: &mut SimRng,
-        brng: &mut SimRng,
-        trng: &mut SimRng,
-    ) {
-        let k = self.arrivals;
-        self.arrivals += 1;
-        // Cluster draw order on the arrival stream: service first, then
-        // the interarrival gap (below).
-        let s = service(rng);
-        let measured = k >= self.opts.warmup;
-        // Tenant rank: drawn only when the plan models multiple tenants,
-        // so a single-tenant plan never touches the tenant stream.
-        let rank = tenant_mix.map_or(0, |z| z.sample(trng));
-        let hot = rank < hot_cutoff;
-        let disp = rank % dispatchers.len();
-        let job = self.jobs.len();
-        self.jobs.push(Job {
-            arrival: t,
-            demand: s,
-            measured,
-            hot,
-            state: JobState::Queued,
-        });
-        if measured {
-            self.tally.requests += 1;
-            if hot {
-                self.tally.hot_requests += 1;
-            }
-            if self.traced {
-                self.tracer
-                    .emit(|| TraceEvent::RequestArrive { at: ns_ticks(t) });
-                self.tracer.count("rack/requests", 1);
-            }
-        }
-        self.dispatch(job, s, t, disp, &mut *dispatchers[disp], brng);
-        let a = interarrival.sample(rng);
-        if measured {
-            self.clock += a;
-        }
-        if self.arrivals < total && !self.converged {
-            self.schedule(t + a, RackEv::Arrive);
+    ) -> (u32, f64) {
+        if self.stale {
+            self.visible(server, t - self.plan.delta_us)
+        } else {
+            servers.view(server, t)
         }
     }
 
-    /// Places one request through dispatcher `disp`: build the visible
-    /// queue/backlog views (fresh or stale-plus-own-compensation), pick,
-    /// enqueue, and start service if the server is idle.
-    fn dispatch(
+    /// Compensates dispatcher `disp`'s stale view with its own placements
+    /// younger than Δ: it knows what it placed, it just cannot see
+    /// departures (or other dispatchers' placements) that fresh.
+    #[inline]
+    pub(crate) fn compensate(
         &mut self,
-        job: usize,
+        disp: usize,
+        t: f64,
+        queues: &mut [u32],
+        backlog: &mut [f64],
+    ) {
+        if !self.stale {
+            return;
+        }
+        let tau = t - self.plan.delta_us;
+        let win = &mut self.windows[disp];
+        while win.front().is_some_and(|&(ts, _, _)| ts <= tau) {
+            win.pop_front();
+        }
+        for &(_, s, d) in win.iter() {
+            queues[s] += 1;
+            backlog[s] += d;
+        }
+    }
+
+    /// Records a placement by `disp` onto `server`: the dispatcher's
+    /// compensation window and the server's snapshot. No-op when fresh.
+    #[inline]
+    pub(crate) fn note_placement(
+        &mut self,
+        servers: &ServerSoa,
+        disp: usize,
+        server: usize,
         demand: f64,
         t: f64,
-        disp: usize,
-        balancer: &mut dyn Balancer,
-        brng: &mut SimRng,
     ) {
-        let n = self.serving.len();
-        self.pick_queues.clear();
-        self.pick_backlog.clear();
-        for i in 0..n {
-            let (qn, w) = self.dispatch_view(i, t);
-            self.pick_queues.push(qn);
-            self.pick_backlog.push(w);
-        }
-        if self.stale {
-            // Compensate with this dispatcher's own placements younger
-            // than Δ: it knows what it placed, it just cannot see
-            // departures (or other dispatchers' placements) that fresh.
-            let tau = t - self.plan.delta_us;
-            let win = &mut self.windows[disp];
-            while win.front().is_some_and(|&(ts, _, _)| ts <= tau) {
-                win.pop_front();
-            }
-            for &(_, s, d) in win.iter() {
-                self.pick_queues[s] += 1;
-                self.pick_backlog[s] += d;
-            }
-        }
-        let server = balancer.pick(&self.pick_queues, &self.pick_backlog, brng);
-        debug_assert!(server < n, "balancer picked out-of-range server {server}");
-
-        let measured = self.jobs[job].measured;
-        if measured {
-            self.per_server[server] += 1;
-            if self.traced {
-                let queue_len = self.in_system[server];
-                self.tracer.emit(|| TraceEvent::Dispatch {
-                    at: ns_ticks(t),
-                    server: server as u32,
-                    queue_len,
-                });
-                self.tracer
-                    .count(&format!("rack/server/{server}/requests"), 1);
-            }
-        }
-        self.in_system[server] += 1;
-        self.queued_work[server] += demand;
-        self.q[server].push_back(job);
         if self.stale {
             self.windows[disp].push_back((t, server, demand));
-        }
-        self.record_snap(server, t);
-        self.maybe_start(server, t);
-    }
-
-    /// Starts the next queued job on an idle server.
-    fn maybe_start(&mut self, server: usize, t: f64) {
-        if self.serving[server].is_some() {
-            return;
-        }
-        let Some(j) = self.q[server].pop_front() else {
-            return;
-        };
-        debug_assert_eq!(
-            self.jobs[j].state,
-            JobState::Queued,
-            "queue holds a non-queued job"
-        );
-        self.jobs[j].state = JobState::InService;
-        let demand = self.jobs[j].demand;
-        self.serving[server] = Some(j);
-        self.serve_start[server] = t;
-        self.serve_end[server] = t + demand;
-        self.queued_work[server] -= demand;
-        self.epoch[server] += 1;
-        let epoch = self.epoch[server];
-        let end = self.serve_end[server];
-        if self.jobs[j].measured {
-            let w = t - self.jobs[j].arrival;
-            self.wait_sum.record(w);
-            if self.traced {
-                self.tracer.observe("rack/wait_us", w);
-            }
-        }
-        self.schedule(end, RackEv::Depart { server, epoch });
-        self.record_snap(server, t);
-    }
-
-    fn on_depart(&mut self, server: usize, epoch: u64, t: f64, srng: &mut SimRng) {
-        if self.epoch[server] != epoch {
-            return; // stale departure (defensive; the rack never aborts service)
-        }
-        let j = self.serving[server]
-            .take()
-            .expect("live Depart on an idle server");
-        self.jobs[j].state = JobState::Done;
-        self.in_system[server] -= 1;
-        let measured = self.jobs[j].measured;
-        if measured {
-            self.delivered_us += self.jobs[j].demand;
-            let sojourn = t - self.jobs[j].arrival;
-            self.sojourns.record(sojourn);
-            self.sketch.record(sojourn);
-            self.sojourn_sum.record(sojourn);
-            if self.jobs[j].hot {
-                self.hot_sketch.record(sojourn);
-            } else {
-                self.cold_sketch.record(sojourn);
-            }
-            if self.traced {
-                let at = ns_ticks(t);
-                let arrived = ns_ticks(self.jobs[j].arrival);
-                self.tracer.emit(|| TraceEvent::RequestComplete {
-                    at,
-                    latency: at.saturating_sub(arrived),
-                });
-                self.tracer.observe("rack/sojourn_us", sojourn);
-            }
-            if self.sojourns.count().is_multiple_of(self.opts.check_every) {
-                if let Some(ci) = self
-                    .sojourns
-                    .quantile_ci(self.opts.quantile, self.opts.confidence)
-                {
-                    if ci.converged(self.opts.max_relative_error) {
-                        self.converged = true;
-                    }
-                }
-            }
-        }
-        self.record_snap(server, t);
-        self.maybe_start(server, t);
-        // Work stealing: a server that stays idle after a departure pulls
-        // from the longest visible backlog. Probes draw from the steal
-        // stream only, so a no-steal plan is an RNG no-op.
-        if self.plan.steal.probes > 0 && self.serving[server].is_none() {
-            self.try_steal(server, t, srng);
+            self.record_snap(servers, server, t);
         }
     }
 
@@ -932,13 +591,20 @@ impl<Q: EventQueue<RackEv>> RackSim<'_, Q> {
     /// (partial Fisher–Yates on the steal stream), pick the one with the
     /// longest *visible* backlog above the queue threshold, and migrate
     /// its oldest queued request. A victim whose actual queue turns out
-    /// empty — the stale signal lied — counts as `steals_empty`.
-    fn try_steal(&mut self, thief: usize, t: f64, srng: &mut SimRng) {
-        let n = self.serving.len();
+    /// empty — the stale signal lied — counts as `steals_empty`. Returns
+    /// whether a request moved (the thief then starts it).
+    pub(crate) fn try_steal(
+        &mut self,
+        servers: &mut ServerSoa,
+        copies: &mut [CopyCell],
+        thief: usize,
+        t: f64,
+        tracer: &Tracer,
+    ) -> bool {
+        let n = servers.serving.len();
         if n < 2 {
-            return;
+            return false;
         }
-        let tau = t - self.plan.delta_us;
         self.probe_scratch.clear();
         self.probe_scratch.extend((0..n).filter(|&i| i != thief));
         let m = self.probe_scratch.len();
@@ -946,112 +612,63 @@ impl<Q: EventQueue<RackEv>> RackSim<'_, Q> {
         let mut victim = None;
         let mut best_w = f64::NEG_INFINITY;
         for j in 0..d {
-            let r = j + srng.random_range(0..m - j);
+            let r = j + self.srng.random_range(0..m - j);
             self.probe_scratch.swap(j, r);
             let probe = self.probe_scratch[j];
             self.tally.steal_probes += 1;
-            let (qn, w) = if self.stale {
-                self.visible(probe, tau)
-            } else {
-                let residual = if self.serving[probe].is_some() {
-                    (self.serve_end[probe] - t).max(0.0)
-                } else {
-                    0.0
-                };
-                (self.in_system[probe], self.queued_work[probe] + residual)
-            };
+            let (qn, w) = self.dispatch_view(servers, probe, t);
             if qn >= self.plan.steal.min_queue && w > best_w {
                 best_w = w;
                 victim = Some(probe);
             }
         }
-        if self.traced {
-            self.tracer.count("rack/steal/probes", d as u64);
-        }
-        let Some(v) = victim else { return };
-        let Some(j) = self.q[v].pop_front() else {
+        tracer.count("rack/steal/probes", d as u64);
+        let Some(v) = victim else { return false };
+        let Some(c) = servers.prim_q[v].pop_front() else {
             // The visible backlog was stale: the victim has nothing.
             self.tally.steals_empty += 1;
-            if self.traced {
-                self.tracer.count("rack/steal/empty", 1);
-            }
-            return;
+            tracer.count("rack/steal/empty", 1);
+            return false;
         };
-        let demand = self.jobs[j].demand;
-        self.in_system[v] -= 1;
-        self.queued_work[v] -= demand;
-        self.in_system[thief] += 1;
-        self.queued_work[thief] += demand;
-        self.q[thief].push_back(j);
+        let demand = copies[c].demand;
+        copies[c].server = thief;
+        servers.in_system[v] -= 1;
+        servers.queued_work[v] -= demand;
+        servers.in_system[thief] += 1;
+        servers.queued_work[thief] += demand;
+        servers.prim_q[thief].push_back(c);
         self.tally.steals += 1;
         self.tally.stolen_work_us += demand;
-        if self.traced {
-            self.tracer.count("rack/steal/ok", 1);
-        }
-        self.record_snap(v, t);
-        self.record_snap(thief, t);
-        self.maybe_start(thief, t);
+        tracer.count("rack/steal/ok", 1);
+        self.record_snap(servers, v, t);
+        self.record_snap(servers, thief, t);
+        true
     }
 
-    /// Event-clock gauges, sampled once per popped event when the tracer
-    /// opted into time series.
-    fn sample_gauges(&self, t: f64) {
-        let n = self.serving.len();
-        let busy = self.serving.iter().filter(|s| s.is_some()).count();
-        let in_flight: u32 = self.in_system.iter().sum();
-        let util = if self.clock > 0.0 {
-            (self.delivered_us / (n as f64 * self.clock)).min(1.0)
+    /// The rack result over the engine's cluster metrics and its count of
+    /// measured requests.
+    pub(crate) fn into_result(mut self, cluster: ClusterResult, requests: u64) -> RackResult {
+        self.tally.requests = requests;
+        let hot_sketch = if self.tenant_mix.is_some() {
+            self.hot_sketch
         } else {
-            0.0
+            cluster.sketch.clone()
         };
-        let steals = self.tally.steals;
-        let depths = &self.in_system;
-        self.tracer.sample(|ts| {
-            ts.observe("rack/busy_servers", t, busy as f64);
-            ts.observe("rack/in_flight", t, f64::from(in_flight));
-            ts.observe("rack/utilization", t, util);
-            ts.observe("rack/steals", t, steals as f64);
-            for (i, &d) in depths.iter().enumerate() {
-                ts.observe(&format!("rack/server/{i}/depth"), t, f64::from(d));
-            }
-        });
-    }
-
-    /// End-of-run DES self-profile: per-kind event counters, the event
-    /// queue's own bookkeeping, and the sketch's non-finite-drop counter
-    /// (the satellite diagnostic for sketch-vs-exact count drift).
-    fn flush_profile(&self) {
-        for (rank, name) in [(0usize, "arrive"), (2usize, "depart")] {
-            self.tracer
-                .count(&format!("rack/events/{name}/pushed"), self.ev_pushed[rank]);
-            self.tracer
-                .count(&format!("rack/events/{name}/popped"), self.ev_popped[rank]);
+        RackResult {
+            cluster,
+            tally: self.tally,
+            hot_sketch,
+            cold_sketch: self.cold_sketch,
         }
-        let p = self.queue.profile();
-        for (name, v) in [
-            ("pushes", p.pushes),
-            ("pops", p.pops),
-            ("max_len", p.max_len),
-            ("overflow_pushes", p.overflow_pushes),
-            ("overflow_migrations", p.overflow_migrations),
-            ("frontier_advances", p.frontier_advances),
-            ("frontier_jumps", p.frontier_jumps),
-            ("slots_skipped", p.slots_skipped),
-            ("max_bucket_len", p.max_bucket_len),
-        ] {
-            self.tracer.count(&format!("rack/eventq/{name}"), v);
-        }
-        self.tracer.count(
-            "rack/sketch/dropped_nonfinite",
-            self.sketch.dropped_nonfinite(),
-        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{try_simulate_cluster_hedged, DuplicationPolicy};
+    use crate::cluster::try_simulate_cluster_hedged;
+    use crate::eventcore::EventQueueKind;
+    use duplexity_stats::dist::{Distribution, Exponential};
 
     fn fast_opts(servers: usize, seed: u64) -> ClusterOptions {
         ClusterOptions {
@@ -1065,6 +682,17 @@ mod tests {
 
     fn exp_service(mean: f64) -> impl FnMut(&mut SimRng) -> f64 {
         move |rng: &mut SimRng| Exponential::new(mean).sample(rng)
+    }
+
+    fn rack_run(
+        lambda: f64,
+        service: &mut dyn FnMut(&mut SimRng) -> f64,
+        policy: BalancerPolicy,
+        plan: &RackPlan,
+        opts: &ClusterOptions,
+    ) -> RackResult {
+        try_simulate_rack(lambda, service, policy, plan, opts, &Tracer::disabled())
+            .expect("stable rack cell")
     }
 
     const POLICIES: [BalancerPolicy; 5] = [
@@ -1132,7 +760,7 @@ mod tests {
             .with_tenants(64, 0.99);
         let run = |_| {
             let mut svc = exp_service(1.0);
-            simulate_rack(3.0, &mut svc, BalancerPolicy::Jsq, &plan, &fast_opts(4, 23))
+            rack_run(3.0, &mut svc, BalancerPolicy::Jsq, &plan, &fast_opts(4, 23))
         };
         let (a, b) = (run(0), run(1));
         assert_eq!(a.cluster.tail_us, b.cluster.tail_us);
@@ -1175,7 +803,7 @@ mod tests {
             .map(|&delta| {
                 let mut svc = exp_service(1.0);
                 let plan = RackPlan::fresh().with_delta(delta);
-                simulate_rack(6.4, &mut svc, BalancerPolicy::Jsq, &plan, &fast_opts(8, 31))
+                rack_run(6.4, &mut svc, BalancerPolicy::Jsq, &plan, &fast_opts(8, 31))
                     .cluster
                     .tail_us
             })
@@ -1192,7 +820,7 @@ mod tests {
         // placement; distributed dispatchers each see only their own.
         let run = |plan: RackPlan| {
             let mut svc = exp_service(1.0);
-            simulate_rack(6.4, &mut svc, BalancerPolicy::Jsq, &plan, &fast_opts(8, 37))
+            rack_run(6.4, &mut svc, BalancerPolicy::Jsq, &plan, &fast_opts(8, 37))
                 .cluster
                 .tail_us
         };
@@ -1213,7 +841,7 @@ mod tests {
         // should claw a large share of the tail back.
         let run = |plan: RackPlan| {
             let mut svc = exp_service(1.0);
-            simulate_rack(
+            rack_run(
                 5.6,
                 &mut svc,
                 BalancerPolicy::Random,
@@ -1236,7 +864,7 @@ mod tests {
     fn hot_and_cold_tenant_sketches_partition_the_samples() {
         let plan = RackPlan::fresh().with_tenants(128, 0.99);
         let mut svc = exp_service(1.0);
-        let r = simulate_rack(3.0, &mut svc, BalancerPolicy::Jsq, &plan, &fast_opts(4, 43));
+        let r = rack_run(3.0, &mut svc, BalancerPolicy::Jsq, &plan, &fast_opts(4, 43));
         assert!(r.tally.hot_requests > 0, "zipf 0.99 must have a hot head");
         assert!(r.tally.hot_requests < r.tally.requests);
         assert_eq!(
@@ -1251,7 +879,7 @@ mod tests {
         let plan = RackPlan::fresh().with_delta(4.0).with_steal(2);
         let part = |seed| {
             let mut svc = exp_service(1.0);
-            simulate_rack(
+            rack_run(
                 3.0,
                 &mut svc,
                 BalancerPolicy::Jsq,

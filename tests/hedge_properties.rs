@@ -18,13 +18,17 @@
 //! Alongside the identities, conservation invariants over random loads,
 //! seeds, and plans: every admitted request completes exactly once, purged
 //! copies never complete, and purging strictly reduces the duplicate work
-//! delivered relative to eager no-purge duplication.
+//! delivered relative to eager no-purge duplication. Rack plans — random
+//! staleness, steal probes, dispatchers and tenants on the same engine —
+//! must conserve requests too, split their samples exactly between the
+//! hot and cold tenant sketches, and keep the steal ledger consistent.
 
 use duplexity_obs::Tracer;
 use duplexity_queueing::cluster::{
     try_simulate_cluster_hedged, BalancerPolicy, ClusterOptions, DuplicationPolicy,
     HedgedClusterResult,
 };
+use duplexity_queueing::rack::{try_simulate_rack, RackPlan, RackResult};
 use duplexity_stats::dist::{Distribution, Exponential};
 use duplexity_stats::rng::SimRng;
 use proptest::prelude::*;
@@ -64,6 +68,28 @@ fn run(
     )
     .expect("stable configuration");
     (r, draws)
+}
+
+/// Runs one small rack simulation under JSQ placement.
+fn run_rack(plan: &RackPlan, load: f64, seed: u64) -> RackResult {
+    let lambda = SERVERS as f64 * load / MEAN_SERVICE_US;
+    let mut service = |rng: &mut SimRng| Exponential::new(MEAN_SERVICE_US).sample(rng);
+    let opts = ClusterOptions {
+        servers: SERVERS,
+        max_samples: 4_000,
+        warmup: 200,
+        seed,
+        ..ClusterOptions::default()
+    };
+    try_simulate_rack(
+        lambda,
+        &mut service,
+        BalancerPolicy::Jsq,
+        plan,
+        &opts,
+        &Tracer::disabled(),
+    )
+    .expect("stable configuration")
 }
 
 /// Asserts two hedged runs agree bitwise: metrics, per-server placement,
@@ -205,5 +231,37 @@ proptest! {
         prop_assert!(purged.tally.dup_delivered_us < eager.tally.dup_delivered_us);
         prop_assert!(purged.added_utilization < eager.added_utilization);
         prop_assert_eq!(eager.tally.purged_queued + eager.tally.purged_in_service, 0);
+    }
+
+    /// Rack conservation over random staleness, steal probes, dispatchers,
+    /// tenants and seeds: every admitted request starts and completes
+    /// exactly once, the hot and cold sketches partition the samples, and
+    /// every steal (successful or empty) spends at least one probe.
+    #[test]
+    fn rack_plans_conserve_requests(
+        seed in 0u64..1_000,
+        load in 0.2f64..0.75,
+        delta in 0.0f64..16.0,
+        probes in 0usize..4,
+        dispatchers in 1usize..5,
+        tenants in 1usize..64
+    ) {
+        let plan = RackPlan::fresh()
+            .with_delta(delta)
+            .with_steal(probes)
+            .distributed(dispatchers)
+            .with_tenants(tenants, 0.99);
+        let r = run_rack(&plan, load, seed);
+        let (t, samples) = (&r.tally, r.cluster.samples as u64);
+        prop_assert_eq!(t.requests, samples);
+        prop_assert_eq!(r.cluster.wait.count(), samples);
+        prop_assert_eq!(r.cluster.per_server_requests.iter().sum::<u64>(), samples);
+        prop_assert_eq!(r.hot_sketch.count() + r.cold_sketch.count(), samples);
+        prop_assert_eq!(r.hot_sketch.count(), t.hot_requests);
+        prop_assert!(t.steals + t.steals_empty <= t.steal_probes);
+        prop_assert!(t.stolen_work_us.is_finite() && t.stolen_work_us >= 0.0);
+        if probes == 0 {
+            prop_assert_eq!(t.steal_probes, 0);
+        }
     }
 }

@@ -104,7 +104,10 @@ fn cluster(c: &ClusterResult) -> String {
         ("wait", summary(&c.wait)),
         ("sojourn", summary(&c.sojourn)),
         ("utilization", hex(c.utilization)),
-        ("per_server_requests", format!("{:?}", c.per_server_requests)),
+        (
+            "per_server_requests",
+            format!("{:?}", c.per_server_requests),
+        ),
         ("samples", c.samples.to_string()),
         ("converged", c.converged.to_string()),
         ("sojourn_samples", c.sojourn_samples.count().to_string()),
