@@ -252,66 +252,79 @@ fn value_as_f64(v: &Value) -> Option<f64> {
 /// Mean service time of the engine benchmark cell, µs.
 const BENCH_MEAN_SERVICE_US: f64 = 2.0;
 
-/// The fixed benchmark cell: arrival rate and run options for `servers`
-/// at `load` with exponential service on `kind`. Early stopping is off,
-/// so every engine does identical work.
-fn bench_cell(
+/// The fixed engine benchmark cell: `servers` at `load` with exponential
+/// service, `samples` measured requests per run.
+#[derive(Debug, Clone, Copy)]
+struct EngineCell {
     servers: usize,
     load: f64,
     samples: usize,
     seed: u64,
-    kind: EventQueueKind,
-) -> (f64, ClusterOptions) {
-    let opts = ClusterOptions {
-        servers,
-        max_samples: samples,
-        warmup: 1_000,
-        max_relative_error: 0.001,
-        seed,
-        event_queue: kind,
-        ..ClusterOptions::default()
-    };
-    (servers as f64 * load / BENCH_MEAN_SERVICE_US, opts)
 }
 
-/// Times `run` (which returns the requests it measured), best of three
-/// passes: the work is deterministic, so the fastest wall is the least
-/// scheduler-perturbed measurement (matters for the ratios the CI guard
-/// compares).
-fn best_of_three(label: &str, mut run: impl FnMut() -> u64) -> EngineTiming {
-    let mut requests = 0u64;
-    let mut wall_s = f64::INFINITY;
+impl EngineCell {
+    /// Arrival rate and run options on `kind`. Early stopping is off, so
+    /// every engine does identical work.
+    fn setup(&self, kind: EventQueueKind) -> (f64, ClusterOptions) {
+        let opts = ClusterOptions {
+            servers: self.servers,
+            max_samples: self.samples,
+            warmup: 1_000,
+            max_relative_error: 0.001,
+            seed: self.seed,
+            event_queue: kind,
+            ..ClusterOptions::default()
+        };
+        (
+            self.servers as f64 * self.load / BENCH_MEAN_SERVICE_US,
+            opts,
+        )
+    }
+}
+
+/// One timed run: re-runs the benchmark cell and returns the requests it
+/// measured.
+type EngineRun<'a> = (&'static str, Box<dyn FnMut() -> u64 + 'a>);
+
+/// Times each run, best of three passes, interleaving the runs pass by
+/// pass: the work is deterministic, so the fastest wall is the least
+/// scheduler-perturbed measurement, and a slow patch on a shared host hits
+/// every run alike (matters for the ratios the CI guard compares).
+fn time_interleaved(mut runs: Vec<EngineRun<'_>>) -> Vec<EngineTiming> {
+    let mut requests = vec![0u64; runs.len()];
+    let mut wall_s = vec![f64::INFINITY; runs.len()];
     for _ in 0..3 {
-        let t = Instant::now();
-        requests = run();
-        wall_s = wall_s.min(t.elapsed().as_secs_f64());
+        for (i, (_, run)) in runs.iter_mut().enumerate() {
+            let t = Instant::now();
+            requests[i] = run();
+            wall_s[i] = wall_s[i].min(t.elapsed().as_secs_f64());
+        }
     }
-    EngineTiming {
-        engine: label.to_string(),
-        requests,
-        wall_s,
-        requests_per_sec: requests as f64 / wall_s.max(1e-12),
-    }
+    runs.iter()
+        .enumerate()
+        .map(|(i, (label, _))| EngineTiming {
+            engine: label.to_string(),
+            requests: requests[i],
+            wall_s: wall_s[i],
+            requests_per_sec: requests[i] as f64 / wall_s[i].max(1e-12),
+        })
+        .collect()
 }
 
-/// Times one engine over the fixed benchmark cell and returns its
-/// requests/sec entry.
-fn time_engine(
-    label: &str,
+/// One engine over the benchmark cell.
+fn engine_run<'a>(
+    cell: EngineCell,
+    label: &'static str,
     engine: ClusterEngine,
-    plan: &DuplicationPolicy,
-    servers: usize,
-    load: f64,
-    samples: usize,
-    seed: u64,
-) -> EngineTiming {
+    plan: &'a DuplicationPolicy,
+) -> EngineRun<'a> {
     let kind = match engine {
         ClusterEngine::Event(kind) => kind,
         ClusterEngine::Lindley => EventQueueKind::default(),
     };
-    let (lambda, opts) = bench_cell(servers, load, samples, seed, kind);
+    let (lambda, opts) = cell.setup(kind);
     let service = Exponential::new(BENCH_MEAN_SERVICE_US);
-    best_of_three(label, || {
+    let run = move || {
         let mut svc = |rng: &mut SimRng| service.sample(rng);
         let mut balancer = BalancerPolicy::Jsq.build();
         let samples = match engine {
@@ -341,15 +354,16 @@ fn time_engine(
             }
         };
         samples as u64
-    })
+    };
+    (label, Box::new(run))
 }
 
-/// Times the rack front end under [`RackPlan::fresh`] on the timing wheel
-/// over the same cell.
-fn time_rack_fresh(servers: usize, load: f64, samples: usize, seed: u64) -> EngineTiming {
-    let (lambda, opts) = bench_cell(servers, load, samples, seed, EventQueueKind::Wheel);
+/// The rack front end under [`RackPlan::fresh`] on the timing wheel, over
+/// the same cell.
+fn rack_fresh_run(cell: EngineCell) -> EngineRun<'static> {
+    let (lambda, opts) = cell.setup(EventQueueKind::Wheel);
     let service = Exponential::new(BENCH_MEAN_SERVICE_US);
-    best_of_three("rack_fresh_wheel", || {
+    let run = move || {
         let mut svc = |rng: &mut SimRng| service.sample(rng);
         try_simulate_rack(
             lambda,
@@ -362,7 +376,8 @@ fn time_rack_fresh(servers: usize, load: f64, samples: usize, seed: u64) -> Engi
         .expect("stable bench cell")
         .cluster
         .samples as u64
-    })
+    };
+    ("rack_fresh_wheel", Box::new(run))
 }
 
 /// Times latency collection through the exact estimator and the streaming
@@ -582,59 +597,31 @@ fn main() {
     let rack_s = t4b.elapsed().as_secs_f64();
 
     eprintln!("bench: event-core engines (heap vs wheel, cluster + hedged)");
-    let (eng_servers, eng_load) = (16usize, 0.6);
-    let eng_samples = if smoke { 200_000 } else { 400_000 };
+    let cell = EngineCell {
+        servers: 16,
+        load: 0.6,
+        samples: if smoke { 200_000 } else { 400_000 },
+        seed,
+    };
     let none = DuplicationPolicy::none();
     let hedge_plan = DuplicationPolicy::hedge(10.0);
-    let cluster_runs = vec![
-        time_engine(
-            "lindley",
-            ClusterEngine::Lindley,
-            &none,
-            eng_servers,
-            eng_load,
-            eng_samples,
-            seed,
-        ),
-        time_engine(
-            "event_heap",
-            ClusterEngine::Event(EventQueueKind::Heap),
-            &none,
-            eng_servers,
-            eng_load,
-            eng_samples,
-            seed,
-        ),
-        time_engine(
-            "event_wheel",
-            ClusterEngine::Event(EventQueueKind::Wheel),
-            &none,
-            eng_servers,
-            eng_load,
-            eng_samples,
-            seed,
-        ),
-    ];
-    let hedged_runs = vec![
-        time_engine(
-            "event_heap",
-            ClusterEngine::Event(EventQueueKind::Heap),
-            &hedge_plan,
-            eng_servers,
-            eng_load,
-            eng_samples,
-            seed,
-        ),
-        time_engine(
-            "event_wheel",
-            ClusterEngine::Event(EventQueueKind::Wheel),
-            &hedge_plan,
-            eng_servers,
-            eng_load,
-            eng_samples,
-            seed,
-        ),
-    ];
+    let (heap, wheel) = (
+        ClusterEngine::Event(EventQueueKind::Heap),
+        ClusterEngine::Event(EventQueueKind::Wheel),
+    );
+    // The fresh rack runs interleaved with the zero-duplication engines,
+    // so its ratio to the event wheel compares like with like.
+    let mut cluster_runs = time_interleaved(vec![
+        engine_run(cell, "lindley", ClusterEngine::Lindley, &none),
+        engine_run(cell, "event_heap", heap, &none),
+        engine_run(cell, "event_wheel", wheel, &none),
+        rack_fresh_run(cell),
+    ]);
+    let rack_fresh = cluster_runs.pop().expect("the rack run was timed");
+    let hedged_runs = time_interleaved(vec![
+        engine_run(cell, "event_heap", heap, &hedge_plan),
+        engine_run(cell, "event_wheel", wheel, &hedge_plan),
+    ]);
     let total_wall = |runs: &[&[EngineTiming]], engine: &str| -> f64 {
         runs.iter()
             .flat_map(|r| r.iter())
@@ -642,7 +629,6 @@ fn main() {
             .map(|r| r.wall_s)
             .sum()
     };
-    let rack_fresh = time_rack_fresh(eng_servers, eng_load, eng_samples, seed);
     let both: [&[EngineTiming]; 2] = [&cluster_runs, &hedged_runs];
     let wheel_vs_heap =
         total_wall(&both, "event_heap") / total_wall(&both, "event_wheel").max(1e-12);
@@ -652,9 +638,9 @@ fn main() {
         .map_or(0.0, |r| r.requests_per_sec);
     let rack_fresh_vs_event = rack_fresh.requests_per_sec / event_wheel_rps.max(1e-12);
     let engine_core = EngineCoreBench {
-        servers: eng_servers,
-        load: eng_load,
-        samples_per_run: eng_samples,
+        servers: cell.servers,
+        load: cell.load,
+        samples_per_run: cell.samples,
         cluster: cluster_runs,
         hedged: hedged_runs,
         rack_fresh,

@@ -45,9 +45,10 @@ use std::collections::VecDeque;
 /// simulated µs.
 const CLUSTER_TICKS_PER_US: f64 = 1000.0;
 
-/// Stream label for the balancer's private RNG (vs the arrival stream),
-/// used by both the Lindley loop and the event engine, so every dispatcher
-/// of every front end draws the same balancer sequence.
+/// Stream label for the balancer's private RNG (vs the arrival stream).
+/// The Lindley loop and the event engine derive the same stream (in the
+/// engine every dispatcher draws from it), which is what lets a fresh rack
+/// plan, hedged `none` and the Lindley loop make identical placements.
 const BALANCER_STREAM: u64 = 0xBA1A;
 
 /// Stream label for duplicate-copy service demands. Like the balancer
