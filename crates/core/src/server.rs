@@ -1,8 +1,6 @@
 //! High-level façade: one design serving one microservice at one load.
 
-use duplexity_cpu::designs::{
-    run_design, run_design_traced_stepped, Design, DesignMetrics, Scenario, Stepping,
-};
+use duplexity_cpu::designs::{run_design, Design, DesignMetrics, Scenario, Stepping};
 use duplexity_obs::Tracer;
 use duplexity_workloads::graph::FillerFactory;
 use duplexity_workloads::Workload;
@@ -106,27 +104,13 @@ impl ServerSim {
     /// Runs the cycle-level simulation and returns its metrics.
     #[must_use]
     pub fn run(&self) -> DesignMetrics {
-        let scenario = Scenario {
-            load: self.load,
-            service_us: self.workload.nominal_service_us(),
-            horizon_cycles: self.horizon_cycles,
-            seed: self.seed,
-        };
-        let fillers = FillerFactory::paper(self.seed);
-        run_design_traced_stepped(
-            self.design,
-            &scenario,
-            self.workload.kernel(self.seed),
-            |id| fillers.stream(id),
-            &Tracer::disabled(),
-            self.stepping,
-        )
+        self.run_traced(&Tracer::disabled())
     }
 
     /// [`ServerSim::run`] with a cycle-domain tracer attached (see
-    /// [`run_design_traced_stepped`]). Tracing consumes no RNG draws, so the
-    /// returned metrics are bit-identical to [`ServerSim::run`] whether the
-    /// tracer is enabled or not.
+    /// [`run_design`]). Tracing consumes no RNG draws, so the returned
+    /// metrics are bit-identical to [`ServerSim::run`] whether the tracer
+    /// is enabled or not.
     #[must_use]
     pub fn run_traced(&self, tracer: &Tracer) -> DesignMetrics {
         let scenario = Scenario {
@@ -136,7 +120,7 @@ impl ServerSim {
             seed: self.seed,
         };
         let fillers = FillerFactory::paper(self.seed);
-        run_design_traced_stepped(
+        run_design(
             self.design,
             &scenario,
             self.workload.kernel(self.seed),
@@ -271,11 +255,26 @@ impl CustomSim {
             horizon_cycles: self.horizon_cycles,
             seed: self.seed,
         };
+        let off = Tracer::disabled();
         match self.filler_factory {
-            Some(mut factory) => run_design(self.design, &scenario, self.kernel, |id| factory(id)),
+            Some(mut factory) => run_design(
+                self.design,
+                &scenario,
+                self.kernel,
+                |id| factory(id),
+                &off,
+                Stepping::FastForward,
+            ),
             None => {
                 let fillers = FillerFactory::paper(self.seed);
-                run_design(self.design, &scenario, self.kernel, |id| fillers.stream(id))
+                run_design(
+                    self.design,
+                    &scenario,
+                    self.kernel,
+                    |id| fillers.stream(id),
+                    &off,
+                    Stepping::FastForward,
+                )
             }
         }
     }

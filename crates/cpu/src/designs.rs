@@ -230,62 +230,12 @@ pub const BATCH_THREADS_PER_DYAD: usize = 32;
 /// `filler_factory(id)` must produce independent batch-thread instruction
 /// streams; it is called once per provisioned thread (1 for SMT designs, 8
 /// for MorphCore, 32 for HSMT dyads).
+///
+/// The tracer's tick domain is set to the design's cycles-per-µs so
+/// exported timestamps convert correctly; trace events consume no RNG
+/// draws, so the returned metrics are bitwise identical with
+/// [`Tracer::disabled`]. Every [`Stepping`] yields the same metrics too.
 pub fn run_design(
-    design: Design,
-    scenario: &Scenario,
-    master_kernel: Box<dyn RequestKernel>,
-    filler_factory: impl FnMut(usize) -> Box<dyn InstructionStream>,
-) -> DesignMetrics {
-    run_design_traced(
-        design,
-        scenario,
-        master_kernel,
-        filler_factory,
-        &Tracer::disabled(),
-    )
-}
-
-/// [`run_design`] with an explicit [`Stepping`] strategy (untraced).
-pub fn run_design_stepped(
-    design: Design,
-    scenario: &Scenario,
-    master_kernel: Box<dyn RequestKernel>,
-    filler_factory: impl FnMut(usize) -> Box<dyn InstructionStream>,
-    stepping: Stepping,
-) -> DesignMetrics {
-    run_design_traced_stepped(
-        design,
-        scenario,
-        master_kernel,
-        filler_factory,
-        &Tracer::disabled(),
-        stepping,
-    )
-}
-
-/// [`run_design`] with an attached [`Tracer`]. The tracer's tick domain is
-/// set to the design's cycles-per-µs so exported timestamps convert
-/// correctly; trace events consume no RNG draws, so the returned metrics
-/// are bitwise identical to an untraced run.
-pub fn run_design_traced(
-    design: Design,
-    scenario: &Scenario,
-    master_kernel: Box<dyn RequestKernel>,
-    filler_factory: impl FnMut(usize) -> Box<dyn InstructionStream>,
-    tracer: &Tracer,
-) -> DesignMetrics {
-    run_design_traced_stepped(
-        design,
-        scenario,
-        master_kernel,
-        filler_factory,
-        tracer,
-        Stepping::FastForward,
-    )
-}
-
-/// [`run_design_traced`] with an explicit [`Stepping`] strategy.
-pub fn run_design_traced_stepped(
     design: Design,
     scenario: &Scenario,
     master_kernel: Box<dyn RequestKernel>,
@@ -529,7 +479,14 @@ mod tests {
     }
 
     fn run(design: Design) -> DesignMetrics {
-        run_design(design, &scenario(), Box::new(Kernel), filler)
+        run_design(
+            design,
+            &scenario(),
+            Box::new(Kernel),
+            filler,
+            &Tracer::disabled(),
+            Stepping::FastForward,
+        )
     }
 
     #[test]
@@ -659,7 +616,14 @@ mod elfen_tests {
             horizon_cycles: 1_000_000,
             seed: 7,
         };
-        run_design(design, &scenario, Box::new(IdleHeavyKernel), batch)
+        run_design(
+            design,
+            &scenario,
+            Box::new(IdleHeavyKernel),
+            batch,
+            &Tracer::disabled(),
+            Stepping::FastForward,
+        )
     }
 
     /// Elfen's batch thread makes real progress during naps...
@@ -758,8 +722,16 @@ mod uarch_visibility_tests {
             horizon_cycles: 1_200_000,
             seed: 3,
         };
-        let run =
-            |design: Design| run_design(design, &scenario, Box::new(CacheSensitiveKernel), hostile);
+        let run = |design: Design| {
+            run_design(
+                design,
+                &scenario,
+                Box::new(CacheSensitiveKernel),
+                hostile,
+                &Tracer::disabled(),
+                Stepping::FastForward,
+            )
+        };
         let base = run(Design::Baseline);
         let smt = run(Design::Smt);
         let dup = run(Design::Duplexity);
@@ -843,7 +815,14 @@ mod runahead_tests {
             horizon_cycles: 2_000_000,
             seed: 5,
         };
-        run_design(design, &scenario, Box::new(PrefetchableKernel), batch)
+        run_design(
+            design,
+            &scenario,
+            Box::new(PrefetchableKernel),
+            batch,
+            &Tracer::disabled(),
+            Stepping::FastForward,
+        )
     }
 
     /// §II's negative result, measured: runahead trims latency a little via
@@ -894,12 +873,16 @@ mod runahead_tests {
             &scenario,
             Box::new(PrefetchableKernel),
             batch,
+            &Tracer::disabled(),
+            Stepping::FastForward,
         );
         let ra = run_design(
             Design::Runahead,
             &scenario,
             Box::new(PrefetchableKernel),
             batch,
+            &Tracer::disabled(),
+            Stepping::FastForward,
         );
         // Same arrivals, same per-request op counts: retired counts match to
         // within one in-flight request.

@@ -40,7 +40,7 @@ pub mod pool;
 pub mod request;
 pub mod traceio;
 
-pub use designs::{run_design, run_design_traced, Design, DesignMetrics, Scenario};
+pub use designs::{run_design, Design, DesignMetrics, Scenario};
 pub use dyad::DyadSim;
 pub use inorder::InoEngine;
 pub use memsys::{MemSys, RemotePath};

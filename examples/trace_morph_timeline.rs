@@ -16,8 +16,9 @@
 //! `trace_event` JSON file you can open in `chrome://tracing` or
 //! <https://ui.perfetto.dev>.
 
+use duplexity_cpu::designs::Stepping;
 use duplexity_cpu::op::{InstructionStream, LoopedTrace, MicroOp, Op, RequestKernel};
-use duplexity_cpu::{run_design_traced, Design, Scenario};
+use duplexity_cpu::{run_design, Design, Scenario};
 use duplexity_obs::{chrome_trace_json, TraceEvent, Tracer};
 use duplexity_stats::rng::SimRng;
 use std::collections::BTreeMap;
@@ -66,12 +67,13 @@ fn main() {
                 .collect(),
         ))
     };
-    let metrics = run_design_traced(
+    let metrics = run_design(
         Design::Duplexity,
         &scenario,
         Box::new(BimodalService::default()),
         batch,
         &tracer,
+        Stepping::FastForward,
     );
     let log = tracer.take();
 

@@ -17,9 +17,7 @@
 
 use duplexity::experiments::fig5::{run_fig5, run_fig5_traced, Fig5Options, TraceConfig};
 use duplexity::{chrome_trace_json, Design, Workload};
-use duplexity_cpu::designs::{
-    run_design_stepped, run_design_traced_stepped, DesignMetrics, Scenario, Stepping,
-};
+use duplexity_cpu::designs::{run_design, DesignMetrics, Scenario, Stepping};
 use duplexity_cpu::dyad::{DyadConfig, DyadSim};
 use duplexity_cpu::op::{LoopedTrace, MicroOp, Op};
 use duplexity_obs::Tracer;
@@ -38,11 +36,12 @@ fn run_one(design: Design, load: Option<f64>, stepping: Stepping) -> DesignMetri
         seed: 42,
     };
     let fillers = FillerFactory::paper(42);
-    run_design_stepped(
+    run_design(
         design,
         &scenario,
         workload.kernel(42),
         |id| fillers.stream(id),
+        &Tracer::disabled(),
         stepping,
     )
 }
@@ -71,7 +70,7 @@ fn traced_artifacts_are_byte_identical_across_steppings() {
         let trace_one = |stepping: Stepping| {
             let tracer = Tracer::enabled(1 << 16, 1000.0);
             let fillers = FillerFactory::paper(7);
-            let metrics = run_design_traced_stepped(
+            let metrics = run_design(
                 design,
                 &scenario,
                 workload.kernel(7),
