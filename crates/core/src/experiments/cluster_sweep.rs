@@ -25,7 +25,7 @@ use duplexity_net::FaultPlan;
 use duplexity_obs::{log_enabled, log_line, Tracer};
 use duplexity_queueing::cluster::{
     merge_replications, try_simulate_cluster, try_simulate_cluster_hedged, BalancerPolicy,
-    ClusterEngine, ClusterOptions, ClusterResult, DuplicationPolicy,
+    ClusterEngine, ClusterOptions, DuplicationPolicy, RequestResult,
 };
 use duplexity_queueing::des::Mg1Options;
 use duplexity_workloads::Workload;
@@ -188,7 +188,7 @@ type Cell = (Design, BalancerPolicy, usize, f64);
 
 impl GridSpec for ClusterSweepOptions {
     type Cell = Cell;
-    type Run = ClusterResult;
+    type Run = RequestResult;
     type Point = ClusterSweepPoint;
     const NAME: &'static str = "cluster_sweep";
 
@@ -240,7 +240,7 @@ impl GridSpec for ClusterSweepOptions {
         design
     }
 
-    fn run(&self, cell: &Cell, slowdown: f64, seed: u64, samples: usize) -> Option<ClusterResult> {
+    fn run(&self, cell: &Cell, slowdown: f64, seed: u64, samples: usize) -> Option<RequestResult> {
         let &(_, policy, servers, load) = cell;
         let nominal = self.workload.nominal_service_us();
         // Aggregate arrivals scale with the farm: each server is offered
@@ -269,7 +269,8 @@ impl GridSpec for ClusterSweepOptions {
                 &copts,
                 &Tracer::disabled(),
             )
-            .ok(),
+            .ok()
+            .map(RequestResult::from),
             ClusterEngine::Event(kind) => {
                 copts.event_queue = kind;
                 try_simulate_cluster_hedged(
@@ -281,19 +282,18 @@ impl GridSpec for ClusterSweepOptions {
                     &Tracer::disabled(),
                 )
                 .ok()
-                .map(|h| h.cluster)
             }
         }
     }
 
-    fn merge(&self, parts: Vec<ClusterResult>) -> ClusterResult {
+    fn merge(&self, parts: Vec<RequestResult>) -> RequestResult {
         merge_replications(parts, self.queue.quantile, self.queue.confidence)
     }
 
     fn point(
         &self,
         &(design, policy, servers, load): &Cell,
-        run: Option<ClusterResult>,
+        run: Option<RequestResult>,
     ) -> ClusterSweepPoint {
         let saturated = ClusterSweepPoint {
             design,
@@ -309,7 +309,7 @@ impl GridSpec for ClusterSweepOptions {
             converged: false,
             saturated: true,
         };
-        let Some(r) = run else {
+        let Some(RequestResult { cluster: r, .. }) = run else {
             return saturated;
         };
         ClusterSweepPoint {

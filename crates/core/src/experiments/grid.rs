@@ -11,8 +11,8 @@
 //! 1. **cells → keys**: the grid's cells in lexicographic order, each
 //!    digested into a [`CellKey`] tagged with the driver's name;
 //! 2. **check**: a non-empty grid, every load `> 0`, every cluster size
-//!    `>= 1`, and [`Design::Baseline`] present when calibrating — before
-//!    any work is paid for;
+//!    `>= 1`, every plan valid, and [`Design::Baseline`] present when
+//!    calibrating — on the calling thread, before any work is paid for;
 //! 3. **probe**: cached cells decode straight into points;
 //! 4. **miss-restricted calibration**: only designs with a missed cell
 //!    (plus Baseline, which anchors every slowdown) calibrate, in one pool
@@ -156,6 +156,9 @@ pub(crate) trait GridSpec: Sync {
     fn design(&self, _cell: &Self::Cell) -> Design {
         Design::Baseline
     }
+    /// Panics, naming the driver, if one of its duplication or rack plans
+    /// cannot run (grids with a plan axis only).
+    fn check_plans(&self) {}
     /// One replication of `cell`, capped at `samples` (its share of
     /// [`Grid::max_samples`]; unset on grids without replications); `None`
     /// when the cell saturates.
@@ -186,8 +189,8 @@ pub(crate) fn keys<S: GridSpec>(spec: &S) -> Vec<CellKey> {
 /// # Panics
 ///
 /// Panics, before any simulation, on an empty grid, a load that is not
-/// positive (zero, negative or NaN), a zero cluster size, or a calibrated
-/// grid without [`Design::Baseline`].
+/// positive (zero, negative or NaN), a zero cluster size, an invalid plan,
+/// or a calibrated grid without [`Design::Baseline`].
 pub(crate) fn run<S: GridSpec>(spec: &S) -> Vec<S::Point> {
     let name = S::NAME;
     let g = spec.grid();
@@ -201,6 +204,7 @@ pub(crate) fn run<S: GridSpec>(spec: &S) -> Vec<S::Point> {
         );
         assert!(servers != Some(0), "{name}: cluster sizes must be >= 1");
     }
+    spec.check_plans();
     if let Some((_, designs, _)) = g.calibration {
         assert!(
             designs.contains(&Design::Baseline),

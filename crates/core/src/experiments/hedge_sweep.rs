@@ -25,8 +25,8 @@ use crate::cellcache::{CellCache, CellKey, Digest, DigestWriter, PayloadReader, 
 use duplexity_net::FaultPlan;
 use duplexity_obs::{log_enabled, log_line, Tracer};
 use duplexity_queueing::cluster::{
-    merge_hedged_replications, try_simulate_cluster_hedged, BalancerPolicy, ClusterOptions,
-    DupMode, DuplicationPolicy, HedgedClusterResult,
+    merge_replications, try_simulate_cluster_hedged, BalancerPolicy, ClusterOptions, DupMode,
+    DuplicationPolicy, RequestResult,
 };
 use duplexity_queueing::des::Mg1Options;
 use duplexity_queueing::eventcore::EventQueueKind;
@@ -69,7 +69,7 @@ pub struct HedgeSweepOptions {
     /// Independent replications per cell, run *within-cell parallel* on
     /// the pool (flattened into the grid's work list, as for every sweep)
     /// with per-replication derived seeds and merged in replication order via
-    /// [`merge_hedged_replications`]. `1` (the default) runs each cell's
+    /// [`merge_replications`]. `1` (the default) runs each cell's
     /// historical single pass bitwise; `R > 1` splits the per-cell sample
     /// budget `R` ways so even a tiny grid can keep every worker busy.
     pub replications: usize,
@@ -201,7 +201,7 @@ type Cell = (BalancerPolicy, DuplicationPolicy, usize, f64);
 
 impl GridSpec for HedgeSweepOptions {
     type Cell = Cell;
-    type Run = HedgedClusterResult;
+    type Run = RequestResult;
     type Point = HedgeSweepPoint;
     const NAME: &'static str = "hedge_sweep";
 
@@ -247,7 +247,13 @@ impl GridSpec for HedgeSweepOptions {
         (load, Some(servers))
     }
 
-    fn run(&self, cell: &Cell, _: f64, seed: u64, samples: usize) -> Option<HedgedClusterResult> {
+    fn check_plans(&self) {
+        for plan in &self.plans {
+            plan.check(Self::NAME);
+        }
+    }
+
+    fn run(&self, cell: &Cell, _: f64, seed: u64, samples: usize) -> Option<RequestResult> {
         let &(policy, plan, servers, load) = cell;
         let model = self.workload.service_model();
         let nominal = self.workload.nominal_service_us();
@@ -279,11 +285,11 @@ impl GridSpec for HedgeSweepOptions {
         .ok()
     }
 
-    fn merge(&self, parts: Vec<HedgedClusterResult>) -> HedgedClusterResult {
-        merge_hedged_replications(parts, self.queue.quantile, self.queue.confidence)
+    fn merge(&self, parts: Vec<RequestResult>) -> RequestResult {
+        merge_replications(parts, self.queue.quantile, self.queue.confidence)
     }
 
-    fn point(&self, cell: &Cell, run: Option<HedgedClusterResult>) -> HedgeSweepPoint {
+    fn point(&self, cell: &Cell, run: Option<RequestResult>) -> HedgeSweepPoint {
         let &(policy, plan, servers, load) = cell;
         let saturated = HedgeSweepPoint {
             policy: policy.to_string(),
@@ -320,10 +326,10 @@ impl GridSpec for HedgeSweepOptions {
             },
             utilization: r.cluster.utilization,
             added_utilization: r.added_utilization,
-            dup_copies: r.tally.dup_copies,
-            hedges_fired: r.tally.hedges_fired,
-            purged: r.tally.purged_queued + r.tally.purged_in_service,
-            wasted_completions: r.tally.wasted_completions,
+            dup_copies: r.dup.dup_copies,
+            hedges_fired: r.dup.hedges_fired,
+            purged: r.dup.purged_queued + r.dup.purged_in_service,
+            wasted_completions: r.dup.wasted_completions,
             samples: r.cluster.samples,
             converged: r.cluster.converged,
             saturated: false,

@@ -26,10 +26,12 @@ use crate::cellcache::{CellCache, CellKey, Digest, DigestWriter, PayloadReader, 
 use duplexity_cpu::designs::Design;
 use duplexity_net::FaultPlan;
 use duplexity_obs::{log_enabled, log_line, Tracer};
-use duplexity_queueing::cluster::{BalancerPolicy, ClusterOptions};
+use duplexity_queueing::cluster::{
+    merge_replications, BalancerPolicy, ClusterOptions, RequestResult,
+};
 use duplexity_queueing::des::Mg1Options;
 use duplexity_queueing::eventcore::EventQueueKind;
-use duplexity_queueing::rack::{merge_rack_replications, try_simulate_rack, RackPlan, RackResult};
+use duplexity_queueing::rack::{try_simulate_rack, RackPlan};
 use duplexity_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -201,7 +203,7 @@ type Cell = (Design, BalancerPolicy, RackPlan, usize, f64);
 
 impl GridSpec for RackSweepOptions {
     type Cell = Cell;
-    type Run = RackResult;
+    type Run = RequestResult;
     type Point = RackSweepPoint;
     const NAME: &'static str = "rack_sweep";
 
@@ -254,7 +256,13 @@ impl GridSpec for RackSweepOptions {
         design
     }
 
-    fn run(&self, cell: &Cell, slowdown: f64, seed: u64, samples: usize) -> Option<RackResult> {
+    fn check_plans(&self) {
+        for plan in &self.plans {
+            plan.check(Self::NAME);
+        }
+    }
+
+    fn run(&self, cell: &Cell, slowdown: f64, seed: u64, samples: usize) -> Option<RequestResult> {
         let &(_, policy, plan, servers, load) = cell;
         let nominal = self.workload.nominal_service_us();
         let lambda = servers as f64 * load / nominal;
@@ -281,11 +289,11 @@ impl GridSpec for RackSweepOptions {
         .ok()
     }
 
-    fn merge(&self, parts: Vec<RackResult>) -> RackResult {
-        merge_rack_replications(parts, self.queue.quantile, self.queue.confidence)
+    fn merge(&self, parts: Vec<RequestResult>) -> RequestResult {
+        merge_replications(parts, self.queue.quantile, self.queue.confidence)
     }
 
-    fn point(&self, cell: &Cell, run: Option<RackResult>) -> RackSweepPoint {
+    fn point(&self, cell: &Cell, run: Option<RequestResult>) -> RackSweepPoint {
         let &(design, policy, plan, servers, load) = cell;
         let saturated = RackSweepPoint {
             design,
@@ -319,8 +327,8 @@ impl GridSpec for RackSweepOptions {
             // the hot tail degenerates to the overall sketch tail.
             hot_p99_us: r.hot_sketch.quantile(0.99).unwrap_or(0.0),
             utilization: r.cluster.utilization,
-            steals: r.tally.steals,
-            steals_empty: r.tally.steals_empty,
+            steals: r.rack.steals,
+            steals_empty: r.rack.steals_empty,
             samples: r.cluster.samples,
             converged: r.cluster.converged,
             saturated: false,

@@ -259,6 +259,10 @@ impl GridSpec for TimelineOptions {
         (load, Some(self.servers))
     }
 
+    fn check_plans(&self) {
+        self.plan.check(Self::NAME);
+    }
+
     // A cell the DES pilot finds unstable still carries the tracer's log.
     fn run(&self, &load: &f64, _: f64, seed: u64, _: usize) -> Option<Self::Run> {
         let model = self.workload.service_model();

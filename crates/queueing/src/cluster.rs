@@ -16,6 +16,9 @@
 //! stale views, stealing and tenants are plan components beside the
 //! duplication plan. Apart from trace naming, the loop branches only on
 //! plan values: Δ > 0, steal probes > 0, tenants > 1 and the dup mode.
+//! Both front ends return one [`RequestResult`], and [`merge_replications`]
+//! pools replications of any request cell; a Lindley result joins them
+//! through `RequestResult::from`.
 //!
 //! Determinism contract: the arrival/service draws and the balancer's own
 //! randomness come from two *independent* derived streams
@@ -25,13 +28,13 @@
 //! are a pure function of `(inputs, seed)`, bit-identical at any worker
 //! count. With `n = 1` every policy degenerates to the same single queue
 //! and consumes the exact RNG draw sequence of
-//! [`simulate_mg1`](crate::des::simulate_mg1); waits agree up to
+//! [`try_simulate_mg1`](crate::des::try_simulate_mg1); waits agree up to
 //! floating-point rounding (absolute-time bookkeeping here vs the
 //! incremental Lindley recursion there).
 
 use crate::des::{Mg1Options, Unstable};
 use crate::eventcore::{EventQueue, EventQueueKind, HeapEventQueue, WheelEventQueue};
-use crate::rack::{RackPlan, RackState};
+use crate::rack::{RackPlan, RackState, RackTally};
 use duplexity_obs::{LatencySketch, TraceEvent, Tracer};
 use duplexity_stats::ci::ConfidenceInterval;
 use duplexity_stats::dist::{Distribution, Exponential};
@@ -392,70 +395,6 @@ pub struct ClusterResult {
     pub measured_us: f64,
 }
 
-/// Pools independent replications of one cluster cell into a single
-/// result, *in replication order*, so the merge is a pure function of the
-/// ordered replication list (bit-identical at any worker count).
-///
-/// Sojourn quantiles/means come from the pooled raw samples; waits and
-/// sojourn summaries use the exact Welford merge; utilization re-weights
-/// each replication's busy time by its own measured window. `converged`
-/// means every replication converged.
-///
-/// # Panics
-///
-/// Panics if `parts` is empty or the replications disagree on the server
-/// count.
-#[must_use]
-pub fn merge_replications(
-    parts: Vec<ClusterResult>,
-    quantile: f64,
-    confidence: f64,
-) -> ClusterResult {
-    assert!(!parts.is_empty(), "cannot merge zero replications");
-    let servers = parts[0].per_server_requests.len();
-    let total: usize = parts.iter().map(|p| p.sojourn_samples.count()).sum();
-    let mut sojourns = QuantileEstimator::with_capacity(total);
-    let mut sketch = LatencySketch::new();
-    let mut wait = Summary::new();
-    let mut sojourn = Summary::new();
-    let mut per_server = vec![0u64; servers];
-    let mut busy = 0.0f64;
-    let mut measured_us = 0.0f64;
-    let mut samples = 0usize;
-    let mut converged = true;
-    for part in parts {
-        assert_eq!(
-            part.per_server_requests.len(),
-            servers,
-            "replications must share the server count"
-        );
-        busy += part.utilization * servers as f64 * part.measured_us;
-        measured_us += part.measured_us;
-        wait.merge(&part.wait);
-        sojourn.merge(&part.sojourn);
-        for (acc, x) in per_server.iter_mut().zip(&part.per_server_requests) {
-            *acc += x;
-        }
-        samples += part.samples;
-        converged &= part.converged;
-        sketch.merge(&part.sketch);
-        sojourns.extend(part.sojourn_samples.into_sorted());
-    }
-    ClusterResult::assemble(
-        sojourns,
-        sketch,
-        wait,
-        sojourn,
-        busy,
-        measured_us,
-        per_server,
-        samples,
-        converged,
-        quantile,
-        confidence,
-    )
-}
-
 impl ClusterResult {
     /// Assembles a result from one run's (or a pooled run set's)
     /// collectors: `busy_us` of delivered service over `measured_us` of
@@ -514,25 +453,8 @@ fn pilot_mean(rng: &mut SimRng, service: &mut dyn FnMut(&mut SimRng) -> f64) -> 
 }
 
 /// Simulates `n` FCFS servers behind `balancer` with aggregate Poisson
-/// arrivals at `lambda_per_us` and iid service demands from `service`,
-/// panicking on a saturated configuration.
-///
-/// # Panics
-///
-/// Panics if `lambda_per_us` is not positive, `opts.servers` is zero, or
-/// the pilot load estimate `λ·E[S]/n` is ≥ 1. Sweep drivers should call
-/// [`try_simulate_cluster`] and render the [`Unstable`] cell instead.
-pub fn simulate_cluster(
-    lambda_per_us: f64,
-    service: &mut dyn FnMut(&mut SimRng) -> f64,
-    balancer: &mut dyn Balancer,
-    opts: &ClusterOptions,
-) -> ClusterResult {
-    try_simulate_cluster(lambda_per_us, service, balancer, opts, &Tracer::disabled())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking cluster simulation with an optional tracer attached.
+/// arrivals at `lambda_per_us` and iid service demands from `service`: the
+/// arrival-ordered Lindley loop, with an optional tracer attached.
 ///
 /// Each measured request emits [`TraceEvent::RequestArrive`], a
 /// [`TraceEvent::Dispatch`] carrying the chosen server and its pre-arrival
@@ -540,9 +462,15 @@ pub fn simulate_cluster(
 /// DES nanosecond-tick domain (1000 ticks per simulated µs). The tracer
 /// consumes no RNG draws, so tracing never perturbs results.
 ///
+/// # Errors
+///
 /// A pilot estimate of `λ·E[S]/n ≥ 1` yields `Err(Unstable)` — the typed
 /// saturated-cell verdict — instead of panicking, so grids probing ρ → 1
 /// survive their hopeless cells.
+///
+/// # Panics
+///
+/// Panics if `lambda_per_us` is not positive or `opts.servers` is zero.
 pub fn try_simulate_cluster(
     lambda_per_us: f64,
     service: &mut dyn FnMut(&mut SimRng) -> f64,
@@ -594,7 +522,7 @@ pub fn try_simulate_cluster(
     for k in 0..total {
         // Same draw order as the M/G/1 DES: service first, then the
         // interarrival gap — with n = 1 the RNG sequence is draw-for-draw
-        // identical to `simulate_mg1`.
+        // identical to `try_simulate_mg1`.
         let s = service(&mut rng);
         let measured = k >= opts.warmup;
 
@@ -774,6 +702,16 @@ impl DuplicationPolicy {
         self
     }
 
+    /// Panics, naming `caller`, if the plan cannot run: a `Duplicate` plan
+    /// needs at least the primary copy. The front end and the sweep
+    /// drivers call this before any simulation.
+    pub fn check(&self, caller: &str) {
+        assert!(
+            !matches!(self.mode, DupMode::Duplicate { copies: 0 }),
+            "{caller}: Duplicate needs at least the primary copy"
+        );
+    }
+
     /// Stable label for reports and JSON: `none`, `dup2`, `hedge20`, with
     /// `_np` (no purge) and `_lp` (low-priority duplicates) suffixes.
     #[must_use]
@@ -826,16 +764,22 @@ pub struct DupTally {
     pub dup_delivered_us: f64,
 }
 
-/// Results of one duplication-aware cluster simulation.
+/// Results of one request-engine run, or of several pooled by
+/// [`merge_replications`]: the cluster metrics plus what duplication and
+/// rack plans add. A plan that leaves a feature off reports its neutral
+/// value: zero tallies, an empty duplicate-wait summary, no added
+/// utilization and, with one tenant, a hot sketch equal to the aggregate
+/// sketch beside an empty cold sketch.
 #[derive(Debug, Clone)]
-pub struct HedgedClusterResult {
+pub struct RequestResult {
     /// The base cluster metrics. `wait` / `mean_wait_us` cover primary
     /// copies only (the class the two-class priority closed form
-    /// predicts); `utilization` counts *delivered* service time, so
+    /// predicts), from arrival to service start wherever the request runs
+    /// after steals; `utilization` counts *delivered* service time, so
     /// purged work is excluded.
     pub cluster: ClusterResult,
     /// Duplication/purge counters over the measured window.
-    pub tally: DupTally,
+    pub dup: DupTally,
     /// Queueing delay of duplicate copies that reached service, measured
     /// from their own dispatch instant, µs.
     pub dup_wait: Summary,
@@ -843,55 +787,142 @@ pub struct HedgedClusterResult {
     /// "added load" axis of the tail-latency-per-unit-added-load
     /// frontier.
     pub added_utilization: f64,
+    /// Steal/tenant counters.
+    pub rack: RackTally,
+    /// Sojourn sketch of hot-tenant requests (every request, with one
+    /// tenant).
+    pub hot_sketch: LatencySketch,
+    /// Sojourn sketch of cold-tenant requests (empty with one tenant).
+    pub cold_sketch: LatencySketch,
 }
 
-/// Pools independent replications of one hedged cluster cell, *in
-/// replication order* (the hedged counterpart of [`merge_replications`]
-/// — same contract: a pure function of the ordered replication list,
-/// bit-identical at any worker count).
+impl From<ClusterResult> for RequestResult {
+    /// A Lindley-loop result ([`try_simulate_cluster`]) as the event engine
+    /// reports a `none` plan on a fresh rack: one copy per request, every
+    /// request hot, nothing duplicated or stolen.
+    fn from(cluster: ClusterResult) -> Self {
+        let requests = cluster.samples as u64;
+        Self {
+            dup: DupTally {
+                requests,
+                copies_issued: requests,
+                completions: requests,
+                ..DupTally::default()
+            },
+            dup_wait: Summary::new(),
+            added_utilization: 0.0,
+            rack: RackTally {
+                requests,
+                hot_requests: requests,
+                ..RackTally::default()
+            },
+            hot_sketch: cluster.sketch.clone(),
+            cold_sketch: LatencySketch::new(),
+            cluster,
+        }
+    }
+}
+
+/// Pools independent replications of one request cell into a single
+/// result, *in replication order*, so the merge is a pure function of the
+/// ordered replication list (bit-identical at any worker count).
 ///
-/// Cluster metrics merge via [`merge_replications`]; tallies sum
-/// fieldwise; duplicate waits use the exact Welford merge; added
+/// Sojourn quantiles/means come from the pooled raw samples; waits and
+/// sojourn summaries use the exact Welford merge; utilization re-weights
+/// each replication's busy time by its own measured window, and added
 /// utilization re-derives from the pooled duplicate-delivered service
-/// time over the pooled measured window, mirroring the single-run
-/// definition.
+/// time, mirroring the single-run definitions. Tallies sum fieldwise and
+/// sketches merge in replication order. `converged` means every
+/// replication converged.
 ///
 /// # Panics
 ///
 /// Panics if `parts` is empty or the replications disagree on the server
 /// count.
 #[must_use]
-pub fn merge_hedged_replications(
-    parts: Vec<HedgedClusterResult>,
+pub fn merge_replications(
+    parts: Vec<RequestResult>,
     quantile: f64,
     confidence: f64,
-) -> HedgedClusterResult {
+) -> RequestResult {
     assert!(!parts.is_empty(), "cannot merge zero replications");
-    let mut tally = DupTally::default();
+    let servers = parts[0].cluster.per_server_requests.len();
+    let total: usize = parts
+        .iter()
+        .map(|p| p.cluster.sojourn_samples.count())
+        .sum();
+    let mut sojourns = QuantileEstimator::with_capacity(total);
+    let mut sketch = LatencySketch::new();
+    let mut wait = Summary::new();
+    let mut sojourn = Summary::new();
+    let mut per_server = vec![0u64; servers];
+    let mut busy = 0.0f64;
+    let mut measured_us = 0.0f64;
+    let mut samples = 0usize;
+    let mut converged = true;
+    let mut dup = DupTally::default();
     let mut dup_wait = Summary::new();
-    let mut clusters = Vec::with_capacity(parts.len());
+    let mut rack = RackTally::default();
+    let mut hot_sketch = LatencySketch::new();
+    let mut cold_sketch = LatencySketch::new();
     for part in parts {
-        tally.requests += part.tally.requests;
-        tally.copies_issued += part.tally.copies_issued;
-        tally.dup_copies += part.tally.dup_copies;
-        tally.completions += part.tally.completions;
-        tally.wasted_completions += part.tally.wasted_completions;
-        tally.hedges_fired += part.tally.hedges_fired;
-        tally.hedges_cancelled += part.tally.hedges_cancelled;
-        tally.purged_queued += part.tally.purged_queued;
-        tally.purged_in_service += part.tally.purged_in_service;
-        tally.dup_delivered_us += part.tally.dup_delivered_us;
+        let c = part.cluster;
+        assert_eq!(
+            c.per_server_requests.len(),
+            servers,
+            "replications must share the server count"
+        );
+        busy += c.utilization * servers as f64 * c.measured_us;
+        measured_us += c.measured_us;
+        wait.merge(&c.wait);
+        sojourn.merge(&c.sojourn);
+        for (acc, x) in per_server.iter_mut().zip(&c.per_server_requests) {
+            *acc += x;
+        }
+        samples += c.samples;
+        converged &= c.converged;
+        sketch.merge(&c.sketch);
+        sojourns.extend(c.sojourn_samples.into_sorted());
+        dup.requests += part.dup.requests;
+        dup.copies_issued += part.dup.copies_issued;
+        dup.dup_copies += part.dup.dup_copies;
+        dup.completions += part.dup.completions;
+        dup.wasted_completions += part.dup.wasted_completions;
+        dup.hedges_fired += part.dup.hedges_fired;
+        dup.hedges_cancelled += part.dup.hedges_cancelled;
+        dup.purged_queued += part.dup.purged_queued;
+        dup.purged_in_service += part.dup.purged_in_service;
+        dup.dup_delivered_us += part.dup.dup_delivered_us;
         dup_wait.merge(&part.dup_wait);
-        clusters.push(part.cluster);
+        rack.requests += part.rack.requests;
+        rack.hot_requests += part.rack.hot_requests;
+        rack.steal_probes += part.rack.steal_probes;
+        rack.steals += part.rack.steals;
+        rack.steals_empty += part.rack.steals_empty;
+        rack.stolen_work_us += part.rack.stolen_work_us;
+        hot_sketch.merge(&part.hot_sketch);
+        cold_sketch.merge(&part.cold_sketch);
     }
-    let cluster = merge_replications(clusters, quantile, confidence);
-    let servers = cluster.per_server_requests.len();
-    let added_utilization = busy_fraction(tally.dup_delivered_us, servers, cluster.measured_us);
-    HedgedClusterResult {
-        cluster,
-        tally,
+    RequestResult {
+        added_utilization: busy_fraction(dup.dup_delivered_us, servers, measured_us),
+        cluster: ClusterResult::assemble(
+            sojourns,
+            sketch,
+            wait,
+            sojourn,
+            busy,
+            measured_us,
+            per_server,
+            samples,
+            converged,
+            quantile,
+            confidence,
+        ),
+        dup,
         dup_wait,
-        added_utilization,
+        rack,
+        hot_sketch,
+        cold_sketch,
     }
 }
 
@@ -1076,8 +1107,8 @@ impl Front {
 ///
 /// # Panics
 ///
-/// Panics on non-positive `lambda_per_us`, zero servers, or a `Duplicate`
-/// plan with zero copies.
+/// Panics on non-positive `lambda_per_us`, zero servers, or a plan that
+/// fails [`DuplicationPolicy::check`].
 pub fn try_simulate_cluster_hedged(
     lambda_per_us: f64,
     service: &mut dyn FnMut(&mut SimRng) -> f64,
@@ -1085,22 +1116,18 @@ pub fn try_simulate_cluster_hedged(
     plan: &DuplicationPolicy,
     opts: &ClusterOptions,
     tracer: &Tracer,
-) -> Result<HedgedClusterResult, Unstable> {
-    if let DupMode::Duplicate { copies } = plan.mode {
-        assert!(copies >= 1, "Duplicate needs at least the primary copy");
-    }
-    let rack = RackState::new(&RackPlan::fresh(), opts);
-    let (result, _) = simulate_requests(
+) -> Result<RequestResult, Unstable> {
+    plan.check("try_simulate_cluster_hedged");
+    simulate_requests(
         lambda_per_us,
         service,
         &mut [balancer],
         plan,
-        rack,
+        RackState::new(&RackPlan::fresh(), opts),
         Front::Cluster,
         opts,
         tracer,
-    )?;
-    Ok(result)
+    )
 }
 
 /// The request-domain event engine behind both public front ends: the
@@ -1108,8 +1135,7 @@ pub fn try_simulate_cluster_hedged(
 /// dispatcher, a fresh rack plan) and the rack
 /// ([`try_simulate_rack`](crate::rack::try_simulate_rack): no duplication,
 /// one balancer per dispatcher, its rack plan). Runs the pilot stability
-/// check, then the event loop on the chosen future-event set, and hands
-/// back the rack state for its tallies and tenant sketches.
+/// check, then the event loop on the chosen future-event set.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_requests(
     lambda_per_us: f64,
@@ -1120,7 +1146,7 @@ pub(crate) fn simulate_requests(
     front: Front,
     opts: &ClusterOptions,
     tracer: &Tracer,
-) -> Result<(HedgedClusterResult, RackState), Unstable> {
+) -> Result<RequestResult, Unstable> {
     assert!(lambda_per_us > 0.0, "arrival rate must be positive");
     assert!(opts.servers >= 1, "a farm needs at least one server");
     tracer.set_ticks_per_us(CLUSTER_TICKS_PER_US);
@@ -1197,7 +1223,7 @@ fn run<Q: EventQueue<EvKind>>(
     tracer: &Tracer,
     mut rng: SimRng,
     interarrival: Exponential,
-) -> (HedgedClusterResult, RackState) {
+) -> RequestResult {
     let n = opts.servers;
     let mut brng = rng_from_seed(derive_stream(opts.seed, BALANCER_STREAM));
     let mut drng = rng_from_seed(derive_stream(opts.seed, DUPLICATE_STREAM));
@@ -1276,25 +1302,38 @@ fn run<Q: EventQueue<EvKind>>(
     }
 
     let samples = sim.sojourns.count();
-    let result = HedgedClusterResult {
+    let cluster = ClusterResult::assemble(
+        sim.sojourns,
+        sim.sketch,
+        sim.wait_sum,
+        sim.sojourn_sum,
+        sim.delivered_us,
+        sim.clock,
+        sim.per_server,
+        samples,
+        sim.converged,
+        opts.quantile,
+        opts.confidence,
+    );
+    let rack = sim.rack;
+    RequestResult {
         added_utilization: busy_fraction(sim.tally.dup_delivered_us, n, sim.clock),
-        cluster: ClusterResult::assemble(
-            sim.sojourns,
-            sim.sketch,
-            sim.wait_sum,
-            sim.sojourn_sum,
-            sim.delivered_us,
-            sim.clock,
-            sim.per_server,
-            samples,
-            sim.converged,
-            opts.quantile,
-            opts.confidence,
-        ),
-        tally: sim.tally,
+        rack: RackTally {
+            requests: sim.tally.requests,
+            ..rack.tally
+        },
+        dup: sim.tally,
         dup_wait: sim.dup_wait,
-    };
-    (result, sim.rack)
+        // With one tenant every request is hot, and `RackState` skipped
+        // the per-class sketches.
+        hot_sketch: if rack.tenant_mix.is_some() {
+            rack.hot_sketch
+        } else {
+            cluster.sketch.clone()
+        },
+        cold_sketch: rack.cold_sketch,
+        cluster,
+    }
 }
 
 struct RequestSim<'a, Q> {
@@ -1815,7 +1854,7 @@ impl<Q: EventQueue<EvKind>> RequestSim<'_, Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::des::simulate_mg1;
+    use crate::des::try_simulate_mg1;
 
     fn fast_opts(servers: usize, seed: u64) -> ClusterOptions {
         ClusterOptions {
@@ -1831,6 +1870,17 @@ mod tests {
         move |rng: &mut SimRng| Exponential::new(mean).sample(rng)
     }
 
+    /// The Lindley loop, untraced, on a stable cell.
+    fn lindley(
+        lambda: f64,
+        service: &mut dyn FnMut(&mut SimRng) -> f64,
+        balancer: &mut dyn Balancer,
+        opts: &ClusterOptions,
+    ) -> ClusterResult {
+        try_simulate_cluster(lambda, service, balancer, opts, &Tracer::disabled())
+            .expect("stable cluster cell")
+    }
+
     #[test]
     fn single_server_cluster_matches_mg1() {
         // With n = 1 every policy picks server 0 and the RNG draw sequence
@@ -1838,7 +1888,7 @@ mod tests {
         // (absolute completion times here vs the Lindley recursion there).
         let copts = fast_opts(1, 7);
         let mut svc = exp_service(2.0);
-        let cluster = simulate_cluster(0.3, &mut svc, &mut JsqBalancer, &copts);
+        let cluster = lindley(0.3, &mut svc, &mut JsqBalancer, &copts);
         let qopts = Mg1Options {
             max_samples: copts.max_samples,
             warmup: copts.warmup,
@@ -1846,7 +1896,7 @@ mod tests {
             ..Mg1Options::default()
         };
         let mut svc2 = exp_service(2.0);
-        let single = simulate_mg1(0.3, &mut svc2, &qopts);
+        let single = try_simulate_mg1(0.3, &mut svc2, &qopts).expect("stable");
         assert_eq!(cluster.samples, single.samples);
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
         assert!(
@@ -1870,7 +1920,7 @@ mod tests {
         ] {
             let run = |_| {
                 let mut svc = exp_service(1.0);
-                simulate_cluster(2.0, &mut svc, &mut *policy.build(), &fast_opts(4, 11))
+                lindley(2.0, &mut svc, &mut *policy.build(), &fast_opts(4, 11))
             };
             let (a, b) = (run(0), run(1));
             assert_eq!(a.tail_us, b.tail_us, "{policy}");
@@ -1885,9 +1935,9 @@ mod tests {
         // arrivals and service demands, so the comparison is paired.
         let lambda = 2.8;
         let mut svc = exp_service(1.0);
-        let random = simulate_cluster(lambda, &mut svc, &mut RandomBalancer, &fast_opts(4, 21));
+        let random = lindley(lambda, &mut svc, &mut RandomBalancer, &fast_opts(4, 21));
         let mut svc = exp_service(1.0);
-        let jsq = simulate_cluster(lambda, &mut svc, &mut JsqBalancer, &fast_opts(4, 21));
+        let jsq = lindley(lambda, &mut svc, &mut JsqBalancer, &fast_opts(4, 21));
         assert!(
             jsq.tail_us <= random.tail_us,
             "jsq p99 {} must not exceed random p99 {}",
@@ -1901,7 +1951,7 @@ mod tests {
         let lambda = 3.2; // rho = 0.8 on 4 servers
         let run = |policy: BalancerPolicy| {
             let mut svc = exp_service(1.0);
-            simulate_cluster(lambda, &mut svc, &mut *policy.build(), &fast_opts(4, 33))
+            lindley(lambda, &mut svc, &mut *policy.build(), &fast_opts(4, 33))
         };
         let random = run(BalancerPolicy::Random);
         let pod2 = run(BalancerPolicy::PowerOfD(2));
@@ -1923,7 +1973,7 @@ mod tests {
     #[test]
     fn round_robin_spreads_requests_evenly() {
         let mut svc = exp_service(1.0);
-        let r = simulate_cluster(
+        let r = lindley(
             2.0,
             &mut svc,
             &mut RoundRobinBalancer::default(),
@@ -1937,7 +1987,7 @@ mod tests {
     #[test]
     fn utilization_tracks_offered_load_per_server() {
         let mut svc = exp_service(1.0);
-        let r = simulate_cluster(2.8, &mut svc, &mut JsqBalancer, &fast_opts(4, 55));
+        let r = lindley(2.8, &mut svc, &mut JsqBalancer, &fast_opts(4, 55));
         assert!(
             (r.utilization - 0.7).abs() < 0.03,
             "utilization {} vs rho 0.7",
@@ -1964,7 +2014,7 @@ mod tests {
         plan: DuplicationPolicy,
         policy: BalancerPolicy,
         opts: &ClusterOptions,
-    ) -> HedgedClusterResult {
+    ) -> RequestResult {
         let mut svc = exp_service(1.0);
         try_simulate_cluster_hedged(
             lambda,
@@ -1996,7 +2046,7 @@ mod tests {
             // rho_eff stays below 1 even for the eager no-purge plan
             // (1.6 * 2 / 4 = 0.8).
             let r = hedged(1.6, plan, BalancerPolicy::Jsq, &opts);
-            let t = &r.tally;
+            let t = &r.dup;
             // Every admitted request completes exactly once.
             assert_eq!(r.cluster.samples as u64, t.requests, "{plan}");
             // Every issued copy either completes or is purged.
@@ -2035,7 +2085,7 @@ mod tests {
             dup2.cluster.tail_us,
             none.cluster.tail_us
         );
-        assert!(dup2.tally.dup_copies > 0);
+        assert!(dup2.dup.dup_copies > 0);
     }
 
     #[test]
@@ -2117,16 +2167,16 @@ mod tests {
             try_simulate_cluster_hedged(2.0, &mut svc, &mut JsqBalancer, &plan, &opts, &tracer)
                 .unwrap();
         assert_eq!(plain.cluster.tail_us, traced.cluster.tail_us);
-        assert_eq!(plain.tally, traced.tally);
+        assert_eq!(plain.dup, traced.dup);
         let log = tracer.take();
         assert_eq!(
             log.registry.counter("cluster/dup/hedge_fired"),
-            traced.tally.hedges_fired
+            traced.dup.hedges_fired
         );
         assert_eq!(
             log.registry.counter("cluster/purge/queued")
                 + log.registry.counter("cluster/purge/in_service"),
-            traced.tally.purged_queued + traced.tally.purged_in_service
+            traced.dup.purged_queued + traced.dup.purged_in_service
         );
         let purges = log
             .events
@@ -2135,9 +2185,9 @@ mod tests {
             .count() as u64;
         assert_eq!(
             purges,
-            traced.tally.purged_queued + traced.tally.purged_in_service
+            traced.dup.purged_queued + traced.dup.purged_in_service
         );
-        assert!(traced.tally.hedges_fired > 0, "hedges must fire at 0.5us");
+        assert!(traced.dup.hedges_fired > 0, "hedges must fire at 0.5us");
     }
 
     #[test]
@@ -2158,7 +2208,7 @@ mod tests {
                 .cluster
             } else {
                 let mut svc = exp_service(1.0);
-                simulate_cluster(2.0, &mut svc, &mut JsqBalancer, &opts)
+                lindley(2.0, &mut svc, &mut JsqBalancer, &opts)
             };
             assert_eq!(r.sketch.count(), r.samples as u64);
             let alpha = r.sketch.relative_accuracy();
@@ -2187,11 +2237,12 @@ mod tests {
                     seed: opts.seed + rep,
                     ..opts
                 };
-                simulate_cluster(2.0, &mut svc, &mut JsqBalancer, &o)
+                lindley(2.0, &mut svc, &mut JsqBalancer, &o)
             })
             .collect();
         let total: u64 = parts.iter().map(|p| p.sketch.count()).sum();
-        let merged = merge_replications(parts, 0.99, 0.95);
+        let parts = parts.into_iter().map(RequestResult::from).collect();
+        let merged = merge_replications(parts, 0.99, 0.95).cluster;
         assert_eq!(merged.sketch.count(), total);
         assert_eq!(merged.sketch.count(), merged.samples as u64);
     }
@@ -2292,7 +2343,7 @@ mod tests {
             ..fast_opts(4, 77)
         };
         let mut svc = exp_service(1.0);
-        let plain = simulate_cluster(2.0, &mut svc, &mut JsqBalancer, &opts);
+        let plain = lindley(2.0, &mut svc, &mut JsqBalancer, &opts);
         let tracer = Tracer::enabled(1 << 20, CLUSTER_TICKS_PER_US);
         let mut svc = exp_service(1.0);
         let traced = try_simulate_cluster(2.0, &mut svc, &mut JsqBalancer, &opts, &tracer).unwrap();

@@ -7,8 +7,13 @@
 //! 99th-percentile tail), idle-period durations (Figure 1(b)), and server
 //! utilization. Simulation stops once the p99's 95% confidence interval is
 //! within 5% relative error (§V), or at the sample cap.
+//!
+//! The loop lives in [`try_simulate_mg1_traced`]. [`try_simulate_mg1`]
+//! runs it untraced, and [`try_simulate_mg1_faulted`] runs it with the
+//! stall leg routed through a fault plan. All three return
+//! `Err(`[`Unstable`]`)` on a saturated queue instead of panicking.
 
-use duplexity_net::{trace_fault_events, EventKind, FaultPlan, LatencyDist};
+use duplexity_net::{EventKind, FaultPlan, LatencyDist};
 use duplexity_obs::{TraceEvent, Tracer};
 use duplexity_stats::ci::ConfidenceInterval;
 use duplexity_stats::dist::{Distribution, Exponential};
@@ -109,19 +114,46 @@ fn ns_ticks(us: f64) -> u64 {
     (us * DES_TICKS_PER_US).round().max(0.0) as u64
 }
 
-/// Core Lindley-recursion loop shared by the traced and untraced entry
-/// points. `service` receives the current request's absolute arrival time
-/// (simulated µs since the run began; `0.0` during the pilot) so fault
-/// layers can stamp trace events in the same clock domain as the request
-/// events emitted here.
+/// Simulates an M/G/1 FCFS queue with Poisson arrivals at `lambda_per_us`
+/// and service times drawn from `service`.
 ///
-/// Determinism contract: the tracer never touches the RNG. The arrival
-/// clock is a pure-arithmetic accumulator over the same interarrival draws
-/// the recursion already consumes, so enabling tracing cannot perturb the
-/// sample path.
-fn simulate_mg1_inner(
+/// # Errors
+///
+/// `Err(Unstable)` when a pilot service-mean estimate puts the offered
+/// load at or past 1, so one saturated cell cannot kill a whole sweep grid.
+///
+/// # Panics
+///
+/// Panics if `lambda_per_us` is not positive.
+pub fn try_simulate_mg1(
     lambda_per_us: f64,
-    service: &mut dyn FnMut(&mut SimRng, f64) -> f64,
+    service: &mut dyn FnMut(&mut SimRng) -> f64,
+    opts: &Mg1Options,
+) -> Result<Mg1Result, Unstable> {
+    try_simulate_mg1_traced(lambda_per_us, service, opts, &Tracer::disabled())
+}
+
+/// [`try_simulate_mg1`] with a cycle-domain tracer attached: every
+/// measured request emits a [`TraceEvent::RequestArrive`]/[`TraceEvent::RequestComplete`]
+/// pair stamped in nanosecond ticks (1000 ticks per simulated µs; the
+/// tracer's `ticks_per_us` is set accordingly). This is the one Lindley
+/// loop; the other entry points forward to it.
+///
+/// Determinism contract: the tracer never touches the RNG. Trace
+/// timestamps come from a pure-arithmetic arrival clock over the
+/// interarrival draws the recursion already consumes, so with tracing on
+/// every statistic in the returned [`Mg1Result`] is still bit-identical.
+///
+/// # Errors
+///
+/// `Err(Unstable)` on a saturated queue (see [`try_simulate_mg1`]).
+///
+/// # Panics
+///
+/// Panics if `lambda_per_us` is not positive.
+pub fn try_simulate_mg1_traced(
+    lambda_per_us: f64,
+    service: &mut dyn FnMut(&mut SimRng) -> f64,
     opts: &Mg1Options,
     tracer: &Tracer,
 ) -> Result<Mg1Result, Unstable> {
@@ -135,7 +167,7 @@ fn simulate_mg1_inner(
     // early. One batched pass — bitwise the same stream as 512 sequential
     // draws (`draw_batch` is defined as the sequential loop).
     let mut pilot_buf = Vec::new();
-    draw_batch(&mut rng, 512, &mut pilot_buf, |r| service(r, 0.0));
+    draw_batch(&mut rng, 512, &mut pilot_buf, &mut *service);
     let pilot: f64 = pilot_buf.iter().sum::<f64>() / 512.0;
     let rho_estimate = lambda_per_us * pilot;
     if rho_estimate >= 1.0 {
@@ -156,7 +188,7 @@ fn simulate_mg1_inner(
 
     let total = opts.warmup + opts.max_samples;
     for n in 0..total {
-        let s = service(&mut rng, arrive_clock);
+        let s = service(&mut rng);
         let measured = n >= opts.warmup;
         if measured {
             sojourns.record(wait + s);
@@ -219,64 +251,7 @@ fn simulate_mg1_inner(
     })
 }
 
-/// Simulates an M/G/1 FCFS queue with Poisson arrivals at `lambda_per_us`
-/// and service times drawn from `service`.
-///
-/// # Panics
-///
-/// Panics if `lambda_per_us` is not positive, or the implied load (from a
-/// pilot service-mean estimate) is ≥ 1 — an unstable queue has no steady
-/// state to report. Sweep drivers that probe near saturation should call
-/// [`try_simulate_mg1`] instead and render the [`Unstable`] cell.
-pub fn simulate_mg1(
-    lambda_per_us: f64,
-    service: &mut dyn FnMut(&mut SimRng) -> f64,
-    opts: &Mg1Options,
-) -> Mg1Result {
-    try_simulate_mg1(lambda_per_us, service, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`simulate_mg1`]: a pilot load estimate ≥ 1 yields
-/// `Err(Unstable)` instead of aborting, so one saturated cell cannot kill a
-/// whole sweep grid.
-pub fn try_simulate_mg1(
-    lambda_per_us: f64,
-    service: &mut dyn FnMut(&mut SimRng) -> f64,
-    opts: &Mg1Options,
-) -> Result<Mg1Result, Unstable> {
-    try_simulate_mg1_traced(lambda_per_us, service, opts, &Tracer::disabled())
-}
-
-/// [`try_simulate_mg1`] with a cycle-domain tracer attached: every
-/// measured request emits a [`TraceEvent::RequestArrive`]/[`TraceEvent::RequestComplete`]
-/// pair stamped in nanosecond ticks (1000 ticks per simulated µs; the
-/// tracer's `ticks_per_us` is set accordingly).
-///
-/// With a disabled tracer this is `try_simulate_mg1` exactly; with an
-/// enabled one the RNG draw sequence — and therefore every statistic in the
-/// returned [`Mg1Result`] — is still bit-identical, because timestamps come
-/// from a pure-arithmetic accumulator over draws already consumed.
-pub fn try_simulate_mg1_traced(
-    lambda_per_us: f64,
-    service: &mut dyn FnMut(&mut SimRng) -> f64,
-    opts: &Mg1Options,
-    tracer: &Tracer,
-) -> Result<Mg1Result, Unstable> {
-    let mut f = |rng: &mut SimRng, _now_us: f64| service(rng);
-    simulate_mg1_inner(lambda_per_us, &mut f, opts, tracer)
-}
-
-/// Convenience: simulate with a fixed service distribution.
-pub fn simulate_mg1_dist(
-    lambda_per_us: f64,
-    service: &dyn Distribution,
-    opts: &Mg1Options,
-) -> Mg1Result {
-    let mut f = |rng: &mut SimRng| service.sample(rng);
-    simulate_mg1(lambda_per_us, &mut f, opts)
-}
-
-/// Fault-event totals accumulated by [`simulate_mg1_faulted`].
+/// Fault-event totals accumulated by [`try_simulate_mg1_faulted`].
 ///
 /// Counts include the 512 pilot draws the stability check consumes, so
 /// `events` slightly exceeds the measured-sample count.
@@ -303,24 +278,16 @@ pub struct FaultTally {
 /// a backoff, and reissues, so dropped legs inflate both that request's
 /// sojourn and the queueing delay of everyone behind it. With
 /// [`FaultPlan::none`] the sample path — every RNG draw — is identical to
-/// [`simulate_mg1`] with a `compute + stall` service closure.
+/// [`try_simulate_mg1`] with a `compute + stall` service closure.
+///
+/// # Errors
+///
+/// `Err(Unstable)` when the implied effective load is ≥ 1 (see
+/// [`try_simulate_mg1`]).
 ///
 /// # Panics
 ///
-/// Panics if `lambda_per_us` is not positive or the implied effective load
-/// is ≥ 1 (see [`simulate_mg1`]).
-pub fn simulate_mg1_faulted(
-    lambda_per_us: f64,
-    compute: &mut dyn FnMut(&mut SimRng) -> f64,
-    stall_leg: &LatencyDist,
-    plan: &FaultPlan,
-    opts: &Mg1Options,
-) -> (Mg1Result, FaultTally) {
-    try_simulate_mg1_faulted(lambda_per_us, compute, stall_leg, plan, opts)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`simulate_mg1_faulted`]: saturation yields `Err(Unstable)`.
+/// Panics if `lambda_per_us` is not positive.
 pub fn try_simulate_mg1_faulted(
     lambda_per_us: f64,
     compute: &mut dyn FnMut(&mut SimRng) -> f64,
@@ -328,36 +295,10 @@ pub fn try_simulate_mg1_faulted(
     plan: &FaultPlan,
     opts: &Mg1Options,
 ) -> Result<(Mg1Result, FaultTally), Unstable> {
-    try_simulate_mg1_faulted_traced(
-        lambda_per_us,
-        compute,
-        stall_leg,
-        plan,
-        opts,
-        &Tracer::disabled(),
-    )
-}
-
-/// [`try_simulate_mg1_faulted`] with a tracer attached: request events as
-/// in [`try_simulate_mg1_traced`], plus per-event fault instants
-/// (inject/retry/timeout) stamped at the arrival time of the request whose
-/// service leg suffered the fault, in the same nanosecond-tick domain.
-/// Fault events from the 512-draw stability pilot are stamped at tick 0.
-///
-/// The tracer consumes no RNG draws: results and tallies are bit-identical
-/// to [`try_simulate_mg1_faulted`] regardless of tracing.
-pub fn try_simulate_mg1_faulted_traced(
-    lambda_per_us: f64,
-    compute: &mut dyn FnMut(&mut SimRng) -> f64,
-    stall_leg: &LatencyDist,
-    plan: &FaultPlan,
-    opts: &Mg1Options,
-    tracer: &Tracer,
-) -> Result<(Mg1Result, FaultTally), Unstable> {
     let mut tally = FaultTally::default();
     let identity = plan.is_none();
     let result = {
-        let mut service = |rng: &mut SimRng, now_us: f64| {
+        let mut service = |rng: &mut SimRng| {
             let c = compute(rng);
             if identity {
                 return c + stall_leg.sample(rng);
@@ -368,10 +309,9 @@ pub fn try_simulate_mg1_faulted_traced(
             tally.dropped_legs += u64::from(ev.dropped_legs);
             tally.slowed_legs += u64::from(ev.slowed_legs);
             tally.failed += u64::from(!ev.completed);
-            trace_fault_events(&ev, ns_ticks(now_us), tracer);
             c + ev.latency_us
         };
-        simulate_mg1_inner(lambda_per_us, &mut service, opts, tracer)?
+        try_simulate_mg1(lambda_per_us, &mut service, opts)?
     };
     Ok((result, tally))
 }
@@ -381,6 +321,13 @@ mod tests {
     use super::*;
     use crate::mg1::Mg1Analytic;
     use duplexity_stats::dist::Deterministic;
+
+    /// A run under a fixed service law; saturation panics with the
+    /// [`Unstable`] message.
+    fn mg1(lambda: f64, service: &dyn Distribution, opts: &Mg1Options) -> Mg1Result {
+        let mut f = |rng: &mut SimRng| service.sample(rng);
+        try_simulate_mg1(lambda, &mut f, opts).unwrap_or_else(|e| panic!("{e}"))
+    }
 
     fn fast_opts(seed: u64) -> Mg1Options {
         Mg1Options {
@@ -395,7 +342,7 @@ mod tests {
     fn mm1_mean_sojourn_matches_analytic() {
         // M/M/1 at rho=0.5: E[T] = E[S]/(1-rho).
         let service = Exponential::new(5.0);
-        let r = simulate_mg1_dist(0.1, &service, &fast_opts(1));
+        let r = mg1(0.1, &service, &fast_opts(1));
         let analytic = 5.0 / (1.0 - 0.5);
         assert!(
             (r.mean_sojourn_us - analytic).abs() / analytic < 0.05,
@@ -409,7 +356,7 @@ mod tests {
         // M/M/1 sojourn is exponential with mean E[S]/(1-rho):
         // p99 = mean * ln(100).
         let service = Exponential::new(2.0);
-        let r = simulate_mg1_dist(0.25, &service, &fast_opts(2)); // rho=0.5
+        let r = mg1(0.25, &service, &fast_opts(2)); // rho=0.5
         let analytic = (2.0 / 0.5) * 100.0_f64.ln();
         assert!(
             (r.tail_us - analytic).abs() / analytic < 0.08,
@@ -422,7 +369,7 @@ mod tests {
     fn md1_wait_matches_pollaczek_khinchine() {
         let service = Deterministic::new(4.0);
         let lambda = 0.7 / 4.0;
-        let r = simulate_mg1_dist(lambda, &service, &fast_opts(3));
+        let r = mg1(lambda, &service, &fast_opts(3));
         let analytic = Mg1Analytic {
             lambda_per_us: lambda,
             mean_service_us: 4.0,
@@ -439,7 +386,7 @@ mod tests {
     #[test]
     fn utilization_matches_rho() {
         let service = Exponential::new(1.0);
-        let r = simulate_mg1_dist(0.7, &service, &fast_opts(4));
+        let r = mg1(0.7, &service, &fast_opts(4));
         assert!(
             (r.utilization - 0.7).abs() < 0.03,
             "utilization {}",
@@ -452,7 +399,7 @@ mod tests {
         // §II-A: idle periods ~ Exp(lambda) for ANY service distribution.
         let service = Deterministic::new(2.0); // decidedly non-exponential
         let lambda = 0.25; // rho = 0.5
-        let r = simulate_mg1_dist(lambda, &service, &fast_opts(5));
+        let r = mg1(lambda, &service, &fast_opts(5));
         let expect_mean = 1.0 / lambda;
         assert!(
             (r.idle.mean() - expect_mean).abs() / expect_mean < 0.05,
@@ -470,7 +417,7 @@ mod tests {
     #[test]
     fn convergence_flag_set_on_easy_cases() {
         let service = Exponential::new(1.0);
-        let r = simulate_mg1_dist(0.3, &service, &fast_opts(6));
+        let r = mg1(0.3, &service, &fast_opts(6));
         assert!(r.converged, "low-load M/M/1 must converge in 400k samples");
         assert!(r.tail_ci.is_some());
     }
@@ -479,7 +426,7 @@ mod tests {
     #[should_panic(expected = "unstable")]
     fn rejects_overload() {
         let service = Exponential::new(2.0);
-        let _ = simulate_mg1_dist(0.6, &service, &fast_opts(7)); // rho = 1.2
+        let _ = mg1(0.6, &service, &fast_opts(7)); // rho = 1.2
     }
 
     #[test]
@@ -498,23 +445,24 @@ mod tests {
     #[test]
     fn tail_exceeds_median_exceeds_service() {
         let service = Exponential::new(3.0);
-        let r = simulate_mg1_dist(0.2, &service, &fast_opts(8)); // rho=0.6
+        let r = mg1(0.2, &service, &fast_opts(8)); // rho=0.6
         assert!(r.tail_us > r.p50_us);
         assert!(r.mean_sojourn_us > 3.0);
     }
 
     #[test]
     fn faulted_identity_matches_plain_sample_path() {
-        // FaultPlan::none must reproduce simulate_mg1 draw-for-draw.
+        // FaultPlan::none must reproduce try_simulate_mg1 draw-for-draw.
         let leg = LatencyDist::Exponential { mean_us: 1.0 };
         let mut compute = |rng: &mut SimRng| Exponential::new(2.0).sample(rng);
         let (faulted, tally) =
-            simulate_mg1_faulted(0.1, &mut compute, &leg, &FaultPlan::none(), &fast_opts(10));
+            try_simulate_mg1_faulted(0.1, &mut compute, &leg, &FaultPlan::none(), &fast_opts(10))
+                .expect("stable");
         let mut plain_service = |rng: &mut SimRng| {
             Exponential::new(2.0).sample(rng)
                 + LatencyDist::Exponential { mean_us: 1.0 }.sample(rng)
         };
-        let plain = simulate_mg1(0.1, &mut plain_service, &fast_opts(10));
+        let plain = try_simulate_mg1(0.1, &mut plain_service, &fast_opts(10)).expect("stable");
         assert_eq!(faulted.tail_us, plain.tail_us);
         assert_eq!(faulted.mean_sojourn_us, plain.mean_sojourn_us);
         assert_eq!(faulted.sojourn, plain.sojourn);
@@ -530,8 +478,11 @@ mod tests {
             .with_retry(RetryPolicy::new(4, 6.0, 1.0, 8.0));
         let mut compute = |_: &mut SimRng| 1.0;
         let (clean, _) =
-            simulate_mg1_faulted(0.1, &mut compute, &leg, &FaultPlan::none(), &fast_opts(11));
-        let (faulted, tally) = simulate_mg1_faulted(0.1, &mut compute, &leg, &plan, &fast_opts(11));
+            try_simulate_mg1_faulted(0.1, &mut compute, &leg, &FaultPlan::none(), &fast_opts(11))
+                .expect("stable");
+        let (faulted, tally) =
+            try_simulate_mg1_faulted(0.1, &mut compute, &leg, &plan, &fast_opts(11))
+                .expect("stable");
         assert!(
             faulted.tail_us > clean.tail_us,
             "faulted p99 {} must exceed clean {}",
@@ -550,7 +501,7 @@ mod tests {
     #[test]
     fn sojourn_summary_tracks_the_estimator() {
         let service = Exponential::new(1.0);
-        let r = simulate_mg1_dist(0.5, &service, &fast_opts(12));
+        let r = mg1(0.5, &service, &fast_opts(12));
         assert_eq!(r.sojourn.count(), r.samples as u64);
         assert!((r.sojourn.mean() - r.mean_sojourn_us).abs() < 1e-9);
     }
@@ -563,7 +514,7 @@ mod tests {
             warmup: 500,
             ..fast_opts(42)
         };
-        let plain = simulate_mg1(0.5, &mut svc, &opts);
+        let plain = try_simulate_mg1(0.5, &mut svc, &opts).expect("stable");
         let tracer = Tracer::enabled(1 << 20, 1000.0);
         let traced = try_simulate_mg1_traced(0.5, &mut svc, &opts, &tracer).expect("stable");
         assert_eq!(plain.tail_us, traced.tail_us);
@@ -581,42 +532,10 @@ mod tests {
     }
 
     #[test]
-    fn traced_faults_match_untraced_and_emit_instants() {
-        use duplexity_net::RetryPolicy;
-        let leg = LatencyDist::Exponential { mean_us: 2.0 };
-        let plan = FaultPlan::none()
-            .with_drop(0.1)
-            .with_retry(RetryPolicy::new(4, 6.0, 1.0, 8.0));
-        let mut compute = |_: &mut SimRng| 1.0;
-        let opts = Mg1Options {
-            max_samples: 5_000,
-            warmup: 500,
-            ..fast_opts(11)
-        };
-        let (plain, plain_tally) = simulate_mg1_faulted(0.1, &mut compute, &leg, &plan, &opts);
-        let tracer = Tracer::enabled(1 << 20, 1000.0);
-        let (traced, traced_tally) =
-            try_simulate_mg1_faulted_traced(0.1, &mut compute, &leg, &plan, &opts, &tracer)
-                .expect("stable");
-        assert_eq!(plain.tail_us, traced.tail_us);
-        assert_eq!(plain_tally, traced_tally);
-        let log = tracer.take();
-        let injects = log
-            .events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::FaultInject { .. }))
-            .count() as u64;
-        assert!(
-            injects > 0,
-            "10% drops over 5.5k events must inject at least once"
-        );
-    }
-
-    #[test]
     fn higher_load_means_higher_tail() {
         let service = Exponential::new(1.0);
-        let lo = simulate_mg1_dist(0.3, &service, &fast_opts(9));
-        let hi = simulate_mg1_dist(0.7, &service, &fast_opts(9));
+        let lo = mg1(0.3, &service, &fast_opts(9));
+        let hi = mg1(0.7, &service, &fast_opts(9));
         assert!(
             hi.tail_us > 1.5 * lo.tail_us,
             "lo {} hi {}",

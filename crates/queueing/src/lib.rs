@@ -13,7 +13,9 @@
 //!   periods) used for Figure 1(b) and as cross-checks;
 //! * [`des`] — the discrete-event FCFS simulator (Lindley recursion) with
 //!   the BigHouse confidence-interval stopping rule, producing tail
-//!   latencies and idle-period distributions;
+//!   latencies and idle-period distributions: one loop behind three
+//!   entry points (untraced, traced, and with a fault plan), all returning
+//!   `Err(`[`Unstable`]`)` on a saturated queue;
 //! * [`fanout`] — max-of-k leaf waits for mid-tier fan-out scenarios
 //!   ("tail at scale"), an extension beyond the paper's single-leaf
 //!   McRouter model;
@@ -23,7 +25,9 @@
 //!   Lindley-loop reference, and the one request-domain event engine,
 //!   whose plans compose duplication (eager duplicate-to-d, deadline
 //!   hedges, purge-on-first-completion, low-priority duplicate queues)
-//!   with the rack components below;
+//!   with the rack components below. Both of its front ends return one
+//!   [`RequestResult`], and [`merge_replications`] pools replications of
+//!   any request cell;
 //! * [`eventcore`] — the future-event set behind the event engine: a
 //!   total-order `(t, kind, seq)` contract with a `BinaryHeap` reference
 //!   and a calendar-queue timing wheel that are bit-identical by
@@ -50,21 +54,17 @@ pub mod rack;
 
 pub use closed_loop::{closed_loop_utilization, utilization_surface};
 pub use cluster::{
-    merge_replications, simulate_cluster, try_simulate_cluster, try_simulate_cluster_hedged,
-    BalancerPolicy, ClusterEngine, ClusterOptions, ClusterResult, DupMode, DupTally,
-    DuplicationPolicy, HedgedClusterResult,
+    merge_replications, try_simulate_cluster, try_simulate_cluster_hedged, BalancerPolicy,
+    ClusterEngine, ClusterOptions, ClusterResult, DupMode, DupTally, DuplicationPolicy,
+    RequestResult,
 };
 pub use eventcore::{EventKey, EventQueue, EventQueueKind, HeapEventQueue, WheelEventQueue};
 
 pub use des::{
-    simulate_mg1, simulate_mg1_faulted, try_simulate_mg1, try_simulate_mg1_faulted,
-    try_simulate_mg1_faulted_traced, try_simulate_mg1_traced, FaultTally, Mg1Options, Mg1Result,
-    Unstable,
+    try_simulate_mg1, try_simulate_mg1_faulted, try_simulate_mg1_traced, FaultTally, Mg1Options,
+    Mg1Result, Unstable,
 };
 pub use fanout::{exponential_fanout_mean, exponential_fanout_quantile, FanOut};
 pub use mg1::{idle_period_cdf, mean_idle_period_us, Mg1Analytic};
 pub use mmk::{Mm1PriorityAnalytic, MmkAnalytic};
-pub use rack::{
-    merge_rack_replications, try_simulate_rack, Coordination, RackPlan, RackResult, RackTally,
-    StealPolicy,
-};
+pub use rack::{try_simulate_rack, Coordination, RackPlan, RackTally, StealPolicy};

@@ -20,7 +20,8 @@
 //! history, per-dispatcher compensation windows, steal scratch, the tenant
 //! mix and the hot/cold sketches. The hedged front end passes
 //! [`RackPlan::fresh`], under which that state is inert. Duplication and
-//! rack features therefore never combine through the public API.
+//! rack features therefore never combine through the public API, and both
+//! front ends return the same [`RequestResult`].
 //!
 //! Determinism contract, extending the cluster's: the arrival/service
 //! stream and the balancer stream are the engine's own, and the three
@@ -35,7 +36,7 @@
 //!   `tenants > 1`).
 //!
 //! A plan with `Δ = 0`, stealing off, and a single tenant therefore takes
-//! the identical path through the engine: its [`ClusterResult`] is
+//! the identical path through the engine: its [`RequestResult`] is
 //! **bitwise identical** to `try_simulate_cluster_hedged` with
 //! [`DuplicationPolicy::none`] — the degeneracy the test suite pins.
 //!
@@ -48,8 +49,8 @@
 //! only their own window, so information degrades with both Δ and k.
 
 use crate::cluster::{
-    merge_replications, simulate_requests, Balancer, BalancerPolicy, ClusterOptions, ClusterResult,
-    CopyCell, DuplicationPolicy, Front, ServerSoa,
+    simulate_requests, Balancer, BalancerPolicy, ClusterOptions, CopyCell, DuplicationPolicy,
+    Front, RequestResult, ServerSoa,
 };
 use crate::des::Unstable;
 use duplexity_obs::{LatencySketch, Tracer};
@@ -203,6 +204,30 @@ impl RackPlan {
         self
     }
 
+    /// Panics, naming `caller`, if the plan cannot run: it needs at least
+    /// one dispatcher and one tenant, and a finite, non-negative staleness
+    /// and tenant skew. The front end and the sweep drivers call this
+    /// before any simulation.
+    pub fn check(&self, caller: &str) {
+        assert!(
+            self.coordination.dispatchers() >= 1,
+            "{caller}: rack needs at least one dispatcher"
+        );
+        assert!(
+            self.tenants >= 1,
+            "{caller}: rack needs at least one tenant"
+        );
+        let (delta, skew) = (self.delta_us, self.skew);
+        assert!(
+            delta >= 0.0 && delta.is_finite(),
+            "{caller}: staleness {delta} must be finite and non-negative"
+        );
+        assert!(
+            skew >= 0.0 && skew.is_finite(),
+            "{caller}: tenant skew {skew} must be finite and non-negative"
+        );
+    }
+
     /// Whether this plan consumes exactly the cluster engine's RNG streams
     /// and bookkeeping (the bitwise-degeneracy condition): fresh signals,
     /// no stealing, single tenant.
@@ -255,62 +280,6 @@ pub struct RackTally {
     pub stolen_work_us: f64,
 }
 
-/// Results of one rack simulation: the base cluster metrics plus rack
-/// bookkeeping and per-class (hot/cold tenant) sojourn sketches.
-#[derive(Debug, Clone)]
-pub struct RackResult {
-    /// Cluster-shaped metrics, so rack cells merge/render exactly like
-    /// cluster cells. Waits are measured from arrival to service start
-    /// (wherever the request ends up running after steals).
-    pub cluster: ClusterResult,
-    /// Steal/tenant counters.
-    pub tally: RackTally,
-    /// Sojourn sketch of hot-tenant requests.
-    pub hot_sketch: LatencySketch,
-    /// Sojourn sketch of cold-tenant requests (empty when `tenants == 1`).
-    pub cold_sketch: LatencySketch,
-}
-
-/// Pools independent replications of one rack cell, in replication order
-/// (same contract as [`merge_replications`]: a pure function of the
-/// ordered list, bit-identical at any worker count). Cluster metrics merge
-/// via [`merge_replications`]; tallies sum fieldwise; hot/cold sketches
-/// merge in replication order.
-///
-/// # Panics
-///
-/// Panics if `parts` is empty or the replications disagree on the server
-/// count.
-#[must_use]
-pub fn merge_rack_replications(
-    parts: Vec<RackResult>,
-    quantile: f64,
-    confidence: f64,
-) -> RackResult {
-    assert!(!parts.is_empty(), "cannot merge zero replications");
-    let mut tally = RackTally::default();
-    let mut hot_sketch = LatencySketch::new();
-    let mut cold_sketch = LatencySketch::new();
-    let mut clusters = Vec::with_capacity(parts.len());
-    for part in parts {
-        tally.requests += part.tally.requests;
-        tally.hot_requests += part.tally.hot_requests;
-        tally.steal_probes += part.tally.steal_probes;
-        tally.steals += part.tally.steals;
-        tally.steals_empty += part.tally.steals_empty;
-        tally.stolen_work_us += part.tally.stolen_work_us;
-        hot_sketch.merge(&part.hot_sketch);
-        cold_sketch.merge(&part.cold_sketch);
-        clusters.push(part.cluster);
-    }
-    RackResult {
-        cluster: merge_replications(clusters, quantile, confidence),
-        tally,
-        hot_sketch,
-        cold_sketch,
-    }
-}
-
 /// One entry of a server's visible-state history: the server's full
 /// dispatch-relevant state as of time `t`. The balancer's stale view at
 /// `τ` is the last snapshot with `t ≤ τ`.
@@ -349,8 +318,8 @@ struct Snap {
 ///
 /// # Panics
 ///
-/// Panics on non-positive `lambda_per_us`, zero servers, or an invalid
-/// plan (zero dispatchers/tenants, negative or non-finite Δ or skew).
+/// Panics on non-positive `lambda_per_us`, zero servers, or a plan that
+/// fails [`RackPlan::check`].
 pub fn try_simulate_rack(
     lambda_per_us: f64,
     service: &mut dyn FnMut(&mut SimRng) -> f64,
@@ -358,20 +327,8 @@ pub fn try_simulate_rack(
     plan: &RackPlan,
     opts: &ClusterOptions,
     tracer: &Tracer,
-) -> Result<RackResult, Unstable> {
-    assert!(
-        plan.coordination.dispatchers() >= 1,
-        "rack needs at least one dispatcher"
-    );
-    assert!(plan.tenants >= 1, "rack needs at least one tenant");
-    assert!(
-        plan.delta_us >= 0.0 && plan.delta_us.is_finite(),
-        "staleness must be finite and non-negative"
-    );
-    assert!(
-        plan.skew >= 0.0 && plan.skew.is_finite(),
-        "tenant skew must be finite and non-negative"
-    );
+) -> Result<RequestResult, Unstable> {
+    plan.check("try_simulate_rack");
     let mut built: Vec<Box<dyn Balancer>> = (0..plan.coordination.dispatchers())
         .map(|_| policy.build())
         .collect();
@@ -379,7 +336,7 @@ pub fn try_simulate_rack(
         .iter_mut()
         .map(|b| b.as_mut() as &mut dyn Balancer)
         .collect();
-    let (run, rack) = simulate_requests(
+    simulate_requests(
         lambda_per_us,
         service,
         &mut dispatchers,
@@ -388,8 +345,7 @@ pub fn try_simulate_rack(
         Front::Rack,
         opts,
         tracer,
-    )?;
-    Ok(rack.into_result(run.cluster, run.tally.requests))
+    )
 }
 
 /// The rack plan's share of the request engine's state: stale-view
@@ -415,13 +371,13 @@ pub(crate) struct RackState {
     srng: SimRng,
     trng: SimRng,
     /// Tenant rank law, present only when the plan has several tenants.
-    tenant_mix: Option<Zipf>,
+    pub(crate) tenant_mix: Option<Zipf>,
     /// Ranks below this are hot: the smallest rank head holding ≥
     /// `HOT_MASS` of traffic.
     hot_cutoff: usize,
     pub(crate) tally: RackTally,
-    hot_sketch: LatencySketch,
-    cold_sketch: LatencySketch,
+    pub(crate) hot_sketch: LatencySketch,
+    pub(crate) cold_sketch: LatencySketch,
 }
 
 impl RackState {
@@ -469,8 +425,8 @@ impl RackState {
     }
 
     /// Files a measured sojourn under its tenant class. A single-tenant
-    /// plan skips this: every request is hot, so its hot sketch is the
-    /// aggregate sketch ([`RackState::into_result`]).
+    /// plan skips this: every request is hot, so the engine reports the
+    /// aggregate sketch as its hot sketch.
     #[inline]
     pub(crate) fn record_sojourn(&mut self, hot: bool, sojourn: f64) {
         if self.tenant_mix.is_none() {
@@ -644,29 +600,12 @@ impl RackState {
         self.record_snap(servers, thief, t);
         true
     }
-
-    /// The rack result over the engine's cluster metrics and its count of
-    /// measured requests.
-    pub(crate) fn into_result(mut self, cluster: ClusterResult, requests: u64) -> RackResult {
-        self.tally.requests = requests;
-        let hot_sketch = if self.tenant_mix.is_some() {
-            self.hot_sketch
-        } else {
-            cluster.sketch.clone()
-        };
-        RackResult {
-            cluster,
-            tally: self.tally,
-            hot_sketch,
-            cold_sketch: self.cold_sketch,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::try_simulate_cluster_hedged;
+    use crate::cluster::{merge_replications, try_simulate_cluster_hedged};
     use crate::eventcore::EventQueueKind;
     use duplexity_stats::dist::{Distribution, Exponential};
 
@@ -690,7 +629,7 @@ mod tests {
         policy: BalancerPolicy,
         plan: &RackPlan,
         opts: &ClusterOptions,
-    ) -> RackResult {
+    ) -> RequestResult {
         try_simulate_rack(lambda, service, policy, plan, opts, &Tracer::disabled())
             .expect("stable rack cell")
     }
@@ -745,8 +684,8 @@ mod tests {
                 assert_eq!(r.converged, c.converged, "{policy}/{kind:?}");
                 assert_eq!(r.sketch, c.sketch, "{policy}/{kind:?}");
                 assert_eq!(r.measured_us, c.measured_us, "{policy}/{kind:?}");
-                assert_eq!(rack.tally.steals, 0);
-                assert_eq!(rack.tally.steal_probes, 0);
+                assert_eq!(rack.rack.steals, 0);
+                assert_eq!(rack.rack.steal_probes, 0);
             }
         }
     }
@@ -766,7 +705,7 @@ mod tests {
         assert_eq!(a.cluster.tail_us, b.cluster.tail_us);
         assert_eq!(a.cluster.sojourn, b.cluster.sojourn);
         assert_eq!(a.cluster.per_server_requests, b.cluster.per_server_requests);
-        assert_eq!(a.tally, b.tally);
+        assert_eq!(a.rack, b.rack);
         assert_eq!(a.hot_sketch, b.hot_sketch);
         assert_eq!(a.cold_sketch, b.cold_sketch);
     }
@@ -791,7 +730,7 @@ mod tests {
         let (w, h) = (run(EventQueueKind::Wheel), run(EventQueueKind::Heap));
         assert_eq!(w.cluster.tail_us, h.cluster.tail_us);
         assert_eq!(w.cluster.sketch, h.cluster.sketch);
-        assert_eq!(w.tally, h.tally);
+        assert_eq!(w.rack, h.rack);
     }
 
     #[test]
@@ -851,7 +790,7 @@ mod tests {
         };
         let base = run(RackPlan::fresh());
         let stolen = run(RackPlan::fresh().with_steal(3));
-        assert!(stolen.tally.steals > 0, "no steals happened");
+        assert!(stolen.rack.steals > 0, "no steals happened");
         assert!(
             stolen.cluster.tail_us <= base.cluster.tail_us,
             "steal p99 {} vs base p99 {}",
@@ -865,8 +804,8 @@ mod tests {
         let plan = RackPlan::fresh().with_tenants(128, 0.99);
         let mut svc = exp_service(1.0);
         let r = rack_run(3.0, &mut svc, BalancerPolicy::Jsq, &plan, &fast_opts(4, 43));
-        assert!(r.tally.hot_requests > 0, "zipf 0.99 must have a hot head");
-        assert!(r.tally.hot_requests < r.tally.requests);
+        assert!(r.rack.hot_requests > 0, "zipf 0.99 must have a hot head");
+        assert!(r.rack.hot_requests < r.rack.requests);
         assert_eq!(
             r.hot_sketch.count() + r.cold_sketch.count(),
             r.cluster.samples as u64
@@ -887,13 +826,13 @@ mod tests {
                 &fast_opts(4, seed),
             )
         };
-        let merged_a = merge_rack_replications(vec![part(1), part(2)], 0.99, 0.95);
-        let merged_b = merge_rack_replications(vec![part(1), part(2)], 0.99, 0.95);
+        let merged_a = merge_replications(vec![part(1), part(2)], 0.99, 0.95);
+        let merged_b = merge_replications(vec![part(1), part(2)], 0.99, 0.95);
         assert_eq!(merged_a.cluster.tail_us, merged_b.cluster.tail_us);
-        assert_eq!(merged_a.tally, merged_b.tally);
+        assert_eq!(merged_a.rack, merged_b.rack);
         assert_eq!(
-            merged_a.tally.requests,
-            part(1).tally.requests + part(2).tally.requests
+            merged_a.rack.requests,
+            part(1).rack.requests + part(2).rack.requests
         );
     }
 

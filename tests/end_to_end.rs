@@ -205,7 +205,7 @@ fn cycle_sim_queueing_matches_mg1_analytic() {
 #[test]
 #[ignore = "takes ~30s; run with --ignored"]
 fn slow_cycle_vs_queueing_tail() {
-    use duplexity_queueing::des::{simulate_mg1, Mg1Options};
+    use duplexity_queueing::des::{try_simulate_mg1, Mg1Options};
     use duplexity_stats::quantile::QuantileEstimator;
     use duplexity_stats::rng::SimRng;
 
@@ -236,7 +236,7 @@ fn slow_cycle_vs_queueing_tail() {
         s
     };
     let lambda = 0.5 / Workload::WordStem.nominal_service_us();
-    let r = simulate_mg1(
+    let r = try_simulate_mg1(
         lambda,
         &mut service,
         &Mg1Options {
@@ -244,7 +244,8 @@ fn slow_cycle_vs_queueing_tail() {
             max_samples: 400_000,
             ..Mg1Options::default()
         },
-    );
+    )
+    .expect("stable queue");
     assert!(
         (cycle_p95 - r.tail_us).abs() / r.tail_us < 0.25,
         "cycle p95 {cycle_p95:.2}µs vs queueing p95 {:.2}µs",

@@ -35,8 +35,7 @@ use duplexity::{BalancerPolicy, Design};
 use duplexity_obs::TraceLog;
 use duplexity_obs::Tracer;
 use duplexity_queueing::cluster::{
-    try_simulate_cluster_hedged, ClusterEngine, ClusterOptions, DuplicationPolicy,
-    HedgedClusterResult,
+    try_simulate_cluster_hedged, ClusterEngine, ClusterOptions, DuplicationPolicy, RequestResult,
 };
 use duplexity_queueing::des::{try_simulate_mg1, Mg1Options};
 use duplexity_queueing::eventcore::{EventQueue, EventQueueKind, HeapEventQueue, WheelEventQueue};
@@ -276,7 +275,7 @@ fn run_cell(
     lambda: f64,
     seed: u64,
     service: &mut dyn FnMut(&mut SimRng) -> f64,
-) -> (HedgedClusterResult, TraceLog) {
+) -> (RequestResult, TraceLog) {
     let opts = ClusterOptions {
         servers,
         max_samples: 8_000,
@@ -296,11 +295,7 @@ fn run_cell(
 
 /// Bitwise equality of two hedged results: every float by bits, every
 /// counter exactly, the trace event-for-event.
-fn assert_cell_bitwise(
-    a: &(HedgedClusterResult, TraceLog),
-    b: &(HedgedClusterResult, TraceLog),
-    what: &str,
-) {
+fn assert_cell_bitwise(a: &(RequestResult, TraceLog), b: &(RequestResult, TraceLog), what: &str) {
     let (ra, ta) = a;
     let (rb, tb) = b;
     assert_eq!(ra.cluster.samples, rb.cluster.samples, "{what}: samples");
@@ -327,7 +322,7 @@ fn assert_cell_bitwise(
     ] {
         assert_eq!(x.to_bits(), y.to_bits(), "{what}: {field} {x} vs {y}");
     }
-    assert_eq!(ra.tally, rb.tally, "{what}: tally");
+    assert_eq!(ra.dup, rb.dup, "{what}: tally");
     assert_eq!(
         ra.dup_wait.count(),
         rb.dup_wait.count(),
@@ -464,7 +459,7 @@ fn full_hedge_sweep_grid_is_engine_and_worker_invariant() {
 /// the empty result instead of hanging or diverging.
 #[test]
 fn zero_sample_cells_agree_on_emptiness() {
-    let results: Vec<HedgedClusterResult> = [EventQueueKind::Heap, EventQueueKind::Wheel]
+    let results: Vec<RequestResult> = [EventQueueKind::Heap, EventQueueKind::Wheel]
         .into_iter()
         .map(|kind| {
             let opts = ClusterOptions {
@@ -490,7 +485,7 @@ fn zero_sample_cells_agree_on_emptiness() {
         .collect();
     for r in &results {
         assert_eq!(r.cluster.samples, 0);
-        assert_eq!(r.tally.requests, 0);
+        assert_eq!(r.dup.requests, 0);
     }
     assert_eq!(
         results[0].cluster.samples, results[1].cluster.samples,
@@ -502,7 +497,7 @@ fn zero_sample_cells_agree_on_emptiness() {
     );
 }
 
-/// One server, no duplication: the hedged engine replays `simulate_mg1`'s
+/// One server, no duplication: the hedged engine replays `try_simulate_mg1`'s
 /// arrival/service stream (both start from `rng_from_seed(opts.seed)` and
 /// draw in the same order), so with early stopping disabled the sample
 /// counts match exactly and the metrics to floating-point association
@@ -563,7 +558,7 @@ fn single_server_hedged_cell_degenerates_to_the_mg1_reference() {
 /// both queues resolve the tie the same way.
 #[test]
 fn hedge_deadline_tied_with_departure_fires_on_both_queues() {
-    let results: Vec<HedgedClusterResult> = [EventQueueKind::Heap, EventQueueKind::Wheel]
+    let results: Vec<RequestResult> = [EventQueueKind::Heap, EventQueueKind::Wheel]
         .into_iter()
         .map(|kind| {
             let opts = ClusterOptions {
@@ -592,14 +587,14 @@ fn hedge_deadline_tied_with_departure_fires_on_both_queues() {
         })
         .collect();
     for r in &results {
-        assert!(r.tally.requests > 0);
+        assert!(r.dup.requests > 0);
         assert_eq!(
-            r.tally.hedges_fired, r.tally.requests,
+            r.dup.hedges_fired, r.dup.requests,
             "a completion can never beat its own deadline, so every hedge fires"
         );
-        assert_eq!(r.tally.hedges_cancelled, 0);
+        assert_eq!(r.dup.hedges_cancelled, 0);
     }
-    assert_eq!(results[0].tally, results[1].tally, "heap vs wheel tallies");
+    assert_eq!(results[0].dup, results[1].dup, "heap vs wheel tallies");
     assert_eq!(
         results[0].cluster.tail_us.to_bits(),
         results[1].cluster.tail_us.to_bits()
@@ -635,10 +630,10 @@ fn late_hedges_cancel_and_queued_duplicates_purge_after_the_drain() {
             &Tracer::disabled(),
         )
         .expect("stable");
-        assert!(hedged.tally.requests > 0, "{kind}");
-        assert_eq!(hedged.tally.hedges_fired, 0, "{kind}");
+        assert!(hedged.dup.requests > 0, "{kind}");
+        assert_eq!(hedged.dup.hedges_fired, 0, "{kind}");
         assert_eq!(
-            hedged.tally.hedges_cancelled, hedged.tally.requests,
+            hedged.dup.hedges_cancelled, hedged.dup.requests,
             "{kind}: every hedge must find its request already complete"
         );
         // Eager duplicate on the lone server: the copy queues behind its
@@ -656,14 +651,14 @@ fn late_hedges_cancel_and_queued_duplicates_purge_after_the_drain() {
             &Tracer::disabled(),
         )
         .expect("stable");
-        assert!(dup.tally.requests > 0, "{kind}");
+        assert!(dup.dup.requests > 0, "{kind}");
         assert_eq!(
-            dup.tally.purged_queued, dup.tally.dup_copies,
+            dup.dup.purged_queued, dup.dup.dup_copies,
             "{kind}: every duplicate dies in the queue"
         );
-        assert_eq!(dup.tally.wasted_completions, 0, "{kind}");
+        assert_eq!(dup.dup.wasted_completions, 0, "{kind}");
         assert_eq!(
-            dup.tally.dup_delivered_us.to_bits(),
+            dup.dup.dup_delivered_us.to_bits(),
             0.0f64.to_bits(),
             "{kind}: purged-in-queue copies deliver zero service"
         );

@@ -1,6 +1,6 @@
 //! Closed-form cross-checks of the faulted queueing path.
 //!
-//! Each test pits `simulate_mg1_faulted` against an exact analytic result —
+//! Each test pits `try_simulate_mg1_faulted` against an exact analytic result —
 //! the M/M/1 sojourn law, or Pollaczek–Khinchine with the fault layer's
 //! [`FaultPlan::effective_moments`] — using confidence intervals from
 //! `stats::ci` over independent replication means (8 seeds per point; the
@@ -9,7 +9,7 @@
 //! deterministic: they either always pass or flag a real modeling drift.
 
 use duplexity_net::{FaultPlan, LatencyDist, RetryPolicy};
-use duplexity_queueing::des::{simulate_mg1_faulted, Mg1Options};
+use duplexity_queueing::des::{try_simulate_mg1_faulted, Mg1Options};
 use duplexity_queueing::mg1::Mg1Analytic;
 use duplexity_stats::ci::mean_ci;
 use duplexity_stats::rng::{derive_stream, SimRng};
@@ -38,7 +38,8 @@ fn replicate(
             ..Mg1Options::default()
         };
         let mut compute = move |_: &mut SimRng| compute_us;
-        let (r, _) = simulate_mg1_faulted(lambda_per_us, &mut compute, leg, plan, &opts);
+        let (r, _) = try_simulate_mg1_faulted(lambda_per_us, &mut compute, leg, plan, &opts)
+            .expect("stable queue");
         means.record(r.mean_sojourn_us);
         tails.record(r.tail_us);
     }

@@ -8,6 +8,11 @@
 //! pool worker — with two or more workers only as `a scoped thread
 //! panicked`. Each case runs at two workers to pin that. A load of `+inf`
 //! is not an input error: it renders a saturated cell.
+//!
+//! Plans get the same up-front check: a duplication plan with zero copies,
+//! and a rack plan with zero dispatchers or tenants, a negative or NaN
+//! staleness, or a NaN tenant skew, panic on the calling thread naming the
+//! driver, instead of inside a pool worker.
 
 use duplexity::experiments::cluster_sweep::{cluster_sweep, ClusterSweepOptions};
 use duplexity::experiments::fault_sweep::{fault_sweep, FaultSweepOptions};
@@ -130,6 +135,65 @@ fn rack_sweep_rejects_a_nan_load() {
 #[should_panic(expected = "timeline: load -0.3 is not a positive offered load")]
 fn timeline_rejects_a_negative_load() {
     let _ = timeline(&timeline_opts(vec![0.3, -0.3]));
+}
+
+#[test]
+#[should_panic(expected = "hedge_sweep: Duplicate needs at least the primary copy")]
+fn hedge_sweep_rejects_a_zero_copy_plan() {
+    let opts = HedgeSweepOptions {
+        plans: vec![DuplicationPolicy::none(), DuplicationPolicy::duplicate(0)],
+        ..hedge_opts(vec![0.4, 0.5])
+    };
+    let _ = hedge_sweep(&opts);
+}
+
+#[test]
+#[should_panic(expected = "timeline: Duplicate needs at least the primary copy")]
+fn timeline_rejects_a_zero_copy_plan() {
+    let opts = TimelineOptions {
+        plan: DuplicationPolicy::duplicate(0),
+        ..timeline_opts(vec![0.3, 0.5])
+    };
+    let _ = timeline(&opts);
+}
+
+/// A rack sweep over one valid plan and `plan`, at two loads.
+fn rack_sweep_with(plan: RackPlan) {
+    let opts = RackSweepOptions {
+        plans: vec![RackPlan::fresh(), plan],
+        ..rack_opts(vec![0.4, 0.5])
+    };
+    let _ = rack_sweep(&opts);
+}
+
+#[test]
+#[should_panic(expected = "rack_sweep: rack needs at least one dispatcher")]
+fn rack_sweep_rejects_zero_dispatchers() {
+    rack_sweep_with(RackPlan::fresh().distributed(0));
+}
+
+#[test]
+#[should_panic(expected = "rack_sweep: rack needs at least one tenant")]
+fn rack_sweep_rejects_zero_tenants() {
+    rack_sweep_with(RackPlan::fresh().with_tenants(0, 0.99));
+}
+
+#[test]
+#[should_panic(expected = "rack_sweep: staleness -2 must be finite and non-negative")]
+fn rack_sweep_rejects_a_negative_staleness() {
+    rack_sweep_with(RackPlan::fresh().with_delta(-2.0));
+}
+
+#[test]
+#[should_panic(expected = "rack_sweep: staleness NaN must be finite and non-negative")]
+fn rack_sweep_rejects_a_nan_staleness() {
+    rack_sweep_with(RackPlan::fresh().with_delta(f64::NAN));
+}
+
+#[test]
+#[should_panic(expected = "rack_sweep: tenant skew NaN must be finite and non-negative")]
+fn rack_sweep_rejects_a_nan_skew() {
+    rack_sweep_with(RackPlan::fresh().with_tenants(64, f64::NAN));
 }
 
 #[test]

@@ -25,10 +25,9 @@
 
 use duplexity_obs::Tracer;
 use duplexity_queueing::cluster::{
-    try_simulate_cluster_hedged, BalancerPolicy, ClusterOptions, DuplicationPolicy,
-    HedgedClusterResult,
+    try_simulate_cluster_hedged, BalancerPolicy, ClusterOptions, DuplicationPolicy, RequestResult,
 };
-use duplexity_queueing::rack::{try_simulate_rack, RackPlan, RackResult};
+use duplexity_queueing::rack::{try_simulate_rack, RackPlan};
 use duplexity_stats::dist::{Distribution, Exponential};
 use duplexity_stats::rng::SimRng;
 use proptest::prelude::*;
@@ -43,7 +42,7 @@ fn run(
     policy: BalancerPolicy,
     load: f64,
     seed: u64,
-) -> (HedgedClusterResult, u64) {
+) -> (RequestResult, u64) {
     let lambda = SERVERS as f64 * load / MEAN_SERVICE_US;
     let mut draws = 0u64;
     let mut service = |rng: &mut SimRng| {
@@ -71,7 +70,7 @@ fn run(
 }
 
 /// Runs one small rack simulation under JSQ placement.
-fn run_rack(plan: &RackPlan, load: f64, seed: u64) -> RackResult {
+fn run_rack(plan: &RackPlan, load: f64, seed: u64) -> RequestResult {
     let lambda = SERVERS as f64 * load / MEAN_SERVICE_US;
     let mut service = |rng: &mut SimRng| Exponential::new(MEAN_SERVICE_US).sample(rng);
     let opts = ClusterOptions {
@@ -94,7 +93,7 @@ fn run_rack(plan: &RackPlan, load: f64, seed: u64) -> RackResult {
 
 /// Asserts two hedged runs agree bitwise: metrics, per-server placement,
 /// and every duplication counter.
-fn assert_bitwise_equal(a: &HedgedClusterResult, b: &HedgedClusterResult, what: &str) {
+fn assert_bitwise_equal(a: &RequestResult, b: &RequestResult, what: &str) {
     assert_eq!(
         a.cluster.tail_us.to_bits(),
         b.cluster.tail_us.to_bits(),
@@ -129,7 +128,7 @@ fn assert_bitwise_equal(a: &HedgedClusterResult, b: &HedgedClusterResult, what: 
         a.cluster.converged, b.cluster.converged,
         "{what}: converged"
     );
-    assert_eq!(a.tally, b.tally, "{what}: tally");
+    assert_eq!(a.dup, b.dup, "{what}: tally");
     assert_eq!(a.dup_wait.count(), b.dup_wait.count(), "{what}: dup waits");
     assert_eq!(
         a.added_utilization.to_bits(),
@@ -149,8 +148,8 @@ proptest! {
         assert_bitwise_equal(&hedge, &dup, "hedge0 vs dup2");
         prop_assert_eq!(hedge_draws, dup_draws);
         // The identity maps hedge bookkeeping onto eager bookkeeping.
-        prop_assert_eq!(hedge.tally.hedges_fired, 0);
-        prop_assert!(dup.tally.dup_copies > 0);
+        prop_assert_eq!(hedge.dup.hedges_fired, 0);
+        prop_assert!(dup.dup.dup_copies > 0);
     }
 
     /// `Hedge { deadline: ∞ }` and `Duplicate { copies: 1 }` are bitwise
@@ -163,7 +162,7 @@ proptest! {
             let (decorated, draws) = run(&plan, BalancerPolicy::Jsq, load, seed);
             assert_bitwise_equal(&base, &decorated, &plan.label());
             prop_assert_eq!(draws, base_draws, "{} must not draw extra demands", plan.label());
-            prop_assert_eq!(decorated.tally.dup_copies, 0);
+            prop_assert_eq!(decorated.dup.dup_copies, 0);
             prop_assert_eq!(decorated.added_utilization, 0.0);
         }
     }
@@ -194,7 +193,7 @@ proptest! {
         ];
         let plan = plans[which];
         let (r, _) = run(&plan, BalancerPolicy::Jsq, load, seed);
-        let t = &r.tally;
+        let t = &r.dup;
         prop_assert_eq!(t.requests, r.cluster.samples as u64);
         // Exactly-once completion: redundant completions are the only
         // copies that finish beyond the first per request.
@@ -228,9 +227,9 @@ proptest! {
             load,
             seed,
         );
-        prop_assert!(purged.tally.dup_delivered_us < eager.tally.dup_delivered_us);
+        prop_assert!(purged.dup.dup_delivered_us < eager.dup.dup_delivered_us);
         prop_assert!(purged.added_utilization < eager.added_utilization);
-        prop_assert_eq!(eager.tally.purged_queued + eager.tally.purged_in_service, 0);
+        prop_assert_eq!(eager.dup.purged_queued + eager.dup.purged_in_service, 0);
     }
 
     /// Rack conservation over random staleness, steal probes, dispatchers,
@@ -252,7 +251,7 @@ proptest! {
             .distributed(dispatchers)
             .with_tenants(tenants, 0.99);
         let r = run_rack(&plan, load, seed);
-        let (t, samples) = (&r.tally, r.cluster.samples as u64);
+        let (t, samples) = (&r.rack, r.cluster.samples as u64);
         prop_assert_eq!(t.requests, samples);
         prop_assert_eq!(r.cluster.wait.count(), samples);
         prop_assert_eq!(r.cluster.per_server_requests.iter().sum::<u64>(), samples);

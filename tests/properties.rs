@@ -3,12 +3,12 @@
 use duplexity_cpu::op::{Fetched, InstructionStream, LoopedTrace, MicroOp, Op, NO_REG};
 use duplexity_net::{EventKind, FaultPlan, LatencyDist, RetryPolicy};
 use duplexity_queueing::closed_loop::closed_loop_utilization;
-use duplexity_queueing::des::{simulate_mg1_dist, Mg1Options};
+use duplexity_queueing::des::{try_simulate_mg1, Mg1Options};
 use duplexity_queueing::mg1::Mg1Analytic;
 use duplexity_stats::binomial::Binomial;
 use duplexity_stats::dist::{Distribution, Exponential, Hyperexponential};
 use duplexity_stats::quantile::QuantileEstimator;
-use duplexity_stats::rng::{derive_stream, rng_from_seed};
+use duplexity_stats::rng::{derive_stream, rng_from_seed, SimRng};
 use duplexity_stats::summary::Summary;
 use duplexity_uarch::cache::{AccessKind, Cache, CacheConfig};
 use proptest::prelude::*;
@@ -95,7 +95,8 @@ proptest! {
             seed: 9,
             ..Mg1Options::default()
         };
-        let r = simulate_mg1_dist(load / 2.0, &service, &opts);
+        let mut f = |rng: &mut SimRng| service.sample(rng);
+        let r = try_simulate_mg1(load / 2.0, &mut f, &opts).expect("stable queue");
         prop_assert!((r.utilization - load).abs() < 0.08,
             "load {} util {}", load, r.utilization);
         // And the mean sojourn is at least the mean service.
