@@ -93,13 +93,14 @@ fn describe_drift(actual: &str, expected: &str) -> String {
 /// `cargo test --test <target>` that owns the fixture, quoted in the
 /// regeneration hint.
 pub fn assert_matches_golden<T: Serialize>(test_target: &str, name: &str, value: &T) {
-    assert_text_matches_golden(test_target, name, &pretty_json(value));
+    assert_text_matches_golden(test_target, &format!("{name}.json"), &pretty_json(value));
 }
 
-/// [`assert_matches_golden`] for an artifact that renders its own JSON
-/// text (e.g. `Timeline::to_json`).
-pub fn assert_text_matches_golden(test_target: &str, name: &str, actual: &str) {
-    let path = golden_dir().join(format!("{name}.json"));
+/// [`assert_matches_golden`] for an artifact that renders its own text
+/// (e.g. `Timeline::to_json`, or a rendered report table), compared
+/// against `tests/golden/<file>`.
+pub fn assert_text_matches_golden(test_target: &str, file: &str, actual: &str) {
+    let path = golden_dir().join(file);
     if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
         std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
         std::fs::write(&path, actual).expect("write golden fixture");
@@ -114,7 +115,7 @@ pub fn assert_text_matches_golden(test_target: &str, name: &str, actual: &str) {
     });
     assert!(
         actual == expected,
-        "{name} drifted from its golden fixture ({}); if the change is \
+        "{file} drifted from its golden fixture ({}); if the change is \
          intentional, regenerate with `UPDATE_GOLDEN=1 cargo test --test \
          {test_target}` and review `git diff tests/golden/`",
         describe_drift(actual, &expected)

@@ -325,5 +325,5 @@ fn request_engines_match_golden() {
     }
 
     let text = format!("[\n{}\n]\n", entries.join(",\n"));
-    common::assert_text_matches_golden("request_engines", "request_engines", &text);
+    common::assert_text_matches_golden("request_engines", "request_engines.json", &text);
 }
