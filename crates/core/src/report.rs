@@ -23,6 +23,32 @@ fn norm(v: f64) -> String {
     }
 }
 
+/// The distinct values of `items`, in first-seen order.
+fn distinct<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut seen = Vec::new();
+    for item in items {
+        if !seen.contains(&item) {
+            seen.push(item);
+        }
+    }
+    seen
+}
+
+/// `points` grouped by `key`: the groups in first-seen order, each with
+/// its points in their original order.
+fn group_by<'a, P, K: PartialEq>(
+    points: impl Iterator<Item = &'a P> + Clone,
+    key: impl Fn(&'a P) -> K,
+) -> Vec<(K, Vec<&'a P>)> {
+    distinct(points.clone().map(&key))
+        .into_iter()
+        .map(|k| {
+            let group = points.clone().filter(|&p| key(p) == k).collect();
+            (k, group)
+        })
+        .collect()
+}
+
 /// Renders the Figure 1(a) surface as a sparse grid (one row per stall
 /// duration).
 #[must_use]
@@ -137,16 +163,11 @@ pub fn render_fig5_matrix(
     metric: impl Fn(&Fig5Cell) -> f64,
 ) -> String {
     let mut out = format!("{label}\n");
-    let mut columns: Vec<(String, f64, duplexity_workloads::Workload)> = Vec::new();
-    for c in cells {
-        let key = format!("{}@{:.0}%", c.workload.name(), c.load * 100.0);
-        if !columns.iter().any(|(k, _, _)| *k == key) {
-            columns.push((key, c.load, c.workload));
-        }
-    }
+    let columns = distinct(cells.iter().map(|c| (c.workload, c.load)));
     let _ = write!(out, "{:<15}", "design");
-    for (k, _, _) in &columns {
-        let _ = write!(out, " {k:>15}");
+    for (workload, load) in &columns {
+        let key = format!("{}@{:.0}%", workload.name(), load * 100.0);
+        let _ = write!(out, " {key:>15}");
     }
     out.push('\n');
     for design in Design::ALL_WITH_EXTENSIONS {
@@ -155,7 +176,7 @@ pub fn render_fig5_matrix(
             continue;
         }
         let _ = write!(out, "{:<15}", design.name());
-        for (_, load, workload) in &columns {
+        for (workload, load) in &columns {
             let v = rows
                 .iter()
                 .find(|c| c.load == *load && c.workload == *workload)
@@ -200,54 +221,61 @@ pub fn render_power_breakdown(ipc: f64) -> String {
     out
 }
 
+/// Writes one block of a per-load p99 table: a header of `head.0`, a
+/// `p99@L%` column per load and `head.1`, then one line per `(name,
+/// points, tail)` row: its name cells, its p99 per load from its `(load,
+/// p99)` points (`sat` where it has none at that load), and its trailing
+/// cells.
+fn write_p99_block(
+    out: &mut String,
+    loads: &[f64],
+    head: &(String, String),
+    rows: impl IntoIterator<Item = (String, Vec<(f64, f64)>, String)>,
+) {
+    out.push_str(&head.0);
+    for l in loads {
+        let _ = write!(out, " {:>9}", format!("p99@{:.0}%", l * 100.0));
+    }
+    let _ = writeln!(out, "{}", head.1);
+    for (name, p99s, tail) in rows {
+        out.push_str(&name);
+        for l in loads {
+            let v = p99s.iter().find(|c| c.0 == *l).map_or(f64::NAN, |c| c.1);
+            let _ = write!(out, " {:>9}", norm(v));
+        }
+        let _ = writeln!(out, "{tail}");
+    }
+}
+
 /// Renders the fault-policy sweep: one row per policy with per-load p99
 /// columns, then the policy's fault-activity counters.
 #[must_use]
 pub fn render_fault_sweep(points: &[FaultSweepPoint]) -> String {
     let mut out = String::from("Fault sweep: p99 sojourn (µs) per policy and load\n");
-    let mut loads: Vec<f64> = Vec::new();
-    for p in points {
-        if !loads.contains(&p.load) {
-            loads.push(p.load);
-        }
-    }
-    let _ = write!(out, "{:<14}", "policy");
-    for l in &loads {
-        let _ = write!(out, " {:>9}", format!("p99@{:.0}%", l * 100.0));
-    }
-    let _ = writeln!(out, " {:>9} {:>9} {:>9}", "attempts", "drop", "fail");
-    let mut names: Vec<&str> = Vec::new();
-    for p in points {
-        if !names.contains(&p.policy.as_str()) {
-            names.push(&p.policy);
-        }
-    }
-    for name in names {
-        let rows: Vec<&FaultSweepPoint> = points.iter().filter(|p| p.policy == name).collect();
-        let _ = write!(out, "{name:<14}");
-        for l in &loads {
-            let v = rows
-                .iter()
-                .find(|p| p.load == *l)
-                .map_or(f64::NAN, |p| p.p99_us);
-            let _ = write!(out, " {:>9}", norm(v));
-        }
-        // Fault activity is load-independent up to sampling noise; report
-        // the highest stable load's counters.
-        let last = rows.iter().rev().find(|p| !p.saturated);
-        match last {
-            Some(p) => {
-                let _ = writeln!(
-                    out,
+    let loads = distinct(points.iter().map(|p| p.load));
+    let rows = group_by(points.iter(), |p| p.policy.as_str())
+        .into_iter()
+        .map(|(name, row)| {
+            // Fault activity is load-independent up to sampling noise; report
+            // the highest stable load's counters.
+            let tail = match row.iter().rev().find(|p| !p.saturated) {
+                Some(p) => format!(
                     " {:>9.3} {:>9.3} {:>9.4}",
                     p.mean_attempts, p.drop_rate, p.fail_rate
-                );
-            }
-            None => {
-                let _ = writeln!(out, " {:>9} {:>9} {:>9}", "sat", "sat", "sat");
-            }
-        }
-    }
+                ),
+                None => format!(" {:>9} {:>9} {:>9}", "sat", "sat", "sat"),
+            };
+            (
+                format!("{name:<14}"),
+                row.iter().map(|p| (p.load, p.p99_us)).collect(),
+                tail,
+            )
+        });
+    let head = (
+        format!("{:<14}", "policy"),
+        format!(" {:>9} {:>9} {:>9}", "attempts", "drop", "fail"),
+    );
+    write_p99_block(&mut out, &loads, &head, rows);
     out
 }
 
@@ -258,56 +286,24 @@ pub fn render_fault_sweep(points: &[FaultSweepPoint]) -> String {
 pub fn render_cluster_sweep(points: &[ClusterSweepPoint]) -> String {
     let mut out =
         String::from("Cluster sweep: p99 sojourn (µs) per policy, design, and farm size\n");
-    let mut loads: Vec<f64> = Vec::new();
-    for p in points {
-        if !loads.contains(&p.load) {
-            loads.push(p.load);
-        }
-    }
-    let mut blocks: Vec<(Design, usize)> = Vec::new();
-    for p in points {
-        if !blocks.contains(&(p.design, p.servers)) {
-            blocks.push((p.design, p.servers));
-        }
-    }
-    for (design, servers) in blocks {
+    let loads = distinct(points.iter().map(|p| p.load));
+    let head = (format!("{:<14}", "policy"), format!(" {:>9}", "util"));
+    for ((design, servers), block) in group_by(points.iter(), |p| (p.design, p.servers)) {
         let _ = writeln!(out, "\n{} × {servers} servers", design.name());
-        let _ = write!(out, "{:<14}", "policy");
-        for l in &loads {
-            let _ = write!(out, " {:>9}", format!("p99@{:.0}%", l * 100.0));
-        }
-        let _ = writeln!(out, " {:>9}", "util");
-        let mut names: Vec<&str> = Vec::new();
-        for p in points
-            .iter()
-            .filter(|p| p.design == design && p.servers == servers)
-        {
-            if !names.contains(&p.policy.as_str()) {
-                names.push(&p.policy);
-            }
-        }
-        for name in names {
-            let rows: Vec<&ClusterSweepPoint> = points
-                .iter()
-                .filter(|p| p.design == design && p.servers == servers && p.policy == name)
-                .collect();
-            let _ = write!(out, "{name:<14}");
-            for l in &loads {
-                let v = rows
-                    .iter()
-                    .find(|p| p.load == *l)
-                    .map_or(f64::NAN, |p| p.p99_us);
-                let _ = write!(out, " {:>9}", norm(v));
-            }
-            match rows.iter().rev().find(|p| !p.saturated) {
-                Some(p) => {
-                    let _ = writeln!(out, " {:>9.3}", p.utilization);
-                }
-                None => {
-                    let _ = writeln!(out, " {:>9}", "sat");
-                }
-            }
-        }
+        let rows = group_by(block.into_iter(), |p| p.policy.as_str())
+            .into_iter()
+            .map(|(name, row)| {
+                let tail = match row.iter().rev().find(|p| !p.saturated) {
+                    Some(p) => format!(" {:>9.3}", p.utilization),
+                    None => format!(" {:>9}", "sat"),
+                };
+                (
+                    format!("{name:<14}"),
+                    row.iter().map(|p| (p.load, p.p99_us)).collect(),
+                    tail,
+                )
+            });
+        write_p99_block(&mut out, &loads, &head, rows);
     }
     out
 }
@@ -323,61 +319,27 @@ pub fn render_rack_sweep(points: &[RackSweepPoint]) -> String {
     let mut out = String::from(
         "Rack sweep: p99 sojourn (µs) per plan (coordination × staleness × steal), policy, and farm size\n",
     );
-    let mut loads: Vec<f64> = Vec::new();
-    for p in points {
-        if !loads.contains(&p.load) {
-            loads.push(p.load);
-        }
-    }
-    let mut blocks: Vec<(Design, usize)> = Vec::new();
-    for p in points {
-        if !blocks.contains(&(p.design, p.servers)) {
-            blocks.push((p.design, p.servers));
-        }
-    }
-    for (design, servers) in blocks {
+    let loads = distinct(points.iter().map(|p| p.load));
+    let head = (
+        format!("{:<14} {:<16}", "policy", "plan"),
+        format!(" {:>9} {:>7}", "wait", "steals"),
+    );
+    for ((design, servers), block) in group_by(points.iter(), |p| (p.design, p.servers)) {
         let _ = writeln!(out, "\n{} × {servers} servers", design.name());
-        let _ = write!(out, "{:<14} {:<16}", "policy", "plan");
-        for l in &loads {
-            let _ = write!(out, " {:>9}", format!("p99@{:.0}%", l * 100.0));
-        }
-        let _ = writeln!(out, " {:>9} {:>7}", "wait", "steals");
-        let mut rows_seen: Vec<(&str, &str)> = Vec::new();
-        for p in points
-            .iter()
-            .filter(|p| p.design == design && p.servers == servers)
-        {
-            if !rows_seen.contains(&(p.policy.as_str(), p.plan.as_str())) {
-                rows_seen.push((&p.policy, &p.plan));
-            }
-        }
-        for (policy, plan) in rows_seen {
-            let rows: Vec<&RackSweepPoint> = points
-                .iter()
-                .filter(|p| {
-                    p.design == design
-                        && p.servers == servers
-                        && p.policy == policy
-                        && p.plan == plan
-                })
-                .collect();
-            let _ = write!(out, "{policy:<14} {plan:<16}");
-            for l in &loads {
-                let v = rows
-                    .iter()
-                    .find(|p| p.load == *l)
-                    .map_or(f64::NAN, |p| p.p99_us);
-                let _ = write!(out, " {:>9}", norm(v));
-            }
-            match rows.iter().rev().find(|p| !p.saturated) {
-                Some(p) => {
-                    let _ = writeln!(out, " {:>9.3} {:>7}", p.mean_wait_us, p.steals);
-                }
-                None => {
-                    let _ = writeln!(out, " {:>9} {:>7}", "sat", "-");
-                }
-            }
-        }
+        let rows = group_by(block.into_iter(), |p| (p.policy.as_str(), p.plan.as_str()))
+            .into_iter()
+            .map(|((policy, plan), row)| {
+                let tail = match row.iter().rev().find(|p| !p.saturated) {
+                    Some(p) => format!(" {:>9.3} {:>7}", p.mean_wait_us, p.steals),
+                    None => format!(" {:>9} {:>7}", "sat", "-"),
+                };
+                (
+                    format!("{policy:<14} {plan:<16}"),
+                    row.iter().map(|p| (p.load, p.p99_us)).collect(),
+                    tail,
+                )
+            });
+        write_p99_block(&mut out, &loads, &head, rows);
     }
     out
 }
@@ -392,35 +354,13 @@ pub fn render_rack_sweep(points: &[RackSweepPoint]) -> String {
 pub fn render_hedge_sweep(points: &[HedgeSweepPoint]) -> String {
     let mut out =
         String::from("Hedge sweep: p99 sojourn (µs) per duplication plan, policy, and farm size\n");
-    let mut loads: Vec<f64> = Vec::new();
-    for p in points {
-        if !loads.contains(&p.load) {
-            loads.push(p.load);
-        }
-    }
-    let mut blocks: Vec<(&str, usize)> = Vec::new();
-    for p in points {
-        if !blocks.contains(&(p.policy.as_str(), p.servers)) {
-            blocks.push((&p.policy, p.servers));
-        }
-    }
-    for (policy, servers) in blocks {
+    let loads = distinct(points.iter().map(|p| p.load));
+    let head = (
+        format!("{:<14}", "plan"),
+        format!(" {:>9} {:>9}", "+util", "Δp99/+1%u"),
+    );
+    for ((policy, servers), block) in group_by(points.iter(), |p| (p.policy.as_str(), p.servers)) {
         let _ = writeln!(out, "\n{policy} × {servers} servers");
-        let _ = write!(out, "{:<14}", "plan");
-        for l in &loads {
-            let _ = write!(out, " {:>9}", format!("p99@{:.0}%", l * 100.0));
-        }
-        let _ = writeln!(out, " {:>9} {:>9}", "+util", "Δp99/+1%u");
-        let block: Vec<&HedgeSweepPoint> = points
-            .iter()
-            .filter(|p| p.policy == policy && p.servers == servers)
-            .collect();
-        let mut plans: Vec<&str> = Vec::new();
-        for p in &block {
-            if !plans.contains(&p.plan.as_str()) {
-                plans.push(&p.plan);
-            }
-        }
         // The frontier is evaluated at the highest load where *every* plan
         // in the block is stable, so the added-load comparison is paired.
         let frontier_load = loads
@@ -434,39 +374,27 @@ pub fn render_hedge_sweep(points: &[HedgeSweepPoint]) -> String {
                 .find(|p| p.load == l && p.plan == "none")
                 .map(|p| p.p99_us)
         });
-        for plan in plans {
-            let rows: Vec<&&HedgeSweepPoint> = block.iter().filter(|p| p.plan == plan).collect();
-            let _ = write!(out, "{plan:<14}");
-            for l in &loads {
-                let v = rows
-                    .iter()
-                    .find(|p| p.load == *l)
-                    .map_or(f64::NAN, |p| p.p99_us);
-                let _ = write!(out, " {:>9}", norm(v));
-            }
-            let at_frontier =
-                frontier_load.and_then(|l| rows.iter().find(|p| p.load == l).copied());
-            match at_frontier {
-                Some(p) => {
-                    let _ = write!(out, " {:>9.4}", p.added_utilization);
-                    match baseline {
-                        Some(base) if p.added_utilization > 0.0 => {
-                            let _ = writeln!(
-                                out,
-                                " {:>9.3}",
-                                (base - p.p99_us) / (p.added_utilization * 100.0)
-                            );
-                        }
-                        _ => {
-                            let _ = writeln!(out, " {:>9}", "-");
-                        }
-                    }
-                }
-                None => {
-                    let _ = writeln!(out, " {:>9} {:>9}", "sat", "sat");
-                }
-            }
-        }
+        let rows = group_by(block.into_iter(), |p| p.plan.as_str())
+            .into_iter()
+            .map(|(plan, row)| {
+                let tail = match frontier_load.and_then(|l| row.iter().find(|p| p.load == l)) {
+                    Some(p) => match baseline {
+                        Some(base) if p.added_utilization > 0.0 => format!(
+                            " {:>9.4} {:>9.3}",
+                            p.added_utilization,
+                            (base - p.p99_us) / (p.added_utilization * 100.0)
+                        ),
+                        _ => format!(" {:>9.4} {:>9}", p.added_utilization, "-"),
+                    },
+                    None => format!(" {:>9} {:>9}", "sat", "sat"),
+                };
+                (
+                    format!("{plan:<14}"),
+                    row.iter().map(|p| (p.load, p.p99_us)).collect(),
+                    tail,
+                )
+            });
+        write_p99_block(&mut out, &loads, &head, rows);
     }
     out
 }
