@@ -5,8 +5,13 @@
 //!        [--trace FILE] [--metrics FILE] [--timeseries FILE] [--fig1a]
 //!        [--fig1b] [--fig1c] [--fig2a] [--fig2b] [--table1] [--table2]
 //!        [--fig5] [--fig6] [--faults] [--cluster] [--hedge] [--rack]
-//!        [--all]
+//!        [--extensions] [--power] [--all]
 //! ```
+//!
+//! An unknown flag, a flag missing its value, or a `--seed`/`--threads`
+//! value that does not parse exits with status 2 before anything runs. A
+//! failed artifact write is reported on stderr; the run goes on and then
+//! exits with status 1.
 //!
 //! With no figure flags (or `--all`), everything is regenerated. `--quick`
 //! reduces simulation horizons for a faster pass. `--json DIR` additionally
@@ -41,22 +46,41 @@ use duplexity::experiments::{
 };
 use duplexity::report as render;
 use duplexity::{digest_of_digests, CellCache};
-use duplexity_bench::Fidelity;
+use duplexity_bench::{Fidelity, Flags};
 use duplexity_obs::{manifest_path, RunManifest};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// The figure flags, each selecting one artifact.
+const FIGURES: [&str; 15] = [
+    "--fig1a",
+    "--fig1b",
+    "--fig1c",
+    "--fig2a",
+    "--fig2b",
+    "--table1",
+    "--table2",
+    "--fig5",
+    "--fig6",
+    "--faults",
+    "--cluster",
+    "--hedge",
+    "--rack",
+    "--extensions",
+    "--power",
+];
+
+/// Set when an artifact write fails: the run goes on, then exits with
+/// status 1.
+static WRITE_FAILED: AtomicBool = AtomicBool::new(false);
 
 /// Writes `value` as pretty JSON to `dir/name.json` when exporting, plus
 /// the run manifest beside it.
 fn export<T: serde::Serialize>(dir: Option<&PathBuf>, name: &str, value: &T, base: &RunManifest) {
     let Some(dir) = dir else { return };
     let path = dir.join(format!("{name}.json"));
-    match std::fs::File::create(&path)
-        .map_err(|e| e.to_string())
-        .and_then(|f| serde_json::to_writer_pretty(f, value).map_err(|e| e.to_string()))
-    {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-    }
+    let json = serde_json::to_string_pretty(value).expect("artifacts serialize to JSON");
+    write_artifact(&path, &json);
     export_manifest(&path, name, base);
 }
 
@@ -66,55 +90,60 @@ fn export_manifest(path: &Path, artifact: &str, base: &RunManifest) {
     write_artifact(&manifest_path(path), &manifest.to_json());
 }
 
+/// Writes a deterministic text artifact to `path`.
+fn write_artifact(path: &Path, contents: &str) {
+    match std::fs::write(path, contents) {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("failed to write {}: {e}", path.display());
+            WRITE_FAILED.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Runs one sweep artifact: announces it, prints its table, and exports
+/// its points under `manifest`.
+fn sweep<P: serde::Serialize>(
+    json_dir: Option<&PathBuf>,
+    name: &str,
+    what: &str,
+    manifest: &RunManifest,
+    run: impl FnOnce() -> Vec<P>,
+    render: fn(&[P]) -> String,
+) {
+    eprintln!("running {what}...");
+    let points = run();
+    println!("{}", render(&points));
+    export(json_dir, name, &points, manifest);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42u64);
-    let fidelity = if has("--quick") {
+    let switches = [&FIGURES[..], &["--quick", "--all"]].concat();
+    let valued = [
+        "--seed",
+        "--threads",
+        "--json",
+        "--cache",
+        "--trace",
+        "--metrics",
+        "--timeseries",
+    ];
+    let flags = Flags::from_env(&switches, &valued);
+    let seed = flags.parsed("--seed", 42u64);
+    let threads = flags.parsed("--threads", 0usize);
+    let fidelity = if flags.has("--quick") {
         Fidelity::Quick
     } else {
         Fidelity::Full
     };
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0usize);
-    let json_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let trace_path: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let metrics_path: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--metrics")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let timeseries_path: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--timeseries")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let cache_flag = args
-        .iter()
-        .position(|a| a == "--cache")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
-    let cache = CellCache::resolve(cache_flag);
+    let path = |flag| flags.value(flag).map(PathBuf::from);
+    let (trace_path, metrics_path, timeseries_path) =
+        (path("--trace"), path("--metrics"), path("--timeseries"));
+    let cache = CellCache::resolve(flags.value("--cache"));
     if let Some(c) = &cache {
         eprintln!("cell cache: {}", c.dir().display());
     }
+    let json_dir = path("--json");
     if let Some(dir) = &json_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {}: {e}", dir.display());
@@ -122,28 +151,11 @@ fn main() {
         }
     }
     let json_dir = json_dir.as_ref();
-    let figure_flags = [
-        "--fig1a",
-        "--fig1b",
-        "--fig1c",
-        "--fig2a",
-        "--fig2b",
-        "--table1",
-        "--table2",
-        "--fig5",
-        "--fig6",
-        "--faults",
-        "--cluster",
-        "--hedge",
-        "--rack",
-        "--extensions",
-        "--power",
-        // Not a figure, but an artifact selector all the same: asking for
-        // only the timeline must not trigger the run-everything default.
-        "--timeseries",
-    ];
-    let all = has("--all") || !args.iter().any(|a| figure_flags.contains(&a.as_str()));
-    let want = |flag: &str| all || has(flag);
+    // `--timeseries` is not a figure, but an artifact selector all the
+    // same: asking for only the timeline must not run everything.
+    let selected = FIGURES.iter().any(|f| flags.has(f)) || timeseries_path.is_some();
+    let all = flags.has("--all") || !selected;
+    let want = |flag: &str| all || flags.has(flag);
 
     // The base manifest every artifact's sidecar derives from: requested
     // inputs only (never resolved worker counts or wall-clock facts), so
@@ -232,17 +244,15 @@ fn main() {
         opts.workloads = vec![duplexity::Workload::McRouter];
         opts.loads = vec![0.5];
         let cells = fig5::run_fig5(&opts);
-        println!(
-            "{}",
-            render::render_fig5_matrix(
-                &cells,
-                "Extensions: utilization incl. Elfen and Runahead (McRouter @ 50%)",
-                |c| c.utilization
-            )
-        );
-        println!(
-            "{}",
-            render::render_fig5_matrix(&cells, "Extensions: normalized p99", |c| c.p99_norm)
+        print_fig5_panels(
+            &cells,
+            &[
+                (
+                    "Extensions: utilization incl. Elfen and Runahead (McRouter @ 50%)",
+                    |c| c.utilization,
+                ),
+                ("Extensions: normalized p99", |c| c.p99_norm),
+            ],
         );
         export(
             json_dir,
@@ -253,62 +263,58 @@ fn main() {
     }
 
     if want("--faults") {
-        eprintln!("running the fault-policy tail sweep...");
         let mut opts = fidelity.fault_sweep_options(seed);
         opts.threads = threads;
         opts.cache = cache.clone();
-        let points = fault_sweep::fault_sweep(&opts);
-        println!("{}", render::render_fault_sweep(&points));
-        export(
+        sweep(
             json_dir,
             "fault_sweep",
-            &points,
+            "the fault-policy tail sweep",
             &stamp(&fault_sweep::cell_keys(&opts)),
+            || fault_sweep::fault_sweep(&opts),
+            render::render_fault_sweep,
         );
     }
 
     if want("--cluster") {
-        eprintln!("running the cluster balancing sweep...");
         let mut opts = fidelity.cluster_sweep_options(seed);
         opts.threads = threads;
         opts.cache = cache.clone();
-        let points = cluster_sweep::cluster_sweep(&opts);
-        println!("{}", render::render_cluster_sweep(&points));
-        export(
+        sweep(
             json_dir,
             "cluster_sweep",
-            &points,
+            "the cluster balancing sweep",
             &stamp(&cluster_sweep::cell_keys(&opts)),
+            || cluster_sweep::cluster_sweep(&opts),
+            render::render_cluster_sweep,
         );
     }
 
     if want("--hedge") {
-        eprintln!("running the duplication/hedging sweep...");
         let mut opts = fidelity.hedge_sweep_options(seed);
         opts.threads = threads;
         opts.cache = cache.clone();
-        let points = hedge_sweep::hedge_sweep(&opts);
-        println!("{}", render::render_hedge_sweep(&points));
-        export(
+        sweep(
             json_dir,
             "hedge_sweep",
-            &points,
+            "the duplication/hedging sweep",
             &stamp(&hedge_sweep::cell_keys(&opts)),
+            || hedge_sweep::hedge_sweep(&opts),
+            render::render_hedge_sweep,
         );
     }
 
     if want("--rack") {
-        eprintln!("running the two-level rack sweep...");
         let mut opts = fidelity.rack_sweep_options(seed);
         opts.threads = threads;
         opts.cache = cache.clone();
-        let points = rack_sweep::rack_sweep(&opts);
-        println!("{}", render::render_rack_sweep(&points));
-        export(
+        sweep(
             json_dir,
             "rack_sweep",
-            &points,
+            "the two-level rack sweep",
             &stamp(&rack_sweep::cell_keys(&opts)),
+            || rack_sweep::rack_sweep(&opts),
+            render::render_rack_sweep,
         );
     }
 
@@ -340,35 +346,20 @@ fn main() {
             export_manifest(path, "metrics", &manifest);
         }
         let cells = run.cells;
-        println!(
-            "{}",
-            render::render_fig5_matrix(&cells, "Fig 5(a): core utilization", |c| c.utilization)
-        );
-        println!(
-            "{}",
-            render::render_fig5_matrix(&cells, "Fig 5(b): normalized performance density", |c| {
-                c.perf_density_norm
-            })
-        );
-        println!(
-            "{}",
-            render::render_fig5_matrix(&cells, "Fig 5(c): normalized energy", |c| c.energy_norm)
-        );
-        println!(
-            "{}",
-            render::render_fig5_matrix(&cells, "Fig 5(d): normalized p99 latency", |c| c.p99_norm)
-        );
-        println!(
-            "{}",
-            render::render_fig5_matrix(
-                &cells,
-                "Fig 5(e): normalized iso-throughput p99 latency",
-                |c| c.iso_p99_norm
-            )
-        );
-        println!(
-            "{}",
-            render::render_fig5_matrix(&cells, "Fig 5(f): normalized batch STP", |c| c.stp_norm)
+        print_fig5_panels(
+            &cells,
+            &[
+                ("Fig 5(a): core utilization", |c| c.utilization),
+                ("Fig 5(b): normalized performance density", |c| {
+                    c.perf_density_norm
+                }),
+                ("Fig 5(c): normalized energy", |c| c.energy_norm),
+                ("Fig 5(d): normalized p99 latency", |c| c.p99_norm),
+                ("Fig 5(e): normalized iso-throughput p99 latency", |c| {
+                    c.iso_p99_norm
+                }),
+                ("Fig 5(f): normalized batch STP", |c| c.stp_norm),
+            ],
         );
         summarize_headlines(&cells);
         // fig6 is a pure function of the fig5 cells, so both artifacts
@@ -388,13 +379,18 @@ fn main() {
     if let Some(c) = &cache {
         eprintln!("{}", c.summary());
     }
+    if WRITE_FAILED.load(Ordering::Relaxed) {
+        std::process::exit(1);
+    }
 }
 
-/// Writes a deterministic text artifact (trace / metrics JSON) to `path`.
-fn write_artifact(path: &PathBuf, contents: &str) {
-    match std::fs::write(path, contents) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
+/// One Figure 5 cell metric, as a matrix panel renders it.
+type Metric = fn(&fig5::Fig5Cell) -> f64;
+
+/// Prints one Figure 5 matrix per `(label, metric)` panel.
+fn print_fig5_panels(cells: &[fig5::Fig5Cell], panels: &[(&str, Metric)]) {
+    for (label, metric) in panels {
+        println!("{}", render::render_fig5_matrix(cells, label, metric));
     }
 }
 
