@@ -2,7 +2,9 @@
 //! keys, so a refactor of the presets that moves any digested option (a
 //! grid axis, a horizon, the request queue) fails here by driver and
 //! fidelity. The keys digest every option that changes a cell's result,
-//! and the digest-of-digests also covers grid membership and order.
+//! and the digest-of-digests also covers grid membership and order. The
+//! Bench hedge and rack grids must also exercise duplication and work
+//! stealing, not just plain dispatch.
 
 use duplexity::digest_of_digests;
 use duplexity::experiments::{cluster_sweep, fault_sweep, fig5, hedge_sweep, rack_sweep, timeline};
@@ -101,5 +103,19 @@ fn preset_horizons_are_pinned() {
             (2_500_000, 800_000),
             (6_000_000, 2_000_000)
         ]
+    );
+}
+
+#[test]
+fn bench_hedge_and_rack_grids_issue_copies_and_steals() {
+    let hedge = hedge_sweep::hedge_sweep(&Fidelity::Bench.hedge_sweep_options(SEED));
+    let rack = rack_sweep::rack_sweep(&Fidelity::Bench.rack_sweep_options(SEED));
+    assert!(
+        hedge.iter().map(|p| p.dup_copies).sum::<u64>() > 0,
+        "the Bench hedge grid issued no duplicate copies"
+    );
+    assert!(
+        rack.iter().map(|p| p.steals).sum::<u64>() > 0,
+        "the Bench rack grid made no steals"
     );
 }

@@ -16,6 +16,10 @@
 //!   at equal cost (§VII);
 //! * **(f)** batch-thread system throughput STP = Σᵢ IPCᵢ(shared) /
 //!   IPCᵢ(alone) \[123\], normalized.
+//!
+//! Each cell drives an open-loop master-core, so every load must lie in
+//! `(0, 1)`. [`run_fig5`] checks the loads on the calling thread before
+//! any pool phase, as the grid runner does for the sweeps.
 
 use super::grid::{saturated_service_us, scaled_service, slowdown};
 use crate::cellcache::{miss_indices, CellCache, CellKey, Digest, PayloadReader, PayloadWriter};
@@ -299,7 +303,9 @@ pub struct Fig5Run {
 /// # Panics
 ///
 /// Panics if the options omit [`Design::Baseline`] (the normalization
-/// reference) or contain no loads/workloads.
+/// reference), contain no loads/workloads, or hold a load outside `(0, 1)`
+/// — NaN included. These checks run on the calling thread, before the
+/// lender reference, calibration or any cell.
 #[must_use]
 pub fn run_fig5(opts: &Fig5Options) -> Vec<Fig5Cell> {
     run_fig5_traced(opts, None).cells
@@ -326,6 +332,9 @@ pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5R
         !opts.loads.is_empty() && !opts.workloads.is_empty(),
         "empty grid"
     );
+    if let Some(load) = opts.loads.iter().find(|&&l| !(l > 0.0 && l < 1.0)) {
+        panic!("fig5: load {load} is not in (0, 1)");
+    }
 
     let pool = ExecPool::new(opts.threads);
 

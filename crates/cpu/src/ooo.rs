@@ -16,7 +16,7 @@
 
 use crate::memsys::MemSys;
 use crate::metrics::EngineStats;
-use crate::op::{Fetched, InstructionStream, MicroOp, Op, NO_REG};
+use crate::op::{Fetched, InstructionStream, MicroOp, Op, NO_REG, REG_FILE_SIZE};
 use duplexity_obs::{RemoteKind, ThreadTag, TraceEvent, Tracer};
 use duplexity_stats::rng::SimRng;
 use duplexity_uarch::branch::{BranchPredictor, Btb, PredictorKind};
@@ -83,7 +83,7 @@ struct ThreadCtx {
     rob: VecDeque<Entry>,
     base_seq: u64,
     next_seq: u64,
-    scoreboard: [Option<u64>; 32],
+    scoreboard: [Option<u64>; REG_FILE_SIZE],
     pending: Option<MicroOp>,
     fetch_blocked_until: u64,
     awaiting_branch: bool,
@@ -114,7 +114,7 @@ impl ThreadCtx {
             rob: VecDeque::with_capacity(rob_capacity),
             base_seq: 0,
             next_seq: 0,
-            scoreboard: [None; 32],
+            scoreboard: [None; REG_FILE_SIZE],
             pending: None,
             fetch_blocked_until: 0,
             awaiting_branch: false,
@@ -178,7 +178,7 @@ pub struct OooEngine {
     runahead: bool,
     runahead_until: u64,
     runahead_replay: VecDeque<MicroOp>,
-    runahead_poisoned: [bool; 32],
+    runahead_poisoned: [bool; REG_FILE_SIZE],
     threads: Vec<ThreadCtx>,
     predictor: Box<dyn BranchPredictor>,
     btb: Btb,
@@ -211,7 +211,7 @@ impl OooEngine {
             runahead: false,
             runahead_until: 0,
             runahead_replay: VecDeque::new(),
-            runahead_poisoned: [false; 32],
+            runahead_poisoned: [false; REG_FILE_SIZE],
             threads: Vec::new(),
             predictor: PredictorKind::Tournament16k.build(),
             btb: Btb::table1(),
@@ -841,7 +841,7 @@ impl OooEngine {
                 return; // not worth entering for sub-100ns stalls
             }
             self.runahead_until = resume;
-            self.runahead_poisoned = [false; 32];
+            self.runahead_poisoned = [false; REG_FILE_SIZE];
             // Poison the destinations of the outstanding remote loads: real
             // runahead cannot prefetch through the missing data.
             if let Some(t) = self.threads.first() {

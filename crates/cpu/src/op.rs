@@ -12,6 +12,11 @@ use serde::{Deserialize, Serialize};
 /// Number of architectural general-purpose registers per thread (x86-64: 16).
 pub const ARCH_REGS: usize = 16;
 
+/// Entries in each engine's per-thread register table (readiness,
+/// scoreboard, runahead poison). A micro-op's register byte indexes it
+/// directly, so a valid byte is below this bound or [`NO_REG`].
+pub(crate) const REG_FILE_SIZE: usize = 32;
+
 /// The operation performed by one micro-op.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Op {

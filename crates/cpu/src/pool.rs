@@ -6,7 +6,7 @@
 //! head context is loaded. Master-cores borrow from the *head* of the same
 //! queue, which is what prevents filler contexts from starving (§III-C).
 
-use crate::op::InstructionStream;
+use crate::op::{InstructionStream, REG_FILE_SIZE};
 use std::collections::VecDeque;
 
 /// One latency-insensitive batch thread's architectural state.
@@ -17,7 +17,7 @@ pub struct VirtualContext {
     pub stream: Box<dyn InstructionStream>,
     /// Per-architectural-register readiness (completion cycle of the last
     /// writer); carried across swaps.
-    pub reg_ready: [u64; 32],
+    pub reg_ready: [u64; REG_FILE_SIZE],
 }
 
 impl std::fmt::Debug for VirtualContext {
@@ -35,7 +35,7 @@ impl VirtualContext {
         Self {
             id,
             stream,
-            reg_ready: [0; 32],
+            reg_ready: [0; REG_FILE_SIZE],
         }
     }
 }

@@ -11,7 +11,7 @@
 //! tag, fixed-width fields), independent of `serde`, so traces are stable
 //! across library versions and cheap to stream.
 
-use crate::op::{Fetched, InstructionStream, LoopedTrace, MicroOp, Op, NO_REG};
+use crate::op::{Fetched, InstructionStream, LoopedTrace, MicroOp, Op, NO_REG, REG_FILE_SIZE};
 use duplexity_stats::rng::SimRng;
 use std::io::{self, Read, Write};
 
@@ -102,23 +102,23 @@ impl Trace {
     /// # Errors
     ///
     /// Returns an error on I/O failure, bad magic, unsupported version, or a
-    /// malformed record.
+    /// malformed record. A record is malformed, with
+    /// [`io::ErrorKind::InvalidData`], if a register byte is neither
+    /// [`NO_REG`] nor below 32 (the engines' register tables), or a remote
+    /// latency is NaN, infinite or negative: the engines cannot replay it.
     pub fn read_from<R: Read>(mut r: R) -> io::Result<Self> {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if magic != TRACE_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a Duplexity trace",
-            ));
+            return Err(invalid_data("not a Duplexity trace".into()));
         }
         let mut version = [0u8; 1];
         r.read_exact(&mut version)?;
         if version[0] != TRACE_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unsupported trace version {}", version[0]),
-            ));
+            return Err(invalid_data(format!(
+                "unsupported trace version {}",
+                version[0]
+            )));
         }
         let mut len = [0u8; 8];
         r.read_exact(&mut len)?;
@@ -129,6 +129,10 @@ impl Trace {
         }
         Ok(Self { ops })
     }
+}
+
+fn invalid_data(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 const TAG_INT_ALU: u8 = 0;
@@ -177,6 +181,14 @@ fn decode_op<R: Read>(r: &mut R) -> io::Result<MicroOp> {
     r.read_exact(&mut pc)?;
     let mut payload = [0u8; 8];
     r.read_exact(&mut payload)?;
+    if let Some(reg) = head[1..]
+        .iter()
+        .find(|&&r| r != NO_REG && usize::from(r) >= REG_FILE_SIZE)
+    {
+        return Err(invalid_data(format!(
+            "register {reg} is outside the {REG_FILE_SIZE}-entry register file"
+        )));
+    }
     let pc = u64::from_le_bytes(pc);
     let payload = u64::from_le_bytes(payload);
     let op = match head[0] {
@@ -193,15 +205,16 @@ fn decode_op<R: Read>(r: &mut R) -> io::Result<MicroOp> {
             taken: false,
             target: payload,
         },
-        TAG_REMOTE => Op::RemoteLoad {
-            latency_us: f64::from_bits(payload),
-        },
-        t => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad op tag {t}"),
-            ))
+        TAG_REMOTE => {
+            let latency_us = f64::from_bits(payload);
+            if !(latency_us.is_finite() && latency_us >= 0.0) {
+                return Err(invalid_data(format!(
+                    "remote latency {latency_us} is not a finite non-negative µs count"
+                )));
+            }
+            Op::RemoteLoad { latency_us }
         }
+        t => return Err(invalid_data(format!("bad op tag {t}"))),
     };
     let mut flag = [0u8; 1];
     r.read_exact(&mut flag)?;
@@ -329,6 +342,57 @@ mod tests {
             engine.step(now, &mut mem, &mut rng);
         }
         assert!(engine.stats().retired_primary > 1_000);
+    }
+
+    /// Decoding a one-op trace of `op` fails with `InvalidData`.
+    fn assert_rejected(op: MicroOp) {
+        let mut buf = Vec::new();
+        Trace::from_ops(vec![op]).write_to(&mut buf).unwrap();
+        let err = Trace::read_from(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    fn remote(latency_us: f64) -> MicroOp {
+        MicroOp::new(0x54, Op::RemoteLoad { latency_us }).with_dst(5)
+    }
+
+    #[test]
+    fn rejects_a_source_register_outside_the_register_file() {
+        assert_rejected(MicroOp::new(0x40, Op::IntAlu).with_srcs(1, 40));
+    }
+
+    #[test]
+    fn rejects_a_destination_register_outside_the_register_file() {
+        assert_rejected(MicroOp::new(0x40, Op::IntAlu).with_dst(200));
+    }
+
+    #[test]
+    fn rejects_an_infinite_remote_latency() {
+        assert_rejected(remote(f64::INFINITY));
+    }
+
+    #[test]
+    fn rejects_a_nan_remote_latency() {
+        assert_rejected(remote(f64::NAN));
+    }
+
+    #[test]
+    fn rejects_a_negative_remote_latency() {
+        assert_rejected(remote(-1.5));
+    }
+
+    #[test]
+    fn accepts_the_last_register_and_a_zero_latency() {
+        let last = (REG_FILE_SIZE - 1) as u8;
+        let trace = Trace::from_ops(vec![
+            MicroOp::new(0x40, Op::IntAlu)
+                .with_srcs(last, NO_REG)
+                .with_dst(last),
+            remote(0.0),
+        ]);
+        let mut buf = Vec::new();
+        trace.write_to(&mut buf).unwrap();
+        assert_eq!(Trace::read_from(buf.as_slice()).unwrap(), trace);
     }
 
     #[test]

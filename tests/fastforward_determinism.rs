@@ -13,7 +13,8 @@
 //! 3. **Artifacts** — with tracing enabled, the exported Chrome JSON and
 //!    metrics-registry JSON must be byte-identical across steppings.
 //! 4. **Grid** — a fast-forwarded Figure 5 grid matches the naive grid
-//!    cell-for-cell at 1 and 8 workers.
+//!    cell-for-cell at 1 and 8 workers, from the idle-heavy load 0.1 up
+//!    to 0.6.
 
 use duplexity::experiments::fig5::{run_fig5, run_fig5_traced, Fig5Options, TraceConfig};
 use duplexity::{chrome_trace_json, Design, Workload};
@@ -146,7 +147,7 @@ fn dyad_run_matches_run_naive_for_every_config() {
 
 fn tiny_grid(threads: usize, stepping: Stepping) -> Fig5Options {
     Fig5Options {
-        loads: vec![0.3, 0.6],
+        loads: vec![0.1, 0.3, 0.6],
         workloads: vec![Workload::McRouter],
         designs: vec![Design::Baseline, Design::Duplexity],
         horizon_cycles: 500_000,

@@ -1,4 +1,4 @@
-//! Input checks of the sweep drivers.
+//! Input checks of the sweep drivers and Figure 5.
 //!
 //! Every grid-runner-backed driver checks its grid once, before any
 //! calibration or cell runs: an offered load of zero, below zero, or NaN
@@ -13,14 +13,20 @@
 //! and a rack plan with zero dispatchers or tenants, a negative or NaN
 //! staleness, or a NaN tenant skew, panic on the calling thread naming the
 //! driver, instead of inside a pool worker.
+//!
+//! Figure 5 checks its loads up front too, before the lender reference and
+//! calibration. Its cycle cells simulate an open-loop master-core, so every
+//! load must lie in `(0, 1)`: 0, 1, NaN and `+inf` each panic with
+//! `fig5: load <l> is not in (0, 1)`.
 
 use duplexity::experiments::cluster_sweep::{cluster_sweep, ClusterSweepOptions};
 use duplexity::experiments::fault_sweep::{fault_sweep, FaultSweepOptions};
+use duplexity::experiments::fig5::{run_fig5, Fig5Options};
 use duplexity::experiments::hedge_sweep::{hedge_sweep, HedgeSweepOptions};
 use duplexity::experiments::rack_sweep::{rack_sweep, RackSweepOptions};
 use duplexity::experiments::sweep::{latency_load_sweep, SweepOptions};
 use duplexity::experiments::timeline::{timeline, TimelineOptions};
-use duplexity::{BalancerPolicy, Design, DuplicationPolicy, RackPlan};
+use duplexity::{BalancerPolicy, Design, DuplicationPolicy, RackPlan, Workload};
 use duplexity_queueing::des::Mg1Options;
 
 fn queue() -> Mg1Options {
@@ -91,6 +97,18 @@ fn rack_opts(loads: Vec<f64>) -> RackSweepOptions {
     }
 }
 
+fn fig5_opts(loads: Vec<f64>) -> Fig5Options {
+    Fig5Options {
+        designs: vec![Design::Baseline],
+        workloads: vec![Workload::McRouter],
+        loads,
+        horizon_cycles: 100_000,
+        queue: queue(),
+        threads: 2,
+        ..Fig5Options::default()
+    }
+}
+
 fn timeline_opts(loads: Vec<f64>) -> TimelineOptions {
     TimelineOptions {
         servers: 4,
@@ -135,6 +153,24 @@ fn rack_sweep_rejects_a_nan_load() {
 #[should_panic(expected = "timeline: load -0.3 is not a positive offered load")]
 fn timeline_rejects_a_negative_load() {
     let _ = timeline(&timeline_opts(vec![0.3, -0.3]));
+}
+
+#[test]
+#[should_panic(expected = "fig5: load 0 is not in (0, 1)")]
+fn fig5_rejects_a_zero_load() {
+    let _ = run_fig5(&fig5_opts(vec![0.5, 0.0]));
+}
+
+#[test]
+#[should_panic(expected = "fig5: load 1 is not in (0, 1)")]
+fn fig5_rejects_a_load_of_one() {
+    let _ = run_fig5(&fig5_opts(vec![0.5, 1.0]));
+}
+
+#[test]
+#[should_panic(expected = "fig5: load NaN is not in (0, 1)")]
+fn fig5_rejects_a_nan_load() {
+    let _ = run_fig5(&fig5_opts(vec![0.5, f64::NAN]));
 }
 
 #[test]
