@@ -41,8 +41,8 @@ use duplexity::{CellCache, Design, Workload};
 use duplexity_bench::{Fidelity, Flags};
 use duplexity_obs::{manifest_path, RunManifest, Tracer};
 use duplexity_queueing::cluster::{
-    try_simulate_cluster, try_simulate_cluster_hedged, BalancerPolicy, ClusterEngine,
-    ClusterOptions, DuplicationPolicy,
+    try_simulate_cluster, try_simulate_cluster_hedged, BalancerPolicy, ClusterOptions,
+    DuplicationPolicy,
 };
 use duplexity_queueing::des::Mg1Options;
 use duplexity_queueing::eventcore::EventQueueKind;
@@ -220,24 +220,21 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (value, t.elapsed().as_secs_f64())
 }
 
-/// One engine over the benchmark cell.
+/// One engine over the benchmark cell: the event engine on `queue`, or
+/// the Lindley loop when `queue` is `None`.
 fn engine_run<'a>(
     cell: EngineCell,
     label: &'static str,
-    engine: ClusterEngine,
+    queue: Option<EventQueueKind>,
     plan: &'a DuplicationPolicy,
 ) -> EngineRun<'a> {
-    let kind = match engine {
-        ClusterEngine::Event(kind) => kind,
-        ClusterEngine::Lindley => EventQueueKind::default(),
-    };
-    let (lambda, opts) = cell.setup(kind);
+    let (lambda, opts) = cell.setup(queue.unwrap_or_default());
     let service = Exponential::new(BENCH_MEAN_SERVICE_US);
     let run = move || {
         let mut svc = |rng: &mut SimRng| service.sample(rng);
         let mut balancer = BalancerPolicy::Jsq.build();
-        let samples = match engine {
-            ClusterEngine::Lindley => {
+        let samples = match queue {
+            None => {
                 try_simulate_cluster(
                     lambda,
                     &mut svc,
@@ -248,7 +245,7 @@ fn engine_run<'a>(
                 .expect("stable bench cell")
                 .samples
             }
-            ClusterEngine::Event(_) => {
+            Some(_) => {
                 try_simulate_cluster_hedged(
                     lambda,
                     &mut svc,
@@ -333,14 +330,11 @@ fn main() {
     };
     let none = DuplicationPolicy::none();
     let hedge_plan = DuplicationPolicy::hedge(10.0);
-    let (heap, wheel) = (
-        ClusterEngine::Event(EventQueueKind::Heap),
-        ClusterEngine::Event(EventQueueKind::Wheel),
-    );
+    let (heap, wheel) = (Some(EventQueueKind::Heap), Some(EventQueueKind::Wheel));
     // The fresh rack runs interleaved with the zero-duplication engines,
     // so its ratio to the event wheel compares like with like.
     let mut cluster_runs = time_interleaved(vec![
-        engine_run(cell, "lindley", ClusterEngine::Lindley, &none),
+        engine_run(cell, "lindley", None, &none),
         engine_run(cell, "event_heap", heap, &none),
         engine_run(cell, "event_wheel", wheel, &none),
         rack_fresh_run(cell),

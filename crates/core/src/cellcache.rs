@@ -58,7 +58,7 @@ use duplexity_cpu::designs::{Design, Stepping};
 use duplexity_net::{FaultPlan, RetryPolicy};
 use duplexity_obs::logx::log_verbose;
 use duplexity_obs::Registry;
-use duplexity_queueing::cluster::{BalancerPolicy, ClusterEngine, DupMode, DuplicationPolicy};
+use duplexity_queueing::cluster::{BalancerPolicy, DupMode, DuplicationPolicy};
 use duplexity_queueing::des::Mg1Options;
 use duplexity_queueing::eventcore::EventQueueKind;
 use duplexity_queueing::rack::{Coordination, RackPlan, StealPolicy};
@@ -739,19 +739,6 @@ impl Digest for EventQueueKind {
     fn digest(&self, w: &mut DigestWriter) {
         w.tag("event_queue_kind");
         w.field_str("name", self.name());
-    }
-}
-
-impl Digest for ClusterEngine {
-    fn digest(&self, w: &mut DigestWriter) {
-        w.tag("cluster_engine");
-        match self {
-            ClusterEngine::Lindley => w.field_str("kind", "lindley"),
-            ClusterEngine::Event(kind) => {
-                w.field_str("kind", "event");
-                w.field("queue", kind);
-            }
-        }
     }
 }
 

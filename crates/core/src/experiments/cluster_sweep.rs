@@ -4,9 +4,10 @@
 //! servers behind a balancer, and RackSched-style results (PAPERS.md) show
 //! the balancing policy moves the microsecond tail as much as the
 //! microarchitecture does. This driver lifts the Figure-5(d) methodology to
-//! that setting: its cell function is one multi-server queueing simulation
-//! per (design, policy, cluster size, load) via [`try_simulate_cluster`],
-//! with each design's service scaled by its calibrated slowdown.
+//! that setting: its cell function is one run of the request-domain event
+//! engine ([`try_simulate_cluster_hedged`] with no duplication) per
+//! (design, policy, cluster size, load), with each design's service scaled
+//! by its calibrated slowdown.
 //!
 //! The crate's grid runner (`experiments/grid.rs`, shared by every sweep)
 //! owns the rest: cells → keys → cache probe → calibration of only the
@@ -24,10 +25,11 @@ use duplexity_cpu::designs::Design;
 use duplexity_net::FaultPlan;
 use duplexity_obs::{log_enabled, log_line, Tracer};
 use duplexity_queueing::cluster::{
-    merge_replications, try_simulate_cluster, try_simulate_cluster_hedged, BalancerPolicy,
-    ClusterEngine, ClusterOptions, DuplicationPolicy, RequestResult,
+    merge_replications, try_simulate_cluster_hedged, BalancerPolicy, ClusterOptions,
+    DuplicationPolicy, RequestResult,
 };
 use duplexity_queueing::des::Mg1Options;
+use duplexity_queueing::eventcore::EventQueueKind;
 use duplexity_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -64,10 +66,6 @@ pub struct ClusterSweepOptions {
     /// `DUPLEXITY_THREADS` / available parallelism (see [`crate::exec`]).
     /// Results are bit-identical for every value.
     pub threads: usize,
-    /// Simulation engine per cell: the event-driven engine on the timing
-    /// wheel (default fast path), on the reference heap, or the legacy
-    /// Lindley loop.
-    pub engine: ClusterEngine,
     /// Independent replications per cell, run *within-cell parallel* on
     /// the pool (flattened into the grid's work list) with per-replication
     /// derived seeds and merged in replication order. `1` (the default)
@@ -102,7 +100,6 @@ impl Default for ClusterSweepOptions {
             },
             fault: FaultPlan::none(),
             threads: 0,
-            engine: ClusterEngine::default(),
             replications: 1,
             cache: None,
         }
@@ -186,6 +183,18 @@ pub fn cluster_sweep(opts: &ClusterSweepOptions) -> Vec<ClusterSweepPoint> {
 /// (design, policy, servers, load).
 type Cell = (Design, BalancerPolicy, usize, f64);
 
+/// The engine every cell runs: the event engine on the wheel, digested in
+/// the encoding existing cache keys hold, so keys stay stable.
+struct WheelEngine;
+
+impl Digest for WheelEngine {
+    fn digest(&self, w: &mut DigestWriter) {
+        w.tag("cluster_engine");
+        w.field_str("kind", "event");
+        w.field("queue", &EventQueueKind::Wheel);
+    }
+}
+
 impl GridSpec for ClusterSweepOptions {
     type Cell = Cell;
     type Run = RequestResult;
@@ -228,7 +237,7 @@ impl GridSpec for ClusterSweepOptions {
         w.field_u64("seed", self.seed);
         w.field("queue", &self.queue);
         w.field("fault", &self.fault);
-        w.field("engine", &self.engine);
+        w.field("engine", &WheelEngine);
         w.field_usize("replications", self.replications.max(1));
     }
 
@@ -261,29 +270,15 @@ impl GridSpec for ClusterSweepOptions {
         // The pre-guard above is a cheap bound; the DES pilot is the
         // authoritative stability check, and its typed Unstable verdict
         // marks the cell saturated instead of killing the sweep.
-        match self.engine {
-            ClusterEngine::Lindley => try_simulate_cluster(
-                lambda,
-                &mut service,
-                balancer.as_mut(),
-                &copts,
-                &Tracer::disabled(),
-            )
-            .ok()
-            .map(RequestResult::from),
-            ClusterEngine::Event(kind) => {
-                copts.event_queue = kind;
-                try_simulate_cluster_hedged(
-                    lambda,
-                    &mut service,
-                    balancer.as_mut(),
-                    &DuplicationPolicy::none(),
-                    &copts,
-                    &Tracer::disabled(),
-                )
-                .ok()
-            }
-        }
+        try_simulate_cluster_hedged(
+            lambda,
+            &mut service,
+            balancer.as_mut(),
+            &DuplicationPolicy::none(),
+            &copts,
+            &Tracer::disabled(),
+        )
+        .ok()
     }
 
     fn merge(&self, parts: Vec<RequestResult>) -> RequestResult {

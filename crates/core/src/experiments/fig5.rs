@@ -62,11 +62,6 @@ pub struct Fig5Options {
     /// available parallelism (see [`crate::exec`]). Results are bit-identical
     /// for every value.
     pub threads: usize,
-    /// Cycle-loop stepping strategy for every cycle simulation in the grid.
-    /// [`Stepping::FastForward`] (the default) is bit-identical to
-    /// [`Stepping::Naive`]; `Naive` exists for differential testing and
-    /// benchmarking.
-    pub stepping: Stepping,
     /// Content-addressed cell cache (default off). Cached cells skip the
     /// calibration, cycle-simulation, and tail passes — a fully warm grid
     /// also skips the lender reference — with results byte-identical to a
@@ -86,7 +81,6 @@ impl Default for Fig5Options {
             queue: Mg1Options::default(),
             fault: FaultPlan::none(),
             threads: 0,
-            stepping: Stepping::FastForward,
             cache: None,
         }
     }
@@ -193,7 +187,7 @@ struct RawCell {
 /// A cell's payload covers its cycle-level measurements *and* its tail
 /// tuple; the deterministic normalization post-pass is recomputed on
 /// every run, so the key digests everything upstream of it — grid
-/// coordinates, horizons, seed, queueing controls, fault plan, stepping.
+/// coordinates, horizons, seed, queueing controls, fault plan.
 #[must_use]
 pub fn cell_keys(opts: &Fig5Options) -> Vec<CellKey> {
     let mut keys = Vec::new();
@@ -208,7 +202,8 @@ pub fn cell_keys(opts: &Fig5Options) -> Vec<CellKey> {
                     w.field_u64("seed", opts.seed);
                     w.field("queue", &opts.queue);
                     w.field("fault", &opts.fault);
-                    opts.stepping.digest(w);
+                    // Cells fast-forward; digested so keys stay stable.
+                    Stepping::FastForward.digest(w);
                 }));
             }
         }
@@ -399,7 +394,6 @@ pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5R
             workload,
             opts.horizon_cycles / 3,
             derive_stream(opts.seed, 0x5A7),
-            opts.stepping,
         )
     });
     let service_of = |workload: Workload, design: Design| -> Option<f64> {
@@ -436,7 +430,6 @@ pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5R
             .load(load)
             .horizon_cycles(opts.horizon_cycles)
             .seed(opts.seed)
-            .stepping(opts.stepping)
             .run_traced(&tracer);
         let lender_ref = lender_ref.as_ref().expect("computed when any cell misses");
         let mut cell = build_raw(design, workload, load, metrics, lender_ref);
@@ -718,7 +711,6 @@ mod tests {
             },
             fault: FaultPlan::none(),
             threads: 0,
-            stepping: Stepping::FastForward,
             cache: None,
         }
     }

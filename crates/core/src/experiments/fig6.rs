@@ -1,9 +1,8 @@
 //! Figure 6: interconnect (NIC IOPS) utilization per dyad (§VIII).
 
-use super::fig5::{run_fig5, Fig5Cell, Fig5Options};
+use super::fig5::Fig5Cell;
 use duplexity_cpu::designs::Design;
 use duplexity_net::NicModel;
-use duplexity_obs::{log_enabled, log_line};
 use duplexity_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -40,27 +39,6 @@ pub fn fig6(cells: &[Fig5Cell]) -> Vec<Fig6Cell> {
             }
         })
         .collect()
-}
-
-/// Runs the Figure 5 grid (on the parallel engine configured by
-/// `opts.threads`) and derives Figure 6 from it in one call.
-///
-/// # Panics
-///
-/// Propagates [`run_fig5`]'s panics (missing baseline, empty grid).
-#[must_use]
-pub fn run_fig6(opts: &Fig5Options) -> Vec<Fig6Cell> {
-    let cells = fig6(&run_fig5(opts));
-    if log_enabled() {
-        let worst = cells.iter().map(|c| c.nic_utilization).fold(0.0, f64::max);
-        log_line(&format!(
-            "fig6: {} cells, worst NIC utilization {:.3}, {} dyads/port",
-            cells.len(),
-            worst,
-            dyads_per_port(&cells),
-        ));
-    }
-    cells
 }
 
 /// The §VIII headline: how many dyads of the *worst-case* cell can share one

@@ -32,7 +32,7 @@
 use crate::cellcache::{assemble, miss_indices, CellCache, CellKey, DigestWriter};
 use crate::exec::ExecPool;
 use crate::server::ServerSim;
-use duplexity_cpu::designs::{Design, Stepping};
+use duplexity_cpu::designs::Design;
 use duplexity_net::{EventKind, FaultPlan};
 use duplexity_stats::rng::{derive_stream, SimRng};
 use duplexity_workloads::service::ServiceModel;
@@ -56,13 +56,11 @@ pub(crate) fn saturated_service_us(
     workload: Workload,
     horizon_cycles: u64,
     seed: u64,
-    stepping: Stepping,
 ) -> Option<f64> {
     let m = ServerSim::new(design, workload)
         .saturated()
         .horizon_cycles(horizon_cycles)
         .seed(seed)
-        .stepping(stepping)
         .run();
     if m.request_latencies_us.len() < 10 {
         return None;
@@ -244,13 +242,7 @@ pub(crate) fn run<S: GridSpec>(spec: &S) -> Vec<S::Point> {
             .collect();
         let calibrated = pool.run(&format!("{name}/calibrate"), needed.len(), |j| {
             let seed = derive_stream(g.seed, 0x53E9);
-            saturated_service_us(
-                designs[needed[j]],
-                workload,
-                cycles,
-                seed,
-                Stepping::default(),
-            )
+            saturated_service_us(designs[needed[j]], workload, cycles, seed)
         });
         let service = |di| {
             needed

@@ -61,11 +61,6 @@ pub struct HedgeSweepOptions {
     /// available parallelism (see [`crate::exec`]). Results are
     /// bit-identical for every value.
     pub threads: usize,
-    /// Future-event-set implementation for every cell's event engine.
-    /// Heap and wheel are bit-identical under the `(t, kind, seq)`
-    /// total-order contract (see `duplexity_queueing::eventcore`), so this
-    /// is a pure throughput knob; the bench uses it to race the two.
-    pub event_queue: EventQueueKind,
     /// Independent replications per cell, run *within-cell parallel* on
     /// the pool (flattened into the grid's work list, as for every sweep)
     /// with per-replication derived seeds and merged in replication order via
@@ -105,7 +100,6 @@ impl Default for HedgeSweepOptions {
                 ..Mg1Options::default()
             },
             threads: 0,
-            event_queue: EventQueueKind::default(),
             replications: 1,
             cache: None,
         }
@@ -239,7 +233,8 @@ impl GridSpec for HedgeSweepOptions {
         w.field_f64("load", load);
         w.field_u64("seed", self.seed);
         w.field("queue", &self.queue);
-        w.field("event_queue", &self.event_queue);
+        // Cells run on the default wheel; digested so keys stay stable.
+        w.field("event_queue", &EventQueueKind::Wheel);
         w.field_usize("replications", self.replications.max(1));
     }
 
@@ -270,7 +265,6 @@ impl GridSpec for HedgeSweepOptions {
             return None;
         }
         let mut copts = ClusterOptions::from_mg1(servers, &self.queue);
-        copts.event_queue = self.event_queue;
         copts.max_samples = samples;
         copts.seed = seed;
         let mut balancer = policy.build();

@@ -30,7 +30,6 @@ use duplexity_queueing::cluster::{
     merge_replications, BalancerPolicy, ClusterOptions, RequestResult,
 };
 use duplexity_queueing::des::Mg1Options;
-use duplexity_queueing::eventcore::EventQueueKind;
 use duplexity_queueing::rack::{try_simulate_rack, RackPlan};
 use duplexity_workloads::Workload;
 use serde::{Deserialize, Serialize};
@@ -62,10 +61,6 @@ pub struct RackSweepOptions {
     /// Worker threads; `0` resolves `DUPLEXITY_THREADS` / available
     /// parallelism. Results are bit-identical for every value.
     pub threads: usize,
-    /// Event queue driving each cell (heap and wheel are bit-identical by
-    /// the eventcore contract, so this is a speed knob, not a digested
-    /// input).
-    pub event_queue: EventQueueKind,
     /// Independent replications per cell, flattened into the pool's work
     /// list and merged in replication order (same contract as the cluster
     /// sweep).
@@ -99,7 +94,6 @@ impl Default for RackSweepOptions {
                 ..Mg1Options::default()
             },
             threads: 0,
-            event_queue: EventQueueKind::default(),
             replications: 1,
             cache: None,
         }
@@ -276,7 +270,6 @@ impl GridSpec for RackSweepOptions {
         }
         let mut copts = ClusterOptions::from_mg1(servers, &self.queue);
         copts.max_samples = samples;
-        copts.event_queue = self.event_queue;
         copts.seed = seed;
         try_simulate_rack(
             lambda,

@@ -36,6 +36,11 @@ const TIMELINE_CELL_STREAM: u64 = 0x7173;
 /// Cluster traces share the DES clock domain: 1000 ticks per simulated µs.
 const TIMELINE_TICKS_PER_US: f64 = 1000.0;
 
+/// Ring capacity for raw trace events. The artifact uses only gauges and
+/// registry counters, which never drop, so a small cap merely bounds
+/// memory.
+const TRACE_CAPACITY: usize = 1 << 10;
+
 /// Configuration for the timeline run: one (policy, plan, cluster size),
 /// several loads, one gauge-bin width.
 #[derive(Debug, Clone)]
@@ -59,12 +64,6 @@ pub struct TimelineOptions {
     /// Worker threads; `0` resolves `DUPLEXITY_THREADS` / available
     /// parallelism. The artifact is bit-identical for every value.
     pub threads: usize,
-    /// Future-event-set implementation for every cell.
-    pub event_queue: EventQueueKind,
-    /// Ring capacity for raw trace events. The timeline artifact uses
-    /// only gauges and registry counters (which never drop), so a small
-    /// cap merely bounds memory.
-    pub trace_capacity: usize,
     /// Optional content-addressed cell cache; `None` (the default) runs
     /// every load cell fresh.
     pub cache: Option<CellCache>,
@@ -85,18 +84,14 @@ impl Default for TimelineOptions {
                 ..Mg1Options::default()
             },
             threads: 0,
-            event_queue: EventQueueKind::default(),
-            trace_capacity: 1 << 10,
             cache: None,
         }
     }
 }
 
-/// Cache keys for every load cell, in grid (load) order. `trace_capacity`
-/// is deliberately excluded: the artifact consumes only gauges and
-/// registry counters, which never drop, so the ring cap cannot perturb a
-/// cached payload. `Mg1Options::seed` is likewise excluded (each cell
-/// overwrites it from the digested experiment seed).
+/// Cache keys for every load cell, in grid (load) order.
+/// `Mg1Options::seed` is excluded (each cell overwrites it from the
+/// digested experiment seed).
 #[must_use]
 pub fn cell_keys(opts: &TimelineOptions) -> Vec<CellKey> {
     grid::keys(opts)
@@ -252,7 +247,8 @@ impl GridSpec for TimelineOptions {
         w.field_f64("bin_us", self.bin_us);
         w.field_u64("seed", self.seed);
         w.field("queue", &self.queue);
-        w.field("event_queue", &self.event_queue);
+        // Cells run on the default wheel; digested so keys stay stable.
+        w.field("event_queue", &EventQueueKind::Wheel);
     }
 
     fn coords(&self, &load: &f64) -> (f64, Option<usize>) {
@@ -271,11 +267,10 @@ impl GridSpec for TimelineOptions {
         if lambda.is_infinite() {
             return None;
         }
-        let tracer = Tracer::enabled(self.trace_capacity, TIMELINE_TICKS_PER_US)
-            .with_timeseries(self.bin_us);
+        let tracer =
+            Tracer::enabled(TRACE_CAPACITY, TIMELINE_TICKS_PER_US).with_timeseries(self.bin_us);
         let mut service = |rng: &mut SimRng| model.sample_compute(rng) + model.sample_stall(rng);
         let mut copts = ClusterOptions::from_mg1(self.servers, &self.queue);
-        copts.event_queue = self.event_queue;
         copts.seed = seed;
         let mut balancer = self.policy.build();
         let result = try_simulate_cluster_hedged(

@@ -379,13 +379,6 @@ impl DyadSim {
         parked
     }
 
-    /// Virtual contexts currently resident in the shared pool (excludes ones
-    /// loaded into physical contexts).
-    #[must_use]
-    pub fn pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
     /// Pins a dedicated filler thread to the master-core's in-order engine
     /// (plain MorphCore only).
     ///
@@ -720,7 +713,7 @@ impl DyadSim {
     fn begin_morph(&mut self, now: u64, hole_end: u64, cause: MorphCause) {
         const MORPH_LOG_CAP: usize = 65_536;
         self.morphs += 1;
-        let until = hole_end + self.cfg.morph_out_cycles;
+        let until = hole_end.saturating_add(self.cfg.morph_out_cycles);
         if self.morph_log.len() < MORPH_LOG_CAP {
             self.morph_log.push(MorphEvent {
                 at: now,

@@ -464,7 +464,8 @@ impl InoEngine {
                         // The fault layer may retry/duplicate/degrade the
                         // remote access (identity without a plan).
                         let eff = mem.remote_stall_us(now, latency_us, rng);
-                        let done = now + (eff * self.cycles_per_us).round().max(1.0) as u64;
+                        let done =
+                            now.saturating_add((eff * self.cycles_per_us).round().max(1.0) as u64);
                         let tag = self.tag;
                         self.tracer.emit(|| TraceEvent::StallBegin {
                             at: now,

@@ -269,23 +269,11 @@ impl OooEngine {
         self.runahead = runahead;
     }
 
-    /// Overrides latency parameters that the engine charges internally.
-    pub fn set_latencies(&mut self, mispredict: u64, l1_hit: u64) {
-        self.mispredict_penalty = mispredict;
-        self.l1_hit = l1_hit;
-    }
-
     /// Adds a hardware thread running `stream`; returns its thread id.
     pub fn add_thread(&mut self, stream: Box<dyn InstructionStream>, class: ThreadClass) -> usize {
         self.threads
             .push(ThreadCtx::new(stream, class, self.cfg.rob_entries));
         self.threads.len() - 1
-    }
-
-    /// Number of hardware threads.
-    #[must_use]
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
     }
 
     /// Accumulated counters.
@@ -663,7 +651,8 @@ impl OooEngine {
                         // The fault layer may retry/duplicate/degrade the
                         // remote access (identity without a plan).
                         let eff = mem.remote_stall_us(now, latency_us, rng);
-                        let done = now + (eff * self.cycles_per_us).round().max(1.0) as u64;
+                        let done =
+                            now.saturating_add((eff * self.cycles_per_us).round().max(1.0) as u64);
                         let tag = if thread_class == ThreadClass::Primary {
                             ThreadTag::Master
                         } else {

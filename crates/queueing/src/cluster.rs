@@ -17,8 +17,7 @@
 //! duplication plan. Apart from trace naming, the loop branches only on
 //! plan values: Δ > 0, steal probes > 0, tenants > 1 and the dup mode.
 //! Both front ends return one [`RequestResult`], and [`merge_replications`]
-//! pools replications of any request cell; a Lindley result joins them
-//! through `RequestResult::from`.
+//! pools replications of any request cell.
 //!
 //! Determinism contract: the arrival/service draws and the balancer's own
 //! randomness come from two *independent* derived streams
@@ -315,44 +314,6 @@ impl ClusterOptions {
             seed: q.seed,
             event_queue: EventQueueKind::default(),
         }
-    }
-}
-
-/// Which simulation engine a zero-duplication cluster cell runs. The two
-/// engines agree to ~1e-9 relative error (absolute-time bookkeeping vs
-/// the incremental Lindley recursion) and make identical dispatch
-/// decisions; the event engine is the fast path, the Lindley loop the
-/// long-standing reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterEngine {
-    /// The legacy arrival-ordered Lindley loop ([`try_simulate_cluster`]).
-    Lindley,
-    /// The event-driven engine ([`try_simulate_cluster_hedged`] with
-    /// [`DuplicationPolicy::none`]) on the given future-event set.
-    Event(EventQueueKind),
-}
-
-impl Default for ClusterEngine {
-    fn default() -> Self {
-        ClusterEngine::Event(EventQueueKind::default())
-    }
-}
-
-impl ClusterEngine {
-    /// Stable snake_case name for reports and JSON.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            ClusterEngine::Lindley => "lindley",
-            ClusterEngine::Event(EventQueueKind::Heap) => "event_heap",
-            ClusterEngine::Event(EventQueueKind::Wheel) => "event_wheel",
-        }
-    }
-}
-
-impl std::fmt::Display for ClusterEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -794,33 +755,6 @@ pub struct RequestResult {
     pub hot_sketch: LatencySketch,
     /// Sojourn sketch of cold-tenant requests (empty with one tenant).
     pub cold_sketch: LatencySketch,
-}
-
-impl From<ClusterResult> for RequestResult {
-    /// A Lindley-loop result ([`try_simulate_cluster`]) as the event engine
-    /// reports a `none` plan on a fresh rack: one copy per request, every
-    /// request hot, nothing duplicated or stolen.
-    fn from(cluster: ClusterResult) -> Self {
-        let requests = cluster.samples as u64;
-        Self {
-            dup: DupTally {
-                requests,
-                copies_issued: requests,
-                completions: requests,
-                ..DupTally::default()
-            },
-            dup_wait: Summary::new(),
-            added_utilization: 0.0,
-            rack: RackTally {
-                requests,
-                hot_requests: requests,
-                ..RackTally::default()
-            },
-            hot_sketch: cluster.sketch.clone(),
-            cold_sketch: LatencySketch::new(),
-            cluster,
-        }
-    }
 }
 
 /// Pools independent replications of one request cell into a single
@@ -2230,18 +2164,16 @@ mod tests {
             warmup: 500,
             ..fast_opts(4, 171)
         };
-        let parts: Vec<ClusterResult> = (0..3)
+        let parts: Vec<RequestResult> = (0..3)
             .map(|rep| {
-                let mut svc = exp_service(1.0);
                 let o = ClusterOptions {
                     seed: opts.seed + rep,
                     ..opts
                 };
-                lindley(2.0, &mut svc, &mut JsqBalancer, &o)
+                hedged(2.0, DuplicationPolicy::none(), BalancerPolicy::Jsq, &o)
             })
             .collect();
-        let total: u64 = parts.iter().map(|p| p.sketch.count()).sum();
-        let parts = parts.into_iter().map(RequestResult::from).collect();
+        let total: u64 = parts.iter().map(|p| p.cluster.sketch.count()).sum();
         let merged = merge_replications(parts, 0.99, 0.95).cluster;
         assert_eq!(merged.sketch.count(), total);
         assert_eq!(merged.sketch.count(), merged.samples as u64);

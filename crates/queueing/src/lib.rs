@@ -55,8 +55,7 @@ pub mod rack;
 pub use closed_loop::{closed_loop_utilization, utilization_surface};
 pub use cluster::{
     merge_replications, try_simulate_cluster, try_simulate_cluster_hedged, BalancerPolicy,
-    ClusterEngine, ClusterOptions, ClusterResult, DupMode, DupTally, DuplicationPolicy,
-    RequestResult,
+    ClusterOptions, ClusterResult, DupMode, DupTally, DuplicationPolicy, RequestResult,
 };
 pub use eventcore::{EventKey, EventQueue, EventQueueKind, HeapEventQueue, WheelEventQueue};
 

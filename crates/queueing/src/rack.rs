@@ -228,14 +228,6 @@ impl RackPlan {
         );
     }
 
-    /// Whether this plan consumes exactly the cluster engine's RNG streams
-    /// and bookkeeping (the bitwise-degeneracy condition): fresh signals,
-    /// no stealing, single tenant.
-    #[must_use]
-    pub fn is_fresh_degenerate(&self) -> bool {
-        self.delta_us <= 0.0 && self.steal.probes == 0 && self.tenants <= 1
-    }
-
     /// Stable label for reports and JSON, e.g. `central`, `central_d4`,
     /// `dist4_d4_z0.99`, `central_st2`.
     #[must_use]

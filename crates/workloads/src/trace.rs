@@ -178,15 +178,6 @@ impl<'a> TraceBuilder<'a> {
         dst
     }
 
-    /// Emits `n` independent FP ops (vectorized arithmetic).
-    pub fn fp_block(&mut self, n: usize) {
-        for _ in 0..n {
-            let pc = self.pc();
-            let dst = self.rot();
-            self.out.push(MicroOp::new(pc, Op::FpAlu).with_dst(dst));
-        }
-    }
-
     /// Emits a load from `addr`; returns the loaded register.
     pub fn load(&mut self, addr: u64) -> u8 {
         let pc = self.pc();

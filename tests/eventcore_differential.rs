@@ -1,6 +1,6 @@
 //! Differential tests for the shared event core: the calendar-queue timing
-//! wheel against the `BinaryHeap` reference, from the raw queue contract up
-//! through whole sweep grids.
+//! wheel against the `BinaryHeap` reference at queue and engine level, and
+//! whole sweep grids at 1 worker against 8.
 //!
 //! The `(t, kind, seq)` total-order contract (see
 //! `duplexity_queueing::eventcore`) promises the two future-event sets pop
@@ -11,13 +11,15 @@
 //! 1. **Queue level** — proptest-generated schedules (continuous times,
 //!    tie-prone discrete times, all event kinds, interleaved pops, random
 //!    wheel geometries) popped through both queues in lockstep.
-//! 2. **Engine level** — one duplication-aware cluster cell run on each
+//! 2. **Engine level** — duplication-aware cluster cells run on each
 //!    queue, comparing every metric bit-for-bit *and* the emitted trace
-//!    event-for-event (the observability ordering contract).
+//!    event-for-event (the observability ordering contract): a few plans
+//!    on an exponential law, and the full default hedge-sweep plan matrix
+//!    on RSC's service law. The drivers run only the wheel, so this is
+//!    where the queue axis is checked.
 //! 3. **Grid level** — all nine design presets through `cluster_sweep` and
-//!    the full default hedge-sweep plan matrix through `hedge_sweep`,
-//!    wheel at 1 worker vs heap at 8 workers, so one comparison covers
-//!    both the engine axis and the worker-count axis.
+//!    the full default hedge-sweep plan matrix through `hedge_sweep`, at 1
+//!    worker vs 8 workers.
 //! 4. **Edge cases** — zero-sample cells, the single-server degenerate
 //!    against the M/G/1 reference simulator, a hedge deadline tied exactly
 //!    with its request's departure (the kind-rank tie-break made visible),
@@ -31,11 +33,11 @@ mod common;
 
 use duplexity::experiments::cluster_sweep::{cluster_sweep, ClusterSweepOptions};
 use duplexity::experiments::hedge_sweep::{hedge_sweep, HedgeSweepOptions};
-use duplexity::{BalancerPolicy, Design};
+use duplexity::{BalancerPolicy, Design, Workload};
 use duplexity_obs::TraceLog;
 use duplexity_obs::Tracer;
 use duplexity_queueing::cluster::{
-    try_simulate_cluster_hedged, ClusterEngine, ClusterOptions, DuplicationPolicy, RequestResult,
+    try_simulate_cluster_hedged, ClusterOptions, DuplicationPolicy, RequestResult,
 };
 use duplexity_queueing::des::{try_simulate_mg1, Mg1Options};
 use duplexity_queueing::eventcore::{EventQueue, EventQueueKind, HeapEventQueue, WheelEventQueue};
@@ -262,7 +264,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Engine level: one cell, both queues, metrics and trace bit-identical.
+// 3. Engine level: cells on both queues, metrics and trace bit-identical.
 // ---------------------------------------------------------------------------
 
 /// Runs one duplication-aware cell on the given future-event set with a
@@ -395,14 +397,48 @@ fn wheel_and_heap_cells_are_bitwise_identical_traces_included() {
     }
 }
 
+/// The hedge sweep's default plan matrix, cell by cell: both default
+/// policies × the six default plans × servers {2, 8} × loads {0.25, 0.4}
+/// on RSC's service law, every event species on both queues. The design
+/// presets only rescale that law, so the `none` rows carry the cluster
+/// sweep's queue axis.
+#[test]
+fn full_hedge_plan_matrix_is_queue_invariant() {
+    let defaults = HedgeSweepOptions::default();
+    let model = Workload::Rsc.service_model();
+    let nominal = Workload::Rsc.nominal_service_us();
+    let mut cells = 0u64;
+    for &policy in &defaults.policies {
+        for plan in &defaults.plans {
+            for servers in [2usize, 8] {
+                for load in [0.25, 0.4] {
+                    let lambda = servers as f64 * load / nominal;
+                    let seed = 0xE0D0 + cells;
+                    let run = |kind| {
+                        let mut svc =
+                            |rng: &mut SimRng| model.sample_compute(rng) + model.sample_stall(rng);
+                        run_cell(kind, plan, policy, servers, lambda, seed, &mut svc)
+                    };
+                    let (heap, wheel) = (run(EventQueueKind::Heap), run(EventQueueKind::Wheel));
+                    assert_eq!(wheel.1.dropped, 0, "the trace must be captured in full");
+                    let what = format!("{policy} {} {servers}s @{load}", plan.label());
+                    assert_cell_bitwise(&heap, &wheel, &what);
+                    cells += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cells, 2 * 6 * 2 * 2);
+}
+
 // ---------------------------------------------------------------------------
 // 4. Grid level: all nine presets and the full hedge plan matrix,
-//    wheel @ 1 worker vs heap @ 8 workers.
+//    1 worker vs 8 workers.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn all_nine_design_presets_are_engine_and_worker_invariant() {
-    let opts = |engine, threads| ClusterSweepOptions {
+fn all_nine_design_presets_are_worker_invariant() {
+    let opts = |threads| ClusterSweepOptions {
         designs: Design::ALL_WITH_EXTENSIONS.to_vec(),
         policies: vec![BalancerPolicy::Jsq],
         server_counts: vec![4],
@@ -414,25 +450,23 @@ fn all_nine_design_presets_are_engine_and_worker_invariant() {
             warmup: 500,
             ..Mg1Options::default()
         },
-        engine,
         threads,
         ..ClusterSweepOptions::default()
     };
-    let wheel = cluster_sweep(&opts(ClusterEngine::Event(EventQueueKind::Wheel), 1));
-    let heap = cluster_sweep(&opts(ClusterEngine::Event(EventQueueKind::Heap), 8));
-    assert_eq!(wheel.len(), 9 * 2);
-    for p in &wheel {
+    let serial = cluster_sweep(&opts(1));
+    let parallel = cluster_sweep(&opts(8));
+    assert_eq!(serial.len(), 9 * 2);
+    for p in &serial {
         assert!(!p.saturated, "unexpected saturation at {p:?}");
     }
-    common::assert_identical_artifacts("nine presets, wheel@1 vs heap@8", &wheel, &heap);
+    common::assert_identical_artifacts("nine presets, 1 vs 8 workers", &serial, &parallel);
 }
 
 #[test]
-fn full_hedge_sweep_grid_is_engine_and_worker_invariant() {
+fn full_hedge_sweep_grid_is_worker_invariant() {
     // The default plan matrix (none, dup2, dup2_np, dup2_lp, hedge20,
-    // hedge20_lp) over both default policies: every event species the
-    // engine can schedule crosses both queues.
-    let opts = |event_queue, threads| HedgeSweepOptions {
+    // hedge20_lp) over both default policies.
+    let opts = |threads| HedgeSweepOptions {
         server_counts: vec![2, 8],
         loads: vec![0.25, 0.4],
         seed: 42,
@@ -441,14 +475,13 @@ fn full_hedge_sweep_grid_is_engine_and_worker_invariant() {
             warmup: 500,
             ..Mg1Options::default()
         },
-        event_queue,
         threads,
         ..HedgeSweepOptions::default()
     };
-    let wheel = hedge_sweep(&opts(EventQueueKind::Wheel, 1));
-    let heap = hedge_sweep(&opts(EventQueueKind::Heap, 8));
-    assert_eq!(wheel.len(), 2 * 6 * 2 * 2);
-    common::assert_identical_artifacts("hedge grid, wheel@1 vs heap@8", &wheel, &heap);
+    let serial = hedge_sweep(&opts(1));
+    let parallel = hedge_sweep(&opts(8));
+    assert_eq!(serial.len(), 2 * 6 * 2 * 2);
+    common::assert_identical_artifacts("hedge grid, 1 vs 8 workers", &serial, &parallel);
 }
 
 // ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ fn faulted_fig5_opts(threads: usize) -> Fig5Options {
             .with_retry(RetryPolicy::new(4, 10.0, 2.0, 16.0))
             .with_slow_replica(0.05, 3.0),
         threads,
-        stepping: duplexity_cpu::designs::Stepping::FastForward,
         cache: None,
     }
 }
