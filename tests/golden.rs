@@ -25,6 +25,8 @@ use duplexity::experiments::cluster_sweep::{
 use duplexity::experiments::fault_sweep::{
     default_policies, fault_sweep, FaultSweepOptions, FaultSweepPoint,
 };
+use duplexity::experiments::fig1::{fig1c, Fig1cPoint};
+use duplexity::experiments::fig2::{fig2a, Fig2aPoint};
 use duplexity::experiments::fig5::{run_fig5, Fig5Cell, Fig5Options};
 use duplexity::experiments::fig6::{dyads_per_port, fig6, Fig6Cell};
 use duplexity::experiments::hedge_sweep::{hedge_sweep, HedgeSweepOptions, HedgeSweepPoint};
@@ -96,6 +98,24 @@ fn fig6_derived_from_small_grid_matches_golden() {
     let f6: Vec<Fig6Cell> = fig6(&golden_fig5_cells());
     assert!(dyads_per_port(&f6) >= 1);
     assert_matches_golden("fig6_small_grid", &f6);
+}
+
+/// Figures 1(c) and 2(a) at four threads and a 20k-cycle horizon. Both
+/// take their worker count from `DUPLEXITY_THREADS`, so CI runs this test
+/// at one and at eight workers against the same fixture.
+#[test]
+fn fig1c_and_fig2a_small_match_golden() {
+    #[derive(Serialize)]
+    struct Smt {
+        fig1c: Vec<Fig1cPoint>,
+        fig2a: Vec<Fig2aPoint>,
+    }
+    let smt = Smt {
+        fig1c: fig1c(4, 20_000, 42),
+        fig2a: fig2a(4, 20_000, 42),
+    };
+    assert_eq!((smt.fig1c.len(), smt.fig2a.len()), (16, 4));
+    assert_matches_golden("smt_small", &smt);
 }
 
 #[test]
