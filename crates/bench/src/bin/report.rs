@@ -17,8 +17,10 @@
 //! reduces simulation horizons for a faster pass. `--json DIR` additionally
 //! writes each artifact as machine-readable JSON into `DIR`. `--threads N`
 //! (default: `DUPLEXITY_THREADS`, then available parallelism) sets the
-//! worker count for the Figure 5/6 grids — the output is bit-identical for
-//! every value, only the wall time changes.
+//! worker count of every pooled experiment: Figures 1(c), 2(a), 5 and 6,
+//! and the sweeps. It does so by setting `DUPLEXITY_THREADS` for the
+//! process, since `fig1c` and `fig2a` take no worker count. The output is
+//! bit-identical for every value; only the wall time changes.
 //!
 //! `--trace FILE` records cycle-domain morph/stall/borrow/fault/request
 //! events during the Figure 5 grid and writes a Chrome `trace_event` JSON
@@ -131,6 +133,10 @@ fn main() {
     let flags = Flags::from_env(&switches, &valued);
     let seed = flags.parsed("--seed", 42u64);
     let threads = flags.parsed("--threads", 0usize);
+    if threads > 0 {
+        // Still single-threaded: no experiment has started a pool yet.
+        std::env::set_var("DUPLEXITY_THREADS", threads.to_string());
+    }
     let fidelity = if flags.has("--quick") {
         Fidelity::Quick
     } else {

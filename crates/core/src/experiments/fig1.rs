@@ -7,6 +7,7 @@
 //! * **1(c)** — throughput vs SMT thread count (1–16) on a 4-wide OoO core
 //!   for FLANN with four compute-to-stall ratios.
 
+use crate::exec::ExecPool;
 use duplexity_cpu::memsys::MemSys;
 use duplexity_cpu::ooo::{FetchPolicy, OooEngine, ThreadClass};
 use duplexity_cpu::request::RequestStream;
@@ -15,7 +16,8 @@ use duplexity_queueing::closed_loop::{utilization_surface, SurfaceCell};
 use duplexity_queueing::idle_period_cdf;
 use duplexity_stats::rng::{derive_stream, rng_from_seed};
 use duplexity_uarch::config::{CoreConfig, LatencyModel, MachineConfig};
-use duplexity_workloads::flann::{FlannConfig, FlannKernel};
+use duplexity_workloads::flann::FlannConfig;
+use duplexity_workloads::SharedInputs;
 use serde::{Deserialize, Serialize};
 
 /// Computes the Figure 1(a) surface (see
@@ -122,42 +124,50 @@ pub struct Fig1cPoint {
 /// Runs the Figure 1(c) thread sweep: saturated FLANN threads on one 4-wide
 /// OoO core, scaling only thread count (plus architectural registers, per
 /// the paper's protocol).
+///
+/// Each (variant, threads) point seeds its own engine and RNG, so the
+/// points run as one [`ExecPool`] phase sized by `DUPLEXITY_THREADS`, with
+/// bit-identical results at any worker count. Thread `t` of every point
+/// searches the index built from `derive_stream(seed, t)`; the points share
+/// one [`SharedInputs`], so each distinct (geometry, seed) index is built
+/// once per call.
 #[must_use]
 pub fn fig1c(max_threads: usize, horizon_cycles: u64, seed: u64) -> Vec<Fig1cPoint> {
     let machine = MachineConfig::baseline();
-    let mut raw: Vec<Fig1cPoint> = Vec::new();
-    for variant in FlannVariant::ALL {
-        for threads in 1..=max_threads {
-            let mut engine = OooEngine::new(
-                CoreConfig::baseline_ooo(),
-                FetchPolicy::Icount,
-                machine.cycles_per_us(),
+    let inputs = SharedInputs::new();
+    let points = FlannVariant::ALL.len() * max_threads;
+    let mut raw = ExecPool::new(0).run("fig1c/points", points, |i| {
+        let variant = FlannVariant::ALL[i / max_threads];
+        let threads = 1 + i % max_threads;
+        let mut engine = OooEngine::new(
+            CoreConfig::baseline_ooo(),
+            FetchPolicy::Icount,
+            machine.cycles_per_us(),
+        );
+        for t in 0..threads {
+            let kernel = inputs.flann(variant.config(), derive_stream(seed, t as u64));
+            let stream = RequestStream::saturated(Box::new(kernel));
+            engine.add_thread(
+                Box::new(stream),
+                if t == 0 {
+                    ThreadClass::Primary
+                } else {
+                    ThreadClass::Secondary
+                },
             );
-            for t in 0..threads {
-                let kernel = FlannKernel::new(variant.config(), derive_stream(seed, t as u64));
-                let stream = RequestStream::saturated(Box::new(kernel));
-                engine.add_thread(
-                    Box::new(stream),
-                    if t == 0 {
-                        ThreadClass::Primary
-                    } else {
-                        ThreadClass::Secondary
-                    },
-                );
-            }
-            let mut mem = MemSys::table1(LatencyModel::default());
-            let mut rng = rng_from_seed(derive_stream(seed, 0xF1C + threads as u64));
-            for now in 0..horizon_cycles {
-                engine.step(now, &mut mem, &mut rng);
-            }
-            raw.push(Fig1cPoint {
-                variant,
-                threads,
-                ipc: engine.stats().ipc(),
-                normalized: 0.0,
-            });
         }
-    }
+        let mut mem = MemSys::table1(LatencyModel::default());
+        let mut rng = rng_from_seed(derive_stream(seed, 0xF1C + threads as u64));
+        for now in 0..horizon_cycles {
+            engine.step(now, &mut mem, &mut rng);
+        }
+        Fig1cPoint {
+            variant,
+            threads,
+            ipc: engine.stats().ipc(),
+            normalized: 0.0,
+        }
+    });
     let baseline_peak = raw
         .iter()
         .filter(|p| p.variant == FlannVariant::Baseline)

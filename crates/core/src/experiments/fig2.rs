@@ -7,6 +7,7 @@
 //!   probability that at least 8 of `n` contexts are ready, for per-thread
 //!   stall probabilities 0.1 and 0.5.
 
+use crate::exec::ExecPool;
 use duplexity_cpu::inorder::InoEngine;
 use duplexity_cpu::memsys::MemSys;
 use duplexity_cpu::ooo::{FetchPolicy, OooEngine, ThreadClass};
@@ -41,44 +42,47 @@ impl Fig2aPoint {
 }
 
 /// Runs the Figure 2(a) sweep over `1..=max_threads` SPEC-like mix threads.
+///
+/// Each thread count seeds its own engines and RNGs, so the points run as
+/// one [`ExecPool`] phase sized by `DUPLEXITY_THREADS`, with bit-identical
+/// results at any worker count.
 #[must_use]
 pub fn fig2a(max_threads: usize, horizon_cycles: u64, seed: u64) -> Vec<Fig2aPoint> {
     let machine = MachineConfig::baseline();
-    let points: Vec<Fig2aPoint> = (1..=max_threads)
-        .map(|threads| {
-            // Out-of-order run.
-            let mut ooo = OooEngine::new(
-                CoreConfig::baseline_ooo(),
-                FetchPolicy::Icount,
-                machine.cycles_per_us(),
-            );
-            for t in 0..threads {
-                ooo.add_thread(mix_stream(t, seed), ThreadClass::Secondary);
-            }
-            let mut mem = MemSys::table1(LatencyModel::default());
-            let mut rng = rng_from_seed(derive_stream(seed, 0x2A00 + threads as u64));
-            for now in 0..horizon_cycles {
-                ooo.step(now, &mut mem, &mut rng);
-            }
+    let points: Vec<Fig2aPoint> = ExecPool::new(0).run("fig2a/points", max_threads, |i| {
+        let threads = i + 1;
+        // Out-of-order run.
+        let mut ooo = OooEngine::new(
+            CoreConfig::baseline_ooo(),
+            FetchPolicy::Icount,
+            machine.cycles_per_us(),
+        );
+        for t in 0..threads {
+            ooo.add_thread(mix_stream(t, seed), ThreadClass::Secondary);
+        }
+        let mut mem = MemSys::table1(LatencyModel::default());
+        let mut rng = rng_from_seed(derive_stream(seed, 0x2A00 + threads as u64));
+        for now in 0..horizon_cycles {
+            ooo.step(now, &mut mem, &mut rng);
+        }
 
-            // In-order run with the same streams.
-            let mut ino = InoEngine::new(threads, 4, false, machine.cycles_per_us(), 64);
-            for t in 0..threads {
-                ino.add_fixed_context(t, mix_stream(t, seed));
-            }
-            let mut mem2 = MemSys::table1(LatencyModel::default());
-            let mut rng2 = rng_from_seed(derive_stream(seed, 0x2A80 + threads as u64));
-            for now in 0..horizon_cycles {
-                ino.step(now, &mut mem2, None, None, &mut rng2);
-            }
+        // In-order run with the same streams.
+        let mut ino = InoEngine::new(threads, 4, false, machine.cycles_per_us(), 64);
+        for t in 0..threads {
+            ino.add_fixed_context(t, mix_stream(t, seed));
+        }
+        let mut mem2 = MemSys::table1(LatencyModel::default());
+        let mut rng2 = rng_from_seed(derive_stream(seed, 0x2A80 + threads as u64));
+        for now in 0..horizon_cycles {
+            ino.step(now, &mut mem2, None, None, &mut rng2);
+        }
 
-            Fig2aPoint {
-                threads,
-                ooo_ipc: ooo.stats().ipc(),
-                ino_ipc: ino.stats().ipc(),
-            }
-        })
-        .collect();
+        Fig2aPoint {
+            threads,
+            ooo_ipc: ooo.stats().ipc(),
+            ino_ipc: ino.stats().ipc(),
+        }
+    });
     if log_enabled() {
         if let Some(last) = points.last() {
             log_line(&format!(

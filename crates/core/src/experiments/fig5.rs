@@ -35,8 +35,7 @@ use duplexity_power::{chip_area_mm2, core_kind_for, power_w, CoreKind, LLC_MM2_P
 use duplexity_queueing::des::{try_simulate_mg1_traced, Mg1Options};
 use duplexity_stats::rng::{derive_stream, rng_from_seed};
 use duplexity_uarch::config::LatencyModel;
-use duplexity_workloads::graph::FillerFactory;
-use duplexity_workloads::Workload;
+use duplexity_workloads::{SharedInputs, Workload};
 use serde::{Deserialize, Serialize};
 
 /// Grid and fidelity parameters for the Figure 5 sweep.
@@ -130,8 +129,8 @@ struct LenderReference {
     alone_ops_per_cycle: f64,
 }
 
-fn lender_reference(horizon: u64, seed: u64) -> LenderReference {
-    let fillers = FillerFactory::paper(seed);
+fn lender_reference(horizon: u64, seed: u64, inputs: &SharedInputs) -> LenderReference {
+    let fillers = inputs.fillers(seed);
     let cycles_per_us = 3400.0;
     let mut lender = InoEngine::lender(cycles_per_us, 64);
     let mut pool = ContextPool::new();
@@ -332,6 +331,9 @@ pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5R
     }
 
     let pool = ExecPool::new(opts.threads);
+    // The lender reference and the fresh cells share the filler graph at
+    // `opts.seed`; the calibrations share theirs and their kernels.
+    let inputs = SharedInputs::new();
 
     // Grid in (workload, load, design) lexicographic order; probed against
     // the cell cache up front so every later pass touches misses only.
@@ -361,7 +363,7 @@ pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5R
     // The lender reference feeds only fresh cycle cells; a fully warm grid
     // skips it (it is the one serial stretch of a cold run).
     let lender_ref =
-        (!misses.is_empty()).then(|| lender_reference(opts.horizon_cycles / 2, opts.seed));
+        (!misses.is_empty()).then(|| lender_reference(opts.horizon_cycles / 2, opts.seed, &inputs));
 
     // Pass 1: per-(workload, design) service-time slowdowns from dedicated
     // saturated runs — the analogue of the paper's "measure IPC in gem5 and
@@ -394,6 +396,7 @@ pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5R
             workload,
             opts.horizon_cycles / 3,
             derive_stream(opts.seed, 0x5A7),
+            &inputs,
         )
     });
     let service_of = |workload: Workload, design: Design| -> Option<f64> {
@@ -430,7 +433,7 @@ pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5R
             .load(load)
             .horizon_cycles(opts.horizon_cycles)
             .seed(opts.seed)
-            .run_traced(&tracer);
+            .run_shared(&tracer, &inputs);
         let lender_ref = lender_ref.as_ref().expect("computed when any cell misses");
         let mut cell = build_raw(design, workload, load, metrics, lender_ref);
         cell.slowdown = slowdowns
@@ -787,7 +790,7 @@ mod tests {
     /// any future refactor of the reference runs) is value-preserving.
     #[test]
     fn lender_reference_and_derived_cells_are_pinned() {
-        let r = lender_reference(600_000, 42);
+        let r = lender_reference(600_000, 42, &SharedInputs::new());
         assert_eq!(r.ops_per_cycle, 2.713738333333333);
         assert_eq!(r.remote_ops_per_cycle, 0.001015);
         assert_eq!(r.alone_ops_per_cycle, 0.29205);

@@ -17,7 +17,9 @@
 //! 4. **miss-restricted calibration**: only designs with a missed cell
 //!    (plus Baseline, which anchors every slowdown) calibrate, in one pool
 //!    phase — each calibration is a pure function of (design, workload,
-//!    horizon, seed), so a subset run is bit-identical;
+//!    horizon, seed), so a subset run is bit-identical. The calibrations
+//!    share one [`SharedInputs`], so their kernel and filler graph are
+//!    built once;
 //! 5. **flattened replications**: every missed cell's `R` replications
 //!    enter one pool phase, cell-major, each with its sub-seed and a
 //!    `max_samples.div_ceil(R)` budget; a lone replication runs on the
@@ -34,9 +36,10 @@ use crate::exec::ExecPool;
 use crate::server::ServerSim;
 use duplexity_cpu::designs::Design;
 use duplexity_net::{EventKind, FaultPlan};
+use duplexity_obs::Tracer;
 use duplexity_stats::rng::{derive_stream, SimRng};
 use duplexity_workloads::service::ServiceModel;
-use duplexity_workloads::Workload;
+use duplexity_workloads::{SharedInputs, Workload};
 
 /// Seed of the cell at `(load, servers)` on `stream`: common random
 /// numbers across every other axis. Single-server grids pass `servers = 0`.
@@ -56,12 +59,13 @@ pub(crate) fn saturated_service_us(
     workload: Workload,
     horizon_cycles: u64,
     seed: u64,
+    inputs: &SharedInputs,
 ) -> Option<f64> {
     let m = ServerSim::new(design, workload)
         .saturated()
         .horizon_cycles(horizon_cycles)
         .seed(seed)
-        .run();
+        .run_shared(&Tracer::disabled(), inputs);
     if m.request_latencies_us.len() < 10 {
         return None;
     }
@@ -240,9 +244,10 @@ pub(crate) fn run<S: GridSpec>(spec: &S) -> Vec<S::Point> {
         let needed: Vec<usize> = (0..designs.len())
             .filter(|&di| missed.contains(&di) || (di == base && !missed.is_empty()))
             .collect();
+        let inputs = SharedInputs::new();
         let calibrated = pool.run(&format!("{name}/calibrate"), needed.len(), |j| {
             let seed = derive_stream(g.seed, 0x53E9);
-            saturated_service_us(designs[needed[j]], workload, cycles, seed)
+            saturated_service_us(designs[needed[j]], workload, cycles, seed, &inputs)
         });
         let service = |di| {
             needed

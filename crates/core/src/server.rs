@@ -3,7 +3,7 @@
 use duplexity_cpu::designs::{run_design, Design, DesignMetrics, Scenario, Stepping};
 use duplexity_obs::Tracer;
 use duplexity_workloads::graph::FillerFactory;
-use duplexity_workloads::Workload;
+use duplexity_workloads::{SharedInputs, Workload};
 
 /// A configured single-server (single-dyad) simulation.
 ///
@@ -113,18 +113,29 @@ impl ServerSim {
     /// is enabled or not.
     #[must_use]
     pub fn run_traced(&self, tracer: &Tracer) -> DesignMetrics {
+        self.run_shared(tracer, &SharedInputs::new())
+    }
+
+    /// [`ServerSim::run_traced`] with its kernel and filler graph taken from
+    /// `inputs`, so the runs of one experiment call build each input once.
+    /// The graph is built only if the design runs filler threads.
+    pub(crate) fn run_shared(&self, tracer: &Tracer, inputs: &SharedInputs) -> DesignMetrics {
         let scenario = Scenario {
             load: self.load,
             service_us: self.workload.nominal_service_us(),
             horizon_cycles: self.horizon_cycles,
             seed: self.seed,
         };
-        let fillers = FillerFactory::paper(self.seed);
+        let mut fillers = None;
         run_design(
             self.design,
             &scenario,
-            self.workload.kernel(self.seed),
-            |id| fillers.stream(id),
+            inputs.kernel(self.workload, self.seed),
+            |id| {
+                fillers
+                    .get_or_insert_with(|| inputs.fillers(self.seed))
+                    .stream(id)
+            },
             tracer,
             self.stepping,
         )

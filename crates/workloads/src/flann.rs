@@ -21,6 +21,7 @@ use duplexity_stats::dist::{Distribution, Exponential};
 use duplexity_stats::rng::{derive_stream, rng_from_seed, SimRng};
 use rand::RngExt;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Virtual base address of the dataset's point vectors.
 const POINTS_BASE: u64 = 0x1000_0000;
@@ -141,24 +142,19 @@ struct LshTable {
     buckets: HashMap<u32, Vec<u32>>,
 }
 
-/// The FLANN microservice kernel.
+/// The read-only half of a FLANN kernel: the dataset and its LSH tables.
+/// It is a pure function of the configuration's `tables`, `hyperplanes`,
+/// `dims` and `points` plus the seed, so kernels with equal values of those
+/// can share one index (see [`crate::SharedInputs`]).
 #[derive(Debug)]
-pub struct FlannKernel {
-    cfg: FlannConfig,
+pub(crate) struct FlannIndex {
     data: Vec<f32>, // points x dims, row-major
     tables: Vec<LshTable>,
-    rdma: Option<Exponential>,
-    query_rng: SimRng,
-    /// Per-instance address-space displacement: each kernel instance is its
-    /// own process (the paper's multiprogrammed gem5 SE setup), so SMT
-    /// threads do not share dataset cache lines.
-    addr_offset: u64,
 }
 
-impl FlannKernel {
-    /// Builds a kernel with the given configuration and dataset seed.
-    #[must_use]
-    pub fn new(cfg: FlannConfig, seed: u64) -> Self {
+impl FlannIndex {
+    /// Generates the dataset and hashes it into `cfg.tables` tables.
+    pub(crate) fn build(cfg: &FlannConfig, seed: u64) -> Self {
         let mut rng = rng_from_seed(derive_stream(seed, 0xF1A0));
         let n = cfg.points * cfg.dims;
         let data: Vec<f32> = (0..n).map(|_| rng.random::<f32>() * 2.0 - 1.0).collect();
@@ -175,6 +171,34 @@ impl FlannKernel {
             }
             tables.push(LshTable { planes, buckets });
         }
+        Self { data, tables }
+    }
+}
+
+/// The FLANN microservice kernel.
+#[derive(Debug)]
+pub struct FlannKernel {
+    cfg: FlannConfig,
+    index: Arc<FlannIndex>,
+    rdma: Option<Exponential>,
+    query_rng: SimRng,
+    /// Per-instance address-space displacement: each kernel instance is its
+    /// own process (the paper's multiprogrammed gem5 SE setup), so SMT
+    /// threads do not share dataset cache lines.
+    addr_offset: u64,
+}
+
+impl FlannKernel {
+    /// Builds a kernel with the given configuration and dataset seed.
+    #[must_use]
+    pub fn new(cfg: FlannConfig, seed: u64) -> Self {
+        Self::with_index(cfg, Arc::new(FlannIndex::build(&cfg, seed)), seed)
+    }
+
+    /// A kernel over `index`, which must be `FlannIndex::build(&cfg, seed)`
+    /// or a copy of it. The query stream and address offset stay per
+    /// kernel.
+    pub(crate) fn with_index(cfg: FlannConfig, index: Arc<FlannIndex>, seed: u64) -> Self {
         let h = if cfg.private_address_space {
             derive_stream(seed, 0xADD7)
         } else {
@@ -182,8 +206,7 @@ impl FlannKernel {
         };
         Self {
             cfg,
-            data,
-            tables,
+            index,
             rdma: cfg.remote_mean_us.map(Exponential::new),
             query_rng: rng_from_seed(derive_stream(seed, 0xF1A1)),
             // Distinct 32MB-spaced region plus an odd line-stagger so
@@ -212,7 +235,7 @@ impl FlannKernel {
 
     fn point(&self, id: u32) -> &[f32] {
         let d = self.cfg.dims;
-        &self.data[id as usize * d..(id as usize + 1) * d]
+        &self.index.data[id as usize * d..(id as usize + 1) * d]
     }
 
     /// Runs one real query, returning (best point id, candidates scored).
@@ -224,7 +247,7 @@ impl FlannKernel {
 
         let mut candidates: Vec<u32> = Vec::with_capacity(self.cfg.candidate_cap);
         let mut seen = std::collections::HashSet::new();
-        for (t, table) in self.tables.iter().enumerate() {
+        for (t, table) in self.index.tables.iter().enumerate() {
             // Hash the query: one traced dot product per hyperplane.
             let mut h: u32 = 0;
             for plane in 0..self.cfg.hyperplanes {

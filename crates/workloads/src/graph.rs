@@ -398,6 +398,9 @@ impl InstructionStream for GraphStream {
     }
 }
 
+/// Filler threads per dyad in the paper's configuration (§V).
+pub(crate) const PAPER_FILLERS: usize = 32;
+
 /// Standard filler-thread factory: even thread ids run PageRank, odd run
 /// SSSP, over a shared Twitter-like graph (§V).
 #[derive(Debug, Clone)]
@@ -412,21 +415,34 @@ impl FillerFactory {
     /// Builds the shared graph once; streams are created per thread id.
     #[must_use]
     pub fn new(cfg: GraphConfig, total_threads: usize, seed: u64) -> Self {
-        let total_threads = total_threads.max(1);
-        Self {
-            graph: Arc::new(SyntheticGraph::twitter_like(cfg, seed)),
+        Self::from_graph(
+            Arc::new(SyntheticGraph::twitter_like(cfg, seed)),
             total_threads,
             seed,
-            barrier: cfg
-                .bsp_barrier
-                .then(|| Arc::new(BarrierState::new(total_threads))),
+        )
+    }
+
+    /// A factory over `graph`, which must be `SyntheticGraph::twitter_like`
+    /// of its config and `seed`. The BSP barrier, if any, is this
+    /// factory's own.
+    pub(crate) fn from_graph(graph: Arc<SyntheticGraph>, total_threads: usize, seed: u64) -> Self {
+        let total_threads = total_threads.max(1);
+        let barrier = graph
+            .config()
+            .bsp_barrier
+            .then(|| Arc::new(BarrierState::new(total_threads)));
+        Self {
+            graph,
+            total_threads,
+            seed,
+            barrier,
         }
     }
 
     /// The paper's configuration: 32 filler threads per dyad.
     #[must_use]
     pub fn paper(seed: u64) -> Self {
-        Self::new(GraphConfig::default(), 32, seed)
+        Self::new(GraphConfig::default(), PAPER_FILLERS, seed)
     }
 
     /// Creates the stream for filler thread `id`.

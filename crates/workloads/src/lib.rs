@@ -23,7 +23,9 @@
 //!   the BigHouse-style queueing simulator.
 //!
 //! The [`Workload`] enum ties a microservice's trace kernel and service-time
-//! model together for the experiment drivers.
+//! model together for the experiment drivers. [`SharedInputs`] builds each
+//! filler graph and FLANN index once per experiment call and hands out
+//! fresh kernels and filler factories over them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,9 +35,12 @@ pub mod graph;
 pub mod mcrouter;
 pub mod rsc;
 pub mod service;
+mod shared;
 pub mod specmix;
 pub mod trace;
 pub mod wordstem;
+
+pub use shared::SharedInputs;
 
 use duplexity_cpu::op::RequestKernel;
 use duplexity_net::LatencyDist;
