@@ -10,7 +10,7 @@
 
 use duplexity::experiments::cluster_sweep::{cluster_sweep, ClusterSweepOptions};
 use duplexity::experiments::fault_sweep::{fault_sweep, FaultSweepOptions};
-use duplexity::experiments::fig5::{run_fig5, Fig5Options};
+use duplexity::experiments::fig5::{run_fig5, Fig5Cell, Fig5Options};
 use duplexity::experiments::hedge_sweep::{hedge_sweep, HedgeSweepOptions};
 use duplexity::experiments::sweep::{latency_load_sweep, SweepOptions};
 use duplexity::experiments::timeline::{timeline, TimelineOptions};
@@ -80,25 +80,74 @@ fn json<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string_pretty(value).expect("serialize artifact")
 }
 
+/// The fig5 grid both fig5 tests run: McRouter at `loads` over `designs`.
+fn fig5(
+    loads: Vec<f64>,
+    designs: Vec<Design>,
+    threads: usize,
+    cache: Option<CellCache>,
+) -> Vec<Fig5Cell> {
+    run_fig5(&Fig5Options {
+        loads,
+        workloads: vec![Workload::McRouter],
+        designs,
+        horizon_cycles: 1_200_000,
+        seed: 42,
+        queue: Mg1Options {
+            max_samples: 100_000,
+            warmup: 1_000,
+            ..Mg1Options::default()
+        },
+        threads,
+        cache,
+        ..Fig5Options::default()
+    })
+}
+
+const FIG5_DESIGNS: [Design; 3] = [Design::Baseline, Design::Smt, Design::Duplexity];
+
 #[test]
 fn fig5_cold_warm_and_mixed_runs_are_byte_identical() {
     assert_cache_is_invisible("fig5", &[0.3, 0.5], &[0.5], |loads, threads, cache| {
-        json(&run_fig5(&Fig5Options {
-            loads,
-            workloads: vec![Workload::McRouter],
-            designs: vec![Design::Baseline, Design::Smt, Design::Duplexity],
-            horizon_cycles: 1_200_000,
-            seed: 42,
-            queue: Mg1Options {
-                max_samples: 100_000,
-                warmup: 1_000,
-                ..Mg1Options::default()
-            },
-            threads,
-            cache,
-            ..Fig5Options::default()
-        }))
+        json(&fig5(loads, FIG5_DESIGNS.to_vec(), threads, cache))
     });
+}
+
+/// Extending a cached grid by a design column, with Baseline neither first
+/// nor fresh, leaves every cell as the reference computes it: each fresh
+/// cell normalizes against its own row's Baseline, wherever that sits.
+#[test]
+fn fig5_design_order_and_column_extension_are_invisible() {
+    use Design::{Baseline, Duplexity, Smt};
+    let loads = vec![0.3, 0.5];
+    let reference = json(&fig5(loads.clone(), FIG5_DESIGNS.to_vec(), 1, None));
+
+    let dir = tmp_dir("fig5-columns");
+    let _ = fig5(
+        loads.clone(),
+        vec![Smt, Baseline],
+        1,
+        Some(CellCache::new(&dir)),
+    );
+    let cache = CellCache::new(&dir);
+    let mut cells = fig5(
+        loads,
+        vec![Smt, Baseline, Duplexity],
+        8,
+        Some(cache.clone()),
+    );
+    assert_eq!((cache.hits(), cache.misses()), (4, 2));
+    let rank = |d: Design| FIG5_DESIGNS.iter().position(|&o| o == d);
+    cells.sort_by(|a, b| {
+        a.load
+            .total_cmp(&b.load)
+            .then_with(|| rank(a.design).cmp(&rank(b.design)))
+    });
+    assert!(
+        json(&cells) == reference,
+        "a permuted, column-extended fig5 grid diverged"
+    );
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
