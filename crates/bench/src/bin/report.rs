@@ -18,9 +18,10 @@
 //! writes each artifact as machine-readable JSON into `DIR`. `--threads N`
 //! (default: `DUPLEXITY_THREADS`, then available parallelism) sets the
 //! worker count of every pooled experiment: Figures 1(c), 2(a), 5 and 6,
-//! and the sweeps. It does so by setting `DUPLEXITY_THREADS` for the
-//! process, since `fig1c` and `fig2a` take no worker count. The output is
-//! bit-identical for every value; only the wall time changes.
+//! and the sweeps. It does so only by setting `DUPLEXITY_THREADS` for the
+//! process: `fig1c` and `fig2a` take no worker count, and every option
+//! preset leaves its `threads` at 0, which resolves from that variable. The
+//! output is bit-identical for every value; only the wall time changes.
 //!
 //! `--trace FILE` records cycle-domain morph/stall/borrow/fault/request
 //! events during the Figure 5 grid and writes a Chrome `trace_event` JSON
@@ -244,7 +245,6 @@ fn main() {
     if want("--extensions") {
         eprintln!("running the extension-design comparison...");
         let mut opts = fidelity.fig5_options(seed);
-        opts.threads = threads;
         opts.cache = cache.clone();
         opts.designs = duplexity::Design::ALL_WITH_EXTENSIONS.to_vec();
         opts.workloads = vec![duplexity::Workload::McRouter];
@@ -270,7 +270,6 @@ fn main() {
 
     if want("--faults") {
         let mut opts = fidelity.fault_sweep_options(seed);
-        opts.threads = threads;
         opts.cache = cache.clone();
         sweep(
             json_dir,
@@ -284,7 +283,6 @@ fn main() {
 
     if want("--cluster") {
         let mut opts = fidelity.cluster_sweep_options(seed);
-        opts.threads = threads;
         opts.cache = cache.clone();
         sweep(
             json_dir,
@@ -298,7 +296,6 @@ fn main() {
 
     if want("--hedge") {
         let mut opts = fidelity.hedge_sweep_options(seed);
-        opts.threads = threads;
         opts.cache = cache.clone();
         sweep(
             json_dir,
@@ -312,7 +309,6 @@ fn main() {
 
     if want("--rack") {
         let mut opts = fidelity.rack_sweep_options(seed);
-        opts.threads = threads;
         opts.cache = cache.clone();
         sweep(
             json_dir,
@@ -327,7 +323,6 @@ fn main() {
     if let Some(path) = &timeseries_path {
         eprintln!("running the request-domain timeline...");
         let mut topts = fidelity.timeline_options(seed);
-        topts.threads = threads;
         topts.cache = cache.clone();
         let t = timeline::timeline(&topts);
         println!("{}", render::render_timeline(&t));
@@ -338,7 +333,6 @@ fn main() {
     if want("--fig5") || want("--fig6") {
         eprintln!("running the Figure 5 grid (this is the long part)...");
         let mut opts = fidelity.fig5_options(seed);
-        opts.threads = threads;
         opts.cache = cache.clone();
         let trace_cfg = fig5::TraceConfig::default();
         let tracing = trace_path.is_some() || metrics_path.is_some();

@@ -8,9 +8,11 @@
 //! against one FDR 4× port, and the M/D/1 queueing delay at the port's IOPS
 //! engine is reported so oversubscription is visible rather than silent.
 //!
-//! Dyads are simulated on separate OS threads — the simulations are
-//! deterministic per dyad seed, so the result is independent of scheduling.
+//! Dyads run as one `chip/dyads` phase on the [`ExecPool`], whose worker
+//! count follows `DUPLEXITY_THREADS` — the simulations are deterministic per
+//! dyad seed, so the result is independent of scheduling and worker count.
 
+use crate::exec::ExecPool;
 use crate::server::ServerSim;
 use duplexity_cpu::designs::{Design, DesignMetrics};
 use duplexity_net::NicModel;
@@ -105,20 +107,13 @@ impl ChipMetrics {
     }
 }
 
-/// Internal aggregation parameters shared by the homogeneous and mixed
-/// entry points.
-#[derive(Debug, Clone, Copy)]
-struct AggregateInputs {
-    dyads: usize,
-    nic: NicModel,
-}
-
 /// Runs `cfg.dyads` independent dyad simulations in parallel and aggregates
 /// them against the shared NIC.
 ///
 /// # Panics
 ///
-/// Panics if `cfg.dyads == 0` or a worker thread panics.
+/// Panics if `cfg.dyads == 0`, and propagates a panic from any dyad's
+/// simulation.
 #[must_use]
 pub fn simulate_chip(cfg: &ChipConfig) -> ChipMetrics {
     assert!(cfg.dyads > 0, "a chip needs at least one dyad");
@@ -137,7 +132,8 @@ pub fn simulate_chip(cfg: &ChipConfig) -> ChipMetrics {
 ///
 /// # Panics
 ///
-/// Panics if `slots` is empty or a worker thread panics.
+/// Panics if `slots` is empty, and propagates a panic from any dyad's
+/// simulation.
 #[must_use]
 pub fn simulate_mixed_chip(
     slots: &[DyadAssignment],
@@ -146,33 +142,17 @@ pub fn simulate_mixed_chip(
     nic: NicModel,
 ) -> ChipMetrics {
     assert!(!slots.is_empty(), "a chip needs at least one dyad");
-    let mut per_dyad: Vec<Option<DesignMetrics>> = Vec::new();
-    per_dyad.resize_with(slots.len(), || None);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(slots.len());
-        for (i, slot) in slots.iter().enumerate() {
-            let slot = *slot;
-            handles.push(scope.spawn(move || {
-                ServerSim::new(slot.design, slot.workload)
-                    .load(slot.load)
-                    .horizon_cycles(horizon_cycles)
-                    .seed(derive_stream(seed, 0xC41C + i as u64))
-                    .run()
-            }));
-        }
-        for (out, handle) in per_dyad.iter_mut().zip(handles) {
-            *out = Some(handle.join().expect("dyad simulation panicked"));
-        }
+    let per_dyad = ExecPool::new(0).run("chip/dyads", slots.len(), |i| {
+        let slot = slots[i];
+        ServerSim::new(slot.design, slot.workload)
+            .load(slot.load)
+            .horizon_cycles(horizon_cycles)
+            .seed(derive_stream(seed, 0xC41C + i as u64))
+            .run()
     });
-    let per_dyad: Vec<DesignMetrics> = per_dyad.into_iter().map(|m| m.expect("filled")).collect();
-    let cfg = AggregateInputs {
-        dyads: slots.len(),
-        nic,
-    };
 
     let mean_utilization =
-        per_dyad.iter().map(|m| m.utilization(4)).sum::<f64>() / cfg.dyads as f64;
+        per_dyad.iter().map(|m| m.utilization(4)).sum::<f64>() / slots.len() as f64;
     let batch_ops_per_us = per_dyad
         .iter()
         .map(|m| (m.colocated_retired + m.lender_retired) as f64 / m.wall_us().max(1e-9))
@@ -190,8 +170,8 @@ pub fn simulate_mixed_chip(
         mean_utilization,
         batch_ops_per_us,
         nic_ops_per_second,
-        nic_utilization: cfg.nic.utilization(nic_ops_per_second, 64.0),
-        nic_queueing_delay_us: cfg.nic.queueing_delay_us(nic_ops_per_second),
+        nic_utilization: nic.utilization(nic_ops_per_second, 64.0),
+        nic_queueing_delay_us: nic.queueing_delay_us(nic_ops_per_second),
         pooled_request_latencies_us,
         per_dyad,
     }
@@ -266,7 +246,7 @@ mod tests {
     fn dyads_are_decorrelated_but_deterministic() {
         let a = simulate_chip(&small(Design::Duplexity, 3));
         let b = simulate_chip(&small(Design::Duplexity, 3));
-        // Deterministic across runs (including the threaded fan-out).
+        // Deterministic across runs (including the pooled fan-out).
         assert_eq!(a.per_dyad[0].master_retired, b.per_dyad[0].master_retired);
         assert_eq!(a.pooled_request_latencies_us, b.pooled_request_latencies_us);
         // Different dyads see different arrival sample paths.
@@ -320,6 +300,15 @@ mod mixed_tests {
         ];
         let m = simulate_mixed_chip(&slots, 500_000, 11, NicModel::fdr_4x());
         assert_eq!(m.per_dyad.len(), 3);
+        // The pool keeps slot order: dyad `i` is slot `i`'s solo run.
+        for (i, (slot, dyad)) in slots.iter().zip(&m.per_dyad).enumerate() {
+            let solo = ServerSim::new(slot.design, slot.workload)
+                .load(slot.load)
+                .horizon_cycles(500_000)
+                .seed(derive_stream(11, 0xC41C + i as u64))
+                .run();
+            assert_eq!(*dyad, solo, "dyad {i} is not its slot's solo run");
+        }
         // The Duplexity slots carry batch work; the baseline slot does not.
         assert!(m.per_dyad[0].colocated_retired > 0);
         assert!(m.per_dyad[1].colocated_retired > 0);

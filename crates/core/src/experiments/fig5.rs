@@ -22,7 +22,9 @@
 //! any pool phase, as the grid runner does for the sweeps.
 
 use super::grid::{saturated_service_us, scaled_service, slowdown};
-use crate::cellcache::{miss_indices, CellCache, CellKey, Digest, PayloadReader, PayloadWriter};
+use crate::cellcache::{
+    assemble, miss_indices, CellCache, CellKey, Digest, PayloadReader, PayloadWriter,
+};
 use crate::exec::ExecPool;
 use crate::server::ServerSim;
 use duplexity_cpu::designs::{Design, DesignMetrics, Stepping};
@@ -167,24 +169,64 @@ fn lender_reference(horizon: u64, seed: u64, inputs: &SharedInputs) -> LenderRef
     }
 }
 
-/// Raw per-cell measurements before normalization.
-#[derive(Debug)]
-struct RawCell {
-    design: Design,
-    workload: Workload,
-    load: f64,
+/// One cell's measurements, field for field the cache payload: the cycle
+/// fields and slowdown that `fig5/cells` measures, then the tail fields
+/// that `fig5/tails` adds. Grid coordinates come from the cell's index.
+#[derive(Debug, Clone, Copy, Default)]
+struct Measured {
     utilization: f64,
     density: f64,
     energy_nj: f64,
     stp: f64,
     slowdown: f64,
     remote_ops_per_us: f64,
+    density_norm: f64,
+    p99: f64,
+    saturated: bool,
+    iso_p99: f64,
+    iso_sat: bool,
+}
+
+impl Measured {
+    fn encode(&self) -> String {
+        let mut w = PayloadWriter::new();
+        w.f64("utilization", self.utilization);
+        w.f64("density", self.density);
+        w.f64("energy_nj", self.energy_nj);
+        w.f64("stp", self.stp);
+        w.f64("slowdown", self.slowdown);
+        w.f64("remote_ops_per_us", self.remote_ops_per_us);
+        w.f64("density_norm", self.density_norm);
+        w.f64("p99", self.p99);
+        w.bool("saturated", self.saturated);
+        w.f64("iso_p99", self.iso_p99);
+        w.bool("iso_sat", self.iso_sat);
+        w.finish()
+    }
+
+    fn decode(payload: &str) -> Option<Self> {
+        let mut r = PayloadReader::new(payload);
+        let c = Self {
+            utilization: r.f64("utilization")?,
+            density: r.f64("density")?,
+            energy_nj: r.f64("energy_nj")?,
+            stp: r.f64("stp")?,
+            slowdown: r.f64("slowdown")?,
+            remote_ops_per_us: r.f64("remote_ops_per_us")?,
+            density_norm: r.f64("density_norm")?,
+            p99: r.f64("p99")?,
+            saturated: r.bool("saturated")?,
+            iso_p99: r.f64("iso_p99")?,
+            iso_sat: r.bool("iso_sat")?,
+        };
+        r.done().then_some(c)
+    }
 }
 
 /// Content-addressed cache keys for every (workload, load, design) cell
 /// of the Figure 5 grid, in the driver's workload-major evaluation order.
 /// A cell's payload covers its cycle-level measurements *and* its tail
-/// tuple; the deterministic normalization post-pass is recomputed on
+/// fields; the deterministic normalization post-pass is recomputed on
 /// every run, so the key digests everything upstream of it — grid
 /// coordinates, horizons, seed, queueing controls, fault plan.
 #[must_use]
@@ -208,58 +250,6 @@ pub fn cell_keys(opts: &Fig5Options) -> Vec<CellKey> {
         }
     }
     keys
-}
-
-// One cached cell: the RawCell measurements plus the tail tuple, i.e.
-// everything the (simulation-free) normalization post-pass consumes.
-// Coordinates are rebuilt from the grid at assembly time.
-struct CachedCell {
-    utilization: f64,
-    density: f64,
-    energy_nj: f64,
-    stp: f64,
-    slowdown: f64,
-    remote_ops_per_us: f64,
-    density_norm: f64,
-    p99: f64,
-    saturated: bool,
-    iso_p99: f64,
-    iso_sat: bool,
-}
-
-fn encode_cell(raw: &RawCell, tail: &(f64, f64, bool, f64, bool)) -> String {
-    let &(density_norm, p99, saturated, iso_p99, iso_sat) = tail;
-    let mut w = PayloadWriter::new();
-    w.f64("utilization", raw.utilization);
-    w.f64("density", raw.density);
-    w.f64("energy_nj", raw.energy_nj);
-    w.f64("stp", raw.stp);
-    w.f64("slowdown", raw.slowdown);
-    w.f64("remote_ops_per_us", raw.remote_ops_per_us);
-    w.f64("density_norm", density_norm);
-    w.f64("p99", p99);
-    w.bool("saturated", saturated);
-    w.f64("iso_p99", iso_p99);
-    w.bool("iso_sat", iso_sat);
-    w.finish()
-}
-
-fn decode_cell(payload: &str) -> Option<CachedCell> {
-    let mut r = PayloadReader::new(payload);
-    let c = CachedCell {
-        utilization: r.f64("utilization")?,
-        density: r.f64("density")?,
-        energy_nj: r.f64("energy_nj")?,
-        stp: r.f64("stp")?,
-        slowdown: r.f64("slowdown")?,
-        remote_ops_per_us: r.f64("remote_ops_per_us")?,
-        density_norm: r.f64("density_norm")?,
-        p99: r.f64("p99")?,
-        saturated: r.bool("saturated")?,
-        iso_p99: r.f64("iso_p99")?,
-        iso_sat: r.bool("iso_sat")?,
-    };
-    r.done().then_some(c)
 }
 
 /// Tracing controls for [`run_fig5_traced`].
@@ -318,10 +308,11 @@ pub fn run_fig5(opts: &Fig5Options) -> Vec<Fig5Cell> {
 /// Panics under the same conditions as [`run_fig5`].
 #[must_use]
 pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5Run {
-    assert!(
-        opts.designs.contains(&Design::Baseline),
-        "baseline required for normalization"
-    );
+    let base_col = opts
+        .designs
+        .iter()
+        .position(|&d| d == Design::Baseline)
+        .expect("baseline required for normalization");
     assert!(
         !opts.loads.is_empty() && !opts.workloads.is_empty(),
         "empty grid"
@@ -335,10 +326,12 @@ pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5R
     // `opts.seed`; the calibrations share theirs and their kernels.
     let inputs = SharedInputs::new();
 
-    // Grid in (workload, load, design) lexicographic order; probed against
-    // the cell cache up front so every later pass touches misses only.
-    // Tracing bypasses the cache entirely: trace logs are not cached, and
-    // a partially traced grid would not be worth having.
+    // Grid in (workload, load, design) lexicographic order, so cell `i`'s
+    // row starts at `i - i % designs` and its anchor, the row's Baseline
+    // (every normalization's denominator), sits `base_col` further on.
+    // Probed against the cell cache up front so every later pass touches
+    // misses only. Tracing bypasses the cache entirely: trace logs are not
+    // cached, and a partially traced grid would not be worth having.
     let grid: Vec<(Workload, f64, Design)> = opts
         .workloads
         .iter()
@@ -348,6 +341,7 @@ pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5R
                 .flat_map(move |&l| opts.designs.iter().map(move |&d| (w, l, d)))
         })
         .collect();
+    let anchor = |i: usize| i - i % opts.designs.len() + base_col;
     let cache = if trace.is_some() {
         None
     } else {
@@ -355,8 +349,8 @@ pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5R
     };
     let keys = cell_keys(opts);
     let hits = match cache {
-        Some(c) => c.probe(&keys, decode_cell),
-        None => grid.iter().map(|_| None).collect(),
+        Some(c) => c.probe(&keys, Measured::decode),
+        None => vec![None; grid.len()],
     };
     let misses = miss_indices(&hits);
 
@@ -370,18 +364,14 @@ pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5R
     // use it to determine the service rate" (§V). Saturated runs yield many
     // requests with no queueing-delay contamination. Each calibration cell
     // seeds itself from the experiment seed alone, so the grid parallelizes
-    // with bit-identical results; the baseline ratio is taken in a
-    // deterministic combine step below. Only pairs reachable from a missed
-    // cell calibrate (each missed (w, d) plus its (w, baseline) anchor):
-    // calibrations are pair-independent pure functions, so a subset run is
-    // bit-identical.
-    let all_pairs: Vec<(Workload, Design)> = opts
+    // with bit-identical results; the baseline ratio is taken per fresh cell
+    // below. Only pairs reachable from a missed cell calibrate (each missed
+    // (w, d) plus its (w, baseline) anchor): calibrations are
+    // pair-independent pure functions, so a subset run is bit-identical.
+    let pairs: Vec<(Workload, Design)> = opts
         .workloads
         .iter()
         .flat_map(|&w| opts.designs.iter().map(move |&d| (w, d)))
-        .collect();
-    let pairs: Vec<(Workload, Design)> = all_pairs
-        .into_iter()
         .filter(|&(w, d)| {
             misses.iter().any(|&i| {
                 let (mw, _, md) = grid[i];
@@ -405,160 +395,111 @@ pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5R
             .position(|&(w, d)| w == workload && d == design)
             .and_then(|i| services[i])
     };
-    let mut slowdowns: Vec<(Workload, Design, f64)> = Vec::new();
-    for &workload in &opts.workloads {
-        let base = service_of(workload, Design::Baseline);
-        for &design in &opts.designs {
-            let mine = service_of(workload, design);
-            // Hit cells carry their slowdown in the payload.
-            let stall = workload.service_model().mean_stall_us();
-            slowdowns.push((workload, design, slowdown(base, mine, stall)));
-        }
-    }
 
     // Pass 2: cycle simulations of the missed cells. Every cell's ServerSim
     // derives its streams from (seed, design, workload, load) internally, so
-    // scheduling order cannot perturb the metrics.
+    // scheduling order cannot perturb the metrics. Hit cells carry their
+    // slowdown in the payload.
     let new_tracer = || match trace {
         Some(t) => Tracer::enabled(t.capacity, 1000.0),
         None => Tracer::disabled(),
     };
-    let cell_label = |prefix: &str, design: Design, workload: Workload, load: f64| {
-        format!("{prefix}/{design}/{workload}@{load:.2}")
-    };
-    let traced_raw: Vec<(RawCell, Option<TraceLog>)> = pool.run("fig5/cells", misses.len(), |j| {
-        let (workload, load, design) = grid[misses[j]];
-        let tracer = new_tracer();
-        let metrics = ServerSim::new(design, workload)
-            .load(load)
-            .horizon_cycles(opts.horizon_cycles)
-            .seed(opts.seed)
-            .run_shared(&tracer, &inputs);
-        let lender_ref = lender_ref.as_ref().expect("computed when any cell misses");
-        let mut cell = build_raw(design, workload, load, metrics, lender_ref);
-        cell.slowdown = slowdowns
-            .iter()
-            .find(|(w, d, _)| *w == workload && *d == design)
-            .map_or(1.0, |(_, _, s)| *s);
-        let log = tracer.is_enabled().then(|| tracer.take());
-        (cell, log)
-    });
-    let mut cell_logs = Vec::new();
-    let mut fresh_raw = traced_raw
-        .into_iter()
-        .map(|(cell, log)| {
+    let mut traces = Vec::new();
+    // Labels a phase's trace logs, one per miss, in miss order.
+    let mut harvest = |phase: &str, logs: Vec<Option<TraceLog>>| {
+        for (&i, log) in misses.iter().zip(logs) {
             if let Some(log) = log {
-                cell_logs.push((
-                    cell_label("cells", cell.design, cell.workload, cell.load),
-                    log,
-                ));
+                let (workload, load, design) = grid[i];
+                traces.push((format!("{phase}/{design}/{workload}@{load:.2}"), log));
             }
-            Some(cell)
+        }
+    };
+    let (fresh, logs): (Vec<Measured>, _) = pool
+        .run("fig5/cells", misses.len(), |j| {
+            let (workload, load, design) = grid[misses[j]];
+            let tracer = new_tracer();
+            let metrics = ServerSim::new(design, workload)
+                .load(load)
+                .horizon_cycles(opts.horizon_cycles)
+                .seed(opts.seed)
+                .run_shared(&tracer, &inputs);
+            let lender_ref = lender_ref.as_ref().expect("computed when any cell misses");
+            let base = service_of(workload, Design::Baseline);
+            let mine = service_of(workload, design);
+            let stall = workload.service_model().mean_stall_us();
+            let cell = measure(design, metrics, lender_ref, slowdown(base, mine, stall));
+            (cell, tracer.is_enabled().then(|| tracer.take()))
         })
-        .collect::<Vec<Option<RawCell>>>()
-        .into_iter();
-    // The full-grid raw vector interleaves cached measurements with fresh
-    // ones, so the tail pass's baseline lookups work unchanged on any
-    // cold/warm mix.
-    let raw: Vec<RawCell> = grid
+        .into_iter()
+        .unzip();
+    harvest("cells", logs);
+    let mut cells = assemble(hits, fresh);
+
+    // Pass 3: queueing simulations of the missed cells, parallel per cell.
+    // Each tail run builds a fresh RNG from (seed, workload, load), so a
+    // cell's own tail and its iso-throughput tail are pure functions of its
+    // record and its anchor's density.
+    let (tailed, logs): (Vec<Measured>, _) = pool
+        .run("fig5/tails", misses.len(), |j| {
+            let i = misses[j];
+            let (workload, load, _) = grid[i];
+            let c = cells[i];
+            let density_norm = c.density / cells[anchor(i)].density.max(f64::MIN_POSITIVE);
+            let tail = |scale, tracer: &Tracer| {
+                tail_latency(workload, load, c.slowdown, scale, opts, tracer)
+            };
+            let tracer = new_tracer();
+            let (p99, saturated) = tail(1.0, &tracer);
+            let (iso_p99, iso_sat) = tail(density_norm, &Tracer::disabled());
+            let cell = Measured {
+                density_norm,
+                p99,
+                saturated,
+                iso_p99,
+                iso_sat,
+                ..c
+            };
+            (cell, tracer.is_enabled().then(|| tracer.take()))
+        })
+        .into_iter()
+        .unzip();
+    harvest("tails", logs);
+    for (cell, &i) in tailed.into_iter().zip(&misses) {
+        cells[i] = cell;
+        if let Some(c) = cache {
+            c.store(&keys[i], &cell.encode());
+        }
+    }
+
+    // Deterministic post-pass: normalization against each row's anchor.
+    // The Baseline's density_norm is exactly 1.0 (x/x), and both p99
+    // denominators are its tail at the unscaled arrival rate.
+    let norm = |x: f64, by: f64| x / by.max(f64::MIN_POSITIVE);
+    let cells: Vec<Fig5Cell> = grid
         .iter()
-        .zip(&hits)
-        .map(|(&(workload, load, design), hit)| match hit {
-            Some(c) => RawCell {
+        .zip(&cells)
+        .enumerate()
+        .map(|(i, (&(workload, load, design), c))| {
+            let base = &cells[anchor(i)];
+            Fig5Cell {
                 design,
                 workload,
                 load,
                 utilization: c.utilization,
-                density: c.density,
-                energy_nj: c.energy_nj,
-                stp: c.stp,
-                slowdown: c.slowdown,
+                perf_density_norm: c.density_norm,
+                energy_norm: norm(c.energy_nj, base.energy_nj),
+                p99_us: c.p99,
+                p99_norm: norm(c.p99, base.p99),
+                iso_p99_us: c.iso_p99,
+                iso_p99_norm: norm(c.iso_p99, base.p99),
+                stp_norm: norm(c.stp, base.stp),
+                saturated: c.saturated || c.iso_sat,
+                service_slowdown: c.slowdown,
                 remote_ops_per_us: c.remote_ops_per_us,
-            },
-            None => fresh_raw.next().flatten().expect("one raw cell per miss"),
-        })
-        .collect();
-
-    // Pass 3: queueing simulations of the missed cells, parallel per cell.
-    // Each tail run builds a fresh RNG from (seed, workload, load), so a
-    // cell's own tail and its iso-throughput tail are pure functions of the
-    // raw grid. The baseline's density_norm is exactly 1.0 (x/x), so its
-    // `tails` entry doubles as both normalization denominators — the same
-    // values the serial code recomputed per cell.
-    let traced_tails = pool.run("fig5/tails", misses.len(), |j| {
-        let c = &raw[misses[j]];
-        let baseline = raw
-            .iter()
-            .find(|b| b.workload == c.workload && b.load == c.load && b.design == Design::Baseline)
-            .expect("baseline cell exists");
-        let density_norm = c.density / baseline.density.max(f64::MIN_POSITIVE);
-        let tracer = new_tracer();
-        let (p99, saturated) = tail_latency(c, 1.0, opts, &tracer);
-        let (iso_p99, iso_sat) = tail_latency(c, density_norm, opts, &Tracer::disabled());
-        let log = tracer.is_enabled().then(|| tracer.take());
-        ((density_norm, p99, saturated, iso_p99, iso_sat), log)
-    });
-    let mut tail_logs = Vec::new();
-    let mut fresh_tails = traced_tails
-        .into_iter()
-        .zip(&misses)
-        .map(|((tuple, log), &i)| {
-            if let Some(log) = log {
-                let c = &raw[i];
-                tail_logs.push((cell_label("tails", c.design, c.workload, c.load), log));
             }
-            tuple
-        })
-        .collect::<Vec<(f64, f64, bool, f64, bool)>>()
-        .into_iter();
-    let tails: Vec<(f64, f64, bool, f64, bool)> = hits
-        .iter()
-        .map(|hit| match hit {
-            Some(c) => (c.density_norm, c.p99, c.saturated, c.iso_p99, c.iso_sat),
-            None => fresh_tails.next().expect("one tail tuple per miss"),
         })
         .collect();
-    if let Some(c) = cache {
-        for &i in &misses {
-            c.store(&keys[i], &encode_cell(&raw[i], &tails[i]));
-        }
-    }
 
-    // Deterministic post-pass: normalization against the baseline cell.
-    let mut cells = Vec::with_capacity(raw.len());
-    for (c, &(density_norm, p99, saturated, iso_p99, iso_sat)) in raw.iter().zip(&tails) {
-        let base_idx = raw
-            .iter()
-            .position(|b| {
-                b.workload == c.workload && b.load == c.load && b.design == Design::Baseline
-            })
-            .expect("baseline cell exists");
-        let baseline = &raw[base_idx];
-        // Both denominators are the baseline's tail at unscaled arrival rate
-        // (the serial code invoked `tail_latency(baseline, 1.0)` twice).
-        let base_p99 = tails[base_idx].1;
-        let base_iso_p99 = base_p99;
-
-        cells.push(Fig5Cell {
-            design: c.design,
-            workload: c.workload,
-            load: c.load,
-            utilization: c.utilization,
-            perf_density_norm: density_norm,
-            energy_norm: c.energy_nj / baseline.energy_nj.max(f64::MIN_POSITIVE),
-            p99_us: p99,
-            p99_norm: p99 / base_p99.max(f64::MIN_POSITIVE),
-            iso_p99_us: iso_p99,
-            iso_p99_norm: iso_p99 / base_iso_p99.max(f64::MIN_POSITIVE),
-            stp_norm: c.stp / baseline.stp.max(f64::MIN_POSITIVE),
-            saturated: saturated || iso_sat,
-            service_slowdown: c.slowdown,
-            remote_ops_per_us: c.remote_ops_per_us,
-        });
-    }
-
-    let mut traces = cell_logs;
-    traces.extend(tail_logs);
     let mut registry = Registry::default();
     for (label, log) in &traces {
         registry.merge_prefixed(label, &log.registry);
@@ -583,13 +524,14 @@ pub fn run_fig5_traced(opts: &Fig5Options, trace: Option<&TraceConfig>) -> Fig5R
     }
 }
 
-fn build_raw(
+/// The cycle-level fields of a fresh cell measured as `metrics`, with its
+/// calibrated `slowdown`; the tail fields wait for the `fig5/tails` pass.
+fn measure(
     design: Design,
-    workload: Workload,
-    load: f64,
     metrics: DesignMetrics,
     lender_ref: &LenderReference,
-) -> RawCell {
+    slowdown: f64,
+) -> Measured {
     let wall = metrics.wall_cycles.max(1) as f64;
     let wall_us = metrics.wall_us().max(1e-9);
     let utilization = metrics.utilization(4);
@@ -649,33 +591,34 @@ fn build_raw(
     }
     let remote_ops_per_us = remote_ops / wall_us;
 
-    RawCell {
-        design,
-        workload,
-        load,
+    Measured {
         utilization,
         density,
         energy_nj,
         stp,
-        slowdown: 1.0,
+        slowdown,
         remote_ops_per_us,
+        ..Measured::default()
     }
 }
 
-/// Runs the BigHouse-style tail simulation for one raw cell; `density_norm`
+/// Runs the BigHouse-style tail simulation for the cell at (`workload`,
+/// `load`) whose service runs `slowdown` times slower; `density_norm`
 /// rescales the arrival rate for the iso-throughput variant (Fig. 5(e)).
 ///
 /// Returns `(p99_us, saturated)`; a saturated queue reports `inf`.
 fn tail_latency(
-    cell: &RawCell,
+    workload: Workload,
+    load: f64,
+    slowdown: f64,
     density_norm: f64,
     opts: &Fig5Options,
     tracer: &Tracer,
 ) -> (f64, bool) {
-    let nominal = cell.workload.nominal_service_us();
-    let lambda = cell.load / nominal / density_norm.max(f64::MIN_POSITIVE);
-    let model = cell.workload.service_model();
-    let (scaled_mean, mut service) = scaled_service(&model, cell.slowdown, opts.fault);
+    let nominal = workload.nominal_service_us();
+    let lambda = load / nominal / density_norm.max(f64::MIN_POSITIVE);
+    let model = workload.service_model();
+    let (scaled_mean, mut service) = scaled_service(&model, slowdown, opts.fault);
     if lambda * scaled_mean >= 0.95 {
         return (f64::INFINITY, true);
     }
@@ -685,7 +628,7 @@ fn tail_latency(
     // normalized tails reflect service scaling, not sampling noise.
     qopts.seed = derive_stream(
         opts.seed,
-        0x5D00 ^ ((cell.load * 1000.0) as u64) ^ ((nominal * 16.0) as u64) << 16,
+        0x5D00 ^ ((load * 1000.0) as u64) ^ ((nominal * 16.0) as u64) << 16,
     );
     // The pre-guard above is a cheap bound; the DES pilot is the
     // authoritative stability check, and its typed Unstable verdict marks
