@@ -295,9 +295,9 @@ pub fn run_design(
                     // cycles) after failed probes. Backoff changes only when
                     // skips are *attempted*, never what a skip folds, so
                     // results stay bit-identical to the naive loop. The
-                    // memory system never wakes a core on its own
-                    // (`mem.next_event_cycle` is `None`), so the engine's
-                    // probe alone decides.
+                    // memory system changes only inside an access the engine
+                    // makes, so it never wakes a core on its own and the
+                    // engine's probe alone decides.
                     let mut now = 0u64;
                     let mut backoff: u64 = 0;
                     let mut wait: u64 = 0;

@@ -461,25 +461,21 @@ impl DyadSim {
     }
 
     /// Earliest cycle `t >= now` at which [`DyadSim::step`] could change
-    /// state: the minimum over the lender-core, the context pool, and the
-    /// mode-dependent master engine, plus the morph-window `start`/`until`
-    /// boundaries. Morph *triggers* are handled by evaluating the hole-check
-    /// at `now` directly: a trigger can only newly fire when an issued op's
-    /// completion passes `now`, and every future completion is already a
-    /// bumped event, so mid-span firings land exactly on span boundaries.
+    /// state. Only the master's OoO engine has a quiescence probe, so every
+    /// cycle that steps an in-order engine is an event: all of them when a
+    /// lender-core is present, and every cycle of an open filler window.
+    /// Before the window opens the master core steps nothing, so the next
+    /// event is its `start` (or `until`, if that comes first). While the
+    /// master-thread runs, morph *triggers* are handled by evaluating the
+    /// hole-check at `now` directly: a trigger can only newly fire when an
+    /// issued op's completion passes `now`, and every future completion is
+    /// already an event of the OoO probe, so mid-span firings land exactly
+    /// on span boundaries.
     #[must_use]
     pub fn next_event_cycle(&self) -> Option<u64> {
         let from = self.now;
-        let mut best: Option<u64> = None;
-        let bump = |best: &mut Option<u64>, t: u64| {
-            *best = Some(best.map_or(t, |b| b.min(t)));
-        };
-        if let Some(lender) = self.lender_ino.as_ref() {
-            match lender.next_event_cycle(from, Some(&self.pool)) {
-                Some(t) if t <= from => return Some(from),
-                Some(t) => bump(&mut best, t),
-                None => {}
-            }
+        if self.lender_ino.is_some() {
+            return Some(from);
         }
         match self.mode {
             Mode::Master => {
@@ -488,9 +484,7 @@ impl DyadSim {
                 // with drained co-work) that the engine probe rightly treats
                 // as inert — nothing can commit past the stalled head. If
                 // the check would fire at `from`, that step is a state
-                // change (`begin_morph`) all the same. Mid-span firings
-                // always coincide with a completion the engine probe bumps,
-                // so checking `from` alone closes the gap.
+                // change (`begin_morph`) all the same.
                 let hole = self
                     .master_ooo
                     .primary_stalled_on_remote(from)
@@ -500,63 +494,30 @@ impl DyadSim {
                         return Some(from);
                     }
                 }
-                match self.master_ooo.next_event_cycle(from) {
-                    Some(t) if t <= from => return Some(from),
-                    Some(t) => bump(&mut best, t),
-                    None => {}
-                }
+                self.master_ooo.next_event_cycle(from)
             }
-            Mode::Filler { start, until } => {
-                if from >= until {
-                    return Some(from); // end_morph + master restart
-                }
-                bump(&mut best, until);
-                if from < start {
-                    bump(&mut best, start);
-                } else {
-                    let pool_opt = self.cfg.hsmt_fillers.then_some(&self.pool);
-                    match self.master_ino.next_event_cycle(from, pool_opt) {
-                        Some(t) if t <= from => return Some(from),
-                        Some(t) => bump(&mut best, t),
-                        None => {}
-                    }
-                }
-            }
+            Mode::Filler { start, until } => Some(start.min(until).max(from)),
         }
-        best
     }
 
-    /// Folds `count` provably quiescent cycles into every engine that the
-    /// naive loop would have stepped, mirroring [`DyadSim::step`]'s
-    /// per-mode accounting (the lender always runs; the master OoO engine
-    /// only in [`Mode::Master`]; the filler engine and its mode-cycle
-    /// counter only once a morph window has opened). Callers must only pass
-    /// spans vouched for by [`DyadSim::next_event_cycle`].
+    /// Folds `count` provably quiescent cycles, mirroring
+    /// [`DyadSim::step`]: the master OoO engine in [`Mode::Master`], and
+    /// nothing but the clock before a filler window opens. Callers must
+    /// only pass spans vouched for by [`DyadSim::next_event_cycle`].
     fn skip_quiescent(&mut self, count: u64) {
-        let from = self.now;
-        if let Some(lender) = self.lender_ino.as_mut() {
-            lender.skip_quiescent(count);
-        }
-        match self.mode {
-            Mode::Master => self.master_ooo.skip_quiescent(from, count),
-            Mode::Filler { start, until: _ } => {
-                if from >= start {
-                    self.filler_mode_cycles += count;
-                    self.master_ino.skip_quiescent(count);
-                }
-                // Before `start` the naive loop steps nothing on the master
-                // core either (and the span never crosses `start`: it is an
-                // event).
-            }
+        if self.mode == Mode::Master {
+            self.master_ooo.skip_quiescent(self.now, count);
         }
         self.now += count;
     }
 
     /// Runs until `horizon` cycles have elapsed, fast-forwarding through
-    /// quiescent spans (µs-scale stalls and inter-request idleness with
-    /// every engine drained). Bit-identical to [`DyadSim::run_naive`]:
-    /// skipped cycles perform no RNG draws and retire nothing, and their
-    /// cycle/idle/phase accounting is folded arithmetically.
+    /// quiescent spans. Only a dyad without a lender-core (plain MorphCore)
+    /// has any: spans where its master waits, such as µs-scale stalls too
+    /// short to morph for, and the morph-in latency before a filler window
+    /// opens. Bit-identical to [`DyadSim::run_naive`]: skipped cycles
+    /// perform no RNG draws and retire nothing, and their cycle/idle
+    /// accounting is folded arithmetically.
     pub fn run(&mut self, horizon: u64, rng: &mut SimRng) {
         // After a failed probe, back off exponentially (up to 32 cycles)
         // before probing again: probing only *when* to skip never changes

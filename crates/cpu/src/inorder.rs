@@ -216,89 +216,6 @@ impl InoEngine {
         n
     }
 
-    /// Earliest cycle `t >= from` at which [`InoEngine::step`] could change
-    /// architectural state, given the same `pool` visibility the next step
-    /// will get: a borrow from the ready queue, a quantum rotation (or
-    /// extension — both mutate), a pending-buffer refill (`stream.next`,
-    /// possibly an RNG draw), an instruction-line fetch, or an issue.
-    ///
-    /// `Some(from)` means "not quiescent". `Some(t > from)` guarantees
-    /// cycles `from..t` step to no-ops beyond the cycle counter, foldable
-    /// with [`InoEngine::skip_quiescent`]. `None` means no step can ever
-    /// act again (all contexts empty, nothing parked, nothing ready).
-    #[must_use]
-    pub fn next_event_cycle(&self, from: u64, pool: Option<&ContextPool>) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        let bump = |best: &mut Option<u64>, t: u64| {
-            *best = Some(best.map_or(t, |b| b.min(t)));
-        };
-        // A parked context coming due is polled into the ready queue.
-        if let Some(p) = pool {
-            match p.next_event_cycle(from) {
-                Some(t) if t <= from => return Some(from),
-                Some(t) => bump(&mut best, t),
-                None => {}
-            }
-        }
-        let pool_ready = pool.is_some_and(|p| p.ready_len() > 0);
-        for c in &self.contexts {
-            let Some(v) = c.vctx.as_ref() else {
-                if self.hsmt && pool_ready {
-                    return Some(from); // would borrow into this slot
-                }
-                continue;
-            };
-            // The quantum check precedes the blocked check in `step`, and
-            // even the "nobody waiting" branch mutates (it extends the
-            // quantum), so expiry is always an event.
-            if self.hsmt && pool.is_some() && c.quantum_end != u64::MAX {
-                if c.quantum_end <= from {
-                    return Some(from);
-                }
-                bump(&mut best, c.quantum_end);
-            }
-            if c.blocked_until > from {
-                bump(&mut best, c.blocked_until);
-                continue;
-            }
-            let Some(op) = c.pending.as_ref() else {
-                return Some(from); // refill: stream.next may draw RNG
-            };
-            // The per-line instruction fetch happens *before* the RAW check
-            // and touches the caches even when the op then stalls.
-            if (op.pc >> 6) != c.last_line {
-                return Some(from);
-            }
-            // In-order RAW gate: ready ops issue now; otherwise the oldest
-            // op wakes when its last source completes.
-            let ready_at = op
-                .srcs
-                .iter()
-                .filter(|&&s| s != NO_REG)
-                .map(|&s| v.reg_ready[s as usize])
-                .max()
-                .unwrap_or(0);
-            if ready_at <= from {
-                return Some(from);
-            }
-            bump(&mut best, ready_at);
-        }
-        best
-    }
-
-    /// Folds `count` provably quiescent cycles starting at the current
-    /// cycle, exactly as if [`InoEngine::step`] had run each one: the cycle
-    /// counter and the round-robin pointer advance; nothing else moves.
-    /// Callers must only pass spans vouched for by
-    /// [`InoEngine::next_event_cycle`].
-    pub fn skip_quiescent(&mut self, count: u64) {
-        self.stats.cycles += count;
-        let n = self.contexts.len() as u64;
-        if n > 0 {
-            self.rr_next = ((self.rr_next as u64 + count % n) % n) as usize;
-        }
-    }
-
     /// Advances one cycle. `remote` routes memory through the master-core's
     /// L0 filters into `mem` (the *lender's* memory system); `pool` supplies
     /// virtual contexts when HSMT is enabled.

@@ -129,18 +129,6 @@ impl MemSys {
         ev.latency_us
     }
 
-    /// Earliest future cycle at which this memory system could change state
-    /// on its own: always `None`. The model is demand-driven — caches, TLBs,
-    /// and the fault layer mutate only inside an engine-initiated access
-    /// (there are no autonomous fills, MSHR retirements, or timers), and
-    /// latency charges do not depend on the cycle number. It therefore never
-    /// wakes a quiescent core; it exists so outer loops can fold every
-    /// subsystem through one protocol.
-    #[must_use]
-    pub fn next_event_cycle(&self, _from: u64) -> Option<u64> {
-        None
-    }
-
     /// Instruction fetch at `addr`; returns total latency in cycles.
     pub fn inst_fetch(&mut self, addr: u64) -> u64 {
         let mut lat = 0;

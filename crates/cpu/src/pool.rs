@@ -78,16 +78,6 @@ impl ContextPool {
         }
     }
 
-    /// Earliest cycle `t >= from` at which [`ContextPool::poll`] could move
-    /// a parked context to the ready queue (`Some(from)` if one is already
-    /// due). Ready contexts carry no inherent event — whether they get a
-    /// physical slot is the engines' decision, probed separately. `None`
-    /// means nothing is parked.
-    #[must_use]
-    pub fn next_event_cycle(&self, from: u64) -> Option<u64> {
-        self.parked.iter().map(|&(at, _)| at.max(from)).min()
-    }
-
     /// Takes the head ready context, if any. Callers should [`Self::poll`]
     /// first.
     pub fn take(&mut self) -> Option<VirtualContext> {

@@ -1,9 +1,11 @@
 //! The quiescence fast-forward bit-identity contract.
 //!
-//! `Stepping::FastForward` skips cycle spans only when every active engine
-//! proves (via `next_event_cycle`) that stepping them would change nothing
-//! but counters — no RNG draws, no retirement, no morph decisions. These
-//! tests run every design both ways and demand *exact* equality:
+//! `Stepping::FastForward` skips cycle spans only when the out-of-order
+//! engine's probe (`next_event_cycle`) proves that stepping them would
+//! change nothing but counters — no RNG draws, no retirement, no morph
+//! decisions. In-order engines have no probe, so a dyad skips only while
+//! none of them steps. These tests run every design both ways and demand
+//! *exact* equality:
 //!
 //! 1. **Metrics** — `DesignMetrics` (which derives `PartialEq`) must be
 //!    identical for every design preset, open-loop and saturated.
