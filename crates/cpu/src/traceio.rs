@@ -123,7 +123,9 @@ impl Trace {
         let mut len = [0u8; 8];
         r.read_exact(&mut len)?;
         let n = u64::from_le_bytes(len) as usize;
-        let mut ops = Vec::with_capacity(n.min(1 << 24));
+        // The count is read from the input: reserve for at most 4096 ops
+        // (192 KiB) up front and let the vector grow as ops decode.
+        let mut ops = Vec::with_capacity(n.min(1 << 12));
         for _ in 0..n {
             ops.push(decode_op(&mut r)?);
         }
