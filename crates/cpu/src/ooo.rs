@@ -573,8 +573,10 @@ impl OooEngine {
                     self.stats.request_latencies_cycles.push(latency);
                     self.tracer
                         .emit(|| TraceEvent::RequestArrive { at: arrival });
+                    // A decoded trace may carry any arrival, even one past
+                    // `now`: saturate rather than overflow.
                     self.tracer.emit(|| TraceEvent::RequestComplete {
-                        at: arrival + latency,
+                        at: arrival.saturating_add(latency),
                         latency,
                     });
                 }
