@@ -77,6 +77,14 @@ struct Entry {
     end_of_request: Option<u64>,
 }
 
+impl Entry {
+    /// Whether the entry has executed by `now`: it may commit, and its
+    /// dependants may issue.
+    fn complete_by(&self, now: u64) -> bool {
+        self.issued && self.complete <= now
+    }
+}
+
 struct ThreadCtx {
     stream: Box<dyn InstructionStream>,
     class: ThreadClass,
@@ -127,18 +135,20 @@ impl ThreadCtx {
         }
     }
 
-    fn dep_ready(&self, dep: Option<u64>, now: u64) -> bool {
-        match dep {
-            None => true,
-            Some(seq) => {
-                if seq < self.base_seq {
-                    true // already retired
-                } else {
-                    let e = &self.rob[(seq - self.base_seq) as usize];
-                    e.issued && e.complete <= now
-                }
+    /// Whether both of `e`'s producers have retired or completed by `now`.
+    fn operands_ready(&self, e: &Entry, now: u64) -> bool {
+        e.deps.iter().all(|dep| match *dep {
+            // A producer below `base_seq` has already retired.
+            Some(seq) if seq >= self.base_seq => {
+                self.rob[(seq - self.base_seq) as usize].complete_by(now)
             }
-        }
+            _ => true,
+        })
+    }
+
+    /// No op in flight and none buffered.
+    fn drained(&self) -> bool {
+        self.rob.is_empty() && self.pending.is_none()
     }
 }
 
@@ -288,11 +298,11 @@ impl OooEngine {
     }
 
     /// If the primary thread (0) is idle, returns the cycle its next request
-    /// arrives.
+    /// arrives. Under Elfen, batch threads fetch only while it naps.
     #[must_use]
     pub fn primary_idle_until(&self, now: u64) -> Option<u64> {
         let t = self.threads.first()?;
-        (t.idle_until > now && t.rob.is_empty() && t.pending.is_none()).then_some(t.idle_until)
+        (t.idle_until > now && t.drained()).then_some(t.idle_until)
     }
 
     /// If the primary thread is blocked on an outstanding µs-scale remote
@@ -311,7 +321,7 @@ impl OooEngine {
                     if e.issued && e.complete > now {
                         return None; // other work still executing
                     }
-                    if !e.issued && t.dep_ready(e.deps[0], now) && t.dep_ready(e.deps[1], now) {
+                    if !e.issued && t.operands_ready(e, now) {
                         return None; // issuable work remains
                     }
                 }
@@ -331,9 +341,7 @@ impl OooEngine {
     /// True once every thread has permanently finished and drained.
     #[must_use]
     pub fn all_done(&self) -> bool {
-        self.threads
-            .iter()
-            .all(|t| t.done && t.rob.is_empty() && t.pending.is_none())
+        self.threads.iter().all(|t| t.done && t.drained())
     }
 
     /// Earliest cycle `t >= from` at which [`OooEngine::step`] could change
@@ -347,9 +355,10 @@ impl OooEngine {
     /// resume stepping at `t`. `None` means no future step can ever act
     /// (e.g. every thread is done and drained).
     ///
-    /// The checks mirror [`OooEngine::step`]'s own comparisons exactly:
-    /// commit (`front.complete <= now`), in-window wake-up (`dep_ready`),
-    /// thread fetch eligibility, and the structural dispatch gates.
+    /// The probe calls the stepper's own rules rather than restating them:
+    /// commit and wake-up, the runahead entry gate, fetch eligibility with
+    /// the primary-napping predicate ([`OooEngine::primary_idle_until`]),
+    /// and the storage limits and dispatch gates.
     #[must_use]
     pub fn next_event_cycle(&self, from: u64) -> Option<u64> {
         if self.threads.is_empty() {
@@ -358,17 +367,10 @@ impl OooEngine {
         // Runahead pseudo-execution draws RNG from the stream: never skip
         // while it is active, nor when this cycle's entry check would fire.
         // (`primary_stalled_on_remote` is frozen over a quiescent span and
-        // its `resume > now + 200` entry gate only weakens as `now` grows,
-        // so "would not enter at `from`" extends to the whole span.)
-        if self.runahead {
-            if self.runahead_until != 0 {
-                return Some(from);
-            }
-            if let Some(resume) = self.primary_stalled_on_remote(from) {
-                if resume > from + 200 {
-                    return Some(from);
-                }
-            }
+        // the entry gate only weakens as `now` grows, so "would not enter
+        // at `from`" extends to the whole span.)
+        if self.runahead && (self.runahead_until != 0 || self.runahead_entry(from).is_some()) {
+            return Some(from);
         }
 
         let mut best: Option<u64> = None;
@@ -379,10 +381,8 @@ impl OooEngine {
         let window = self.cfg.iq_entries;
         for t in &self.threads {
             // Commit: the in-order front retires the moment it completes.
-            if let Some(front) = t.rob.front() {
-                if front.issued && front.complete <= from {
-                    return Some(from);
-                }
+            if t.rob.front().is_some_and(|front| front.complete_by(from)) {
+                return Some(from);
             }
             let mut scanned = 0usize;
             for e in &t.rob {
@@ -399,125 +399,53 @@ impl OooEngine {
                 // (a commit/issue event).
                 if scanned < window {
                     scanned += 1;
-                    if t.dep_ready(e.deps[0], from) && t.dep_ready(e.deps[1], from) {
+                    if t.operands_ready(e, from) {
                         return Some(from); // would issue this cycle
                     }
                 }
             }
         }
 
-        // Fetch: mirror `select_thread` eligibility, then the dispatch gates.
-        let primary_napping = self
-            .threads
-            .first()
-            .is_some_and(|t| t.idle_until > from && t.rob.is_empty() && t.pending.is_none());
+        // Fetch: the eligibility `select_thread` applies, then the gates
+        // `fetch_dispatch` applies. A thread without a resume cycle, or held
+        // by a gate, frees only at a commit, issue or primary-thread event,
+        // and those are already bumped above. An eligible thread with an
+        // empty buffer refills it (a replay pop or `stream.next`).
+        let napping = self.primary_idle_until(from).is_some();
+        let full = self.window_full();
+        let (rob_lim, iq_lim, lq_lim, sq_lim) = self.thread_limits();
         for (tid, t) in self.threads.iter().enumerate() {
-            if t.done || t.awaiting_branch {
-                continue; // freed only by an issue event, bumped above
-            }
-            if self.elfen && t.class == ThreadClass::Secondary && !primary_napping {
-                continue; // eligibility can only flip at a primary event
-            }
-            let resume = t.fetch_blocked_until.max(t.idle_until);
+            let Some(resume) = self.fetch_resume(tid, napping) else {
+                continue;
+            };
             if resume > from {
                 bump(&mut best, resume);
-                continue;
-            }
-            if self.fetch_would_act(tid) {
+            } else if !full
+                && !self.thread_full(tid, rob_lim, iq_lim)
+                && t.pending
+                    .is_none_or(|op| self.may_dispatch(tid, &op, lq_lim, sq_lim))
+            {
                 return Some(from);
             }
-            // Structurally gated: frees only at a commit/issue event, and
-            // those completions are already bumped above.
         }
         best
     }
 
-    /// Whether an eligible thread's fetch/dispatch would do anything this
-    /// cycle: either its pending buffer needs a refill (a `stream.next`
-    /// call — possibly an RNG draw — or a runahead replay pop), or the
-    /// buffered op passes every structural dispatch gate.
-    fn fetch_would_act(&self, tid: usize) -> bool {
-        let rob_cap = self.cfg.rob_entries;
-        let iq_cap = self.cfg.iq_entries;
-        let n_threads = self.threads.len();
-        let rob_total: usize = self.threads.iter().map(|t| t.rob.len()).sum();
-        let iq_total: usize = self.threads.iter().map(|t| t.unissued).sum();
-        if rob_total >= rob_cap || iq_total >= iq_cap {
-            return false;
-        }
-        let (rob_lim, iq_lim, lq_lim, sq_lim) = if self.partition.is_some() || n_threads <= 1 {
-            (rob_cap, iq_cap, self.cfg.lq_entries, self.cfg.sq_entries)
-        } else {
-            (
-                rob_cap.div_ceil(n_threads).max(4),
-                iq_cap.div_ceil(n_threads).max(2),
-                self.cfg.lq_entries.div_ceil(n_threads).max(1),
-                self.cfg.sq_entries.div_ceil(n_threads).max(1),
-            )
-        };
-        let t = &self.threads[tid];
-        if t.rob.len() >= rob_lim || t.unissued >= iq_lim {
-            return false;
-        }
-        let Some(op) = t.pending else {
-            return true; // refill: replay pop or stream.next
-        };
-        let (lq_total, sq_total): (usize, usize) = self
-            .threads
-            .iter()
-            .fold((0, 0), |(l, s), t| (l + t.lq_used, s + t.sq_used));
-        if op.op.is_load() && (lq_total >= self.cfg.lq_entries.max(1) || t.lq_used >= lq_lim) {
-            return false;
-        }
-        if op.op.is_store() && (sq_total >= self.cfg.sq_entries.max(1) || t.sq_used >= sq_lim) {
-            return false;
-        }
-        if op.dst.is_some() && self.rename_free == 0 {
-            return false;
-        }
-        if let Some(p) = self.partition {
-            if t.class == ThreadClass::Secondary {
-                let cap = |total: usize| ((total as f64) * p.secondary_share) as usize;
-                let sec = |f: fn(&ThreadCtx) -> usize| -> usize {
-                    self.threads
-                        .iter()
-                        .filter(|t| t.class == ThreadClass::Secondary)
-                        .map(f)
-                        .sum()
-                };
-                if sec(|t| t.rob.len()) >= cap(rob_cap).max(1)
-                    || (op.op.is_load() && sec(|t| t.lq_used) >= cap(self.cfg.lq_entries).max(1))
-                    || (op.op.is_store() && sec(|t| t.sq_used) >= cap(self.cfg.sq_entries).max(1))
-                {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Folds `count` provably quiescent cycles starting at `from` into the
     /// counters, exactly as if [`OooEngine::step`] had been called for each
-    /// of `from..from + count`: total cycles, the all-threads-idle counter
-    /// (clamped at the earliest `idle_until`), and the round-robin pointer.
-    /// Callers must only pass spans vouched for by
-    /// [`OooEngine::next_event_cycle`].
+    /// of `from..from + count`: total cycles, the all-threads-idle counter,
+    /// and the round-robin pointer. Callers must only pass spans vouched for
+    /// by [`OooEngine::next_event_cycle`].
     pub fn skip_quiescent(&mut self, from: u64, count: u64) {
         self.stats.cycles += count;
         let n = self.threads.len() as u64;
         if n == 0 {
             return;
         }
-        // `step` counts an idle cycle when every thread is drained and
-        // napping; over a quiescent span the drained shape is frozen and
-        // only the `idle_until > now` comparison varies with `now`.
-        if self
-            .threads
-            .iter()
-            .all(|t| !t.done && t.rob.is_empty() && t.pending.is_none())
-        {
-            let min_idle = self.threads.iter().map(|t| t.idle_until).min().unwrap_or(0);
-            self.stats.idle_cycles += min_idle.saturating_sub(from).min(count);
+        // Over a quiescent span the drained shape is frozen, so `step`
+        // counts an idle cycle for each `now` before the first wake-up.
+        if let Some(wake) = self.all_idle_until() {
+            self.stats.idle_cycles += wake.saturating_sub(from).min(count);
         }
         self.rr_next = ((self.rr_next as u64 + count % n) % n) as usize;
     }
@@ -531,14 +459,102 @@ impl OooEngine {
         if self.runahead {
             self.runahead_step(now, mem, rng);
         }
-        if self
-            .threads
-            .iter()
-            .all(|t| !t.done && t.rob.is_empty() && t.pending.is_none() && t.idle_until > now)
-            && !self.threads.is_empty()
-        {
+        if self.all_idle_until().is_some_and(|wake| wake > now) {
             self.stats.idle_cycles += 1;
         }
+    }
+
+    /// The idle-cycle rule: if every thread is drained and not done, the
+    /// earliest cycle one of them has work again. A cycle before it counts
+    /// as idle.
+    fn all_idle_until(&self) -> Option<u64> {
+        if !self.threads.iter().all(|t| !t.done && t.drained()) {
+            return None;
+        }
+        self.threads.iter().map(|t| t.idle_until).min()
+    }
+
+    /// The cycle thread `tid` may next fetch: once both its fetch block and
+    /// its idle period have lifted. `None` while only an issue or a
+    /// primary-thread event can free it: it is done, it awaits a
+    /// mispredicted branch, or it is an Elfen batch thread and the primary
+    /// thread is not `napping` (lane borrowing).
+    fn fetch_resume(&self, tid: usize, napping: bool) -> Option<u64> {
+        let t = &self.threads[tid];
+        let elfen_gated = self.elfen && t.class == ThreadClass::Secondary && !napping;
+        (!t.done && !t.awaiting_branch && !elfen_gated)
+            .then(|| t.fetch_blocked_until.max(t.idle_until))
+    }
+
+    /// Whether the shared ROB or issue queue is full, which stops fetch
+    /// for every thread.
+    fn window_full(&self) -> bool {
+        let rob: usize = self.threads.iter().map(|t| t.rob.len()).sum();
+        let iq: usize = self.threads.iter().map(|t| t.unissued).sum();
+        rob >= self.cfg.rob_entries || iq >= self.cfg.iq_entries
+    }
+
+    /// Each thread's ROB, IQ, LQ and SQ limits. Plain SMT statically
+    /// partitions storage across threads (gem5's default SMT policy), which
+    /// keeps one stalled thread from clogging the shared window. SMT+
+    /// instead caps the co-runners' share in `may_dispatch`,
+    /// and a single-threaded core gets everything.
+    fn thread_limits(&self) -> (usize, usize, usize, usize) {
+        let c = &self.cfg;
+        let n = self.threads.len();
+        if self.partition.is_some() || n <= 1 {
+            (c.rob_entries, c.iq_entries, c.lq_entries, c.sq_entries)
+        } else {
+            (
+                c.rob_entries.div_ceil(n).max(4),
+                c.iq_entries.div_ceil(n).max(2),
+                c.lq_entries.div_ceil(n).max(1),
+                c.sq_entries.div_ceil(n).max(1),
+            )
+        }
+    }
+
+    /// Whether thread `tid` holds its ROB or IQ limit.
+    fn thread_full(&self, tid: usize, rob_lim: usize, iq_lim: usize) -> bool {
+        let t = &self.threads[tid];
+        t.rob.len() >= rob_lim || t.unissued >= iq_lim
+    }
+
+    /// Whether thread `tid` may dispatch its buffered `op`: a load needs a
+    /// free LQ entry and a store a free SQ entry, both in the shared queue
+    /// and under the thread's limit; a destination needs a free rename
+    /// register; and under SMT+ the co-runners must stay below their share
+    /// of the ROB, LQ and SQ.
+    fn may_dispatch(&self, tid: usize, op: &MicroOp, lq_lim: usize, sq_lim: usize) -> bool {
+        let t = &self.threads[tid];
+        let held = |co_runners_only: bool, used: fn(&ThreadCtx) -> usize| -> usize {
+            self.threads
+                .iter()
+                .filter(|t| !co_runners_only || t.class == ThreadClass::Secondary)
+                .map(used)
+                .sum()
+        };
+        let within_share = |used: fn(&ThreadCtx) -> usize, entries: usize| match self.partition {
+            Some(p) if t.class == ThreadClass::Secondary => {
+                held(true, used) < (((entries as f64) * p.secondary_share) as usize).max(1)
+            }
+            _ => true,
+        };
+        let queue_free = |used: fn(&ThreadCtx) -> usize, entries: usize, lim: usize| {
+            held(false, used) < entries.max(1) && used(t) < lim && within_share(used, entries)
+        };
+        (!op.op.is_load() || queue_free(|t| t.lq_used, self.cfg.lq_entries, lq_lim))
+            && (!op.op.is_store() || queue_free(|t| t.sq_used, self.cfg.sq_entries, sq_lim))
+            && (op.dst.is_none() || self.rename_free > 0)
+            && within_share(|t| t.rob.len(), self.cfg.rob_entries)
+    }
+
+    /// The runahead entry gate: the primary thread is stalled on a remote
+    /// access that resolves more than 200 cycles after `now` (runahead is
+    /// not worth entering for sub-100ns stalls). Returns the resume cycle.
+    fn runahead_entry(&self, now: u64) -> Option<u64> {
+        self.primary_stalled_on_remote(now)
+            .filter(|&resume| resume > now + 200)
     }
 
     fn commit(&mut self, now: u64) {
@@ -548,8 +564,7 @@ impl OooEngine {
             let tid = (self.rr_next + i) % n;
             let t = &mut self.threads[tid];
             while slots > 0 {
-                let Some(front) = t.rob.front() else { break };
-                if !(front.issued && front.complete <= now) {
+                if !t.rob.front().is_some_and(|front| front.complete_by(now)) {
                     break;
                 }
                 let e = t.rob.pop_front().expect("front exists");
@@ -606,7 +621,7 @@ impl OooEngine {
                 if scanned > window {
                     break;
                 }
-                if t.dep_ready(e.deps[0], now) && t.dep_ready(e.deps[1], now) {
+                if t.operands_ready(e, now) {
                     cands.push((e.order, t.class == ThreadClass::Secondary, tid, idx));
                 }
             }
@@ -699,38 +714,17 @@ impl OooEngine {
     }
 
     fn fetch_dispatch(&mut self, now: u64, mem: &mut MemSys, rng: &mut SimRng) {
-        let rob_cap = self.cfg.rob_entries;
-        let iq_cap = self.cfg.iq_entries;
-        let n_threads = self.threads.len();
-        // Plain SMT statically partitions storage resources across threads
-        // (gem5's default SMT policy); this keeps one stalled thread from
-        // clogging the shared window. SMT+ instead enforces the 30% co-runner
-        // share below, and single-threaded cores get everything.
-        let (rob_lim, iq_lim, lq_lim, sq_lim) = if self.partition.is_some() || n_threads <= 1 {
-            (rob_cap, iq_cap, self.cfg.lq_entries, self.cfg.sq_entries)
-        } else {
-            (
-                rob_cap.div_ceil(n_threads).max(4),
-                iq_cap.div_ceil(n_threads).max(2),
-                self.cfg.lq_entries.div_ceil(n_threads).max(1),
-                self.cfg.sq_entries.div_ceil(n_threads).max(1),
-            )
-        };
+        let (rob_lim, iq_lim, lq_lim, sq_lim) = self.thread_limits();
         let mut slots = self.cfg.width;
         let mut blocked_this_cycle = std::mem::take(&mut self.fetch_blocked_scratch);
         blocked_this_cycle.clear();
         blocked_this_cycle.resize(self.threads.len(), false);
 
-        while slots > 0 {
-            let rob_total: usize = self.threads.iter().map(|t| t.rob.len()).sum();
-            let iq_total: usize = self.threads.iter().map(|t| t.unissued).sum();
-            if rob_total >= rob_cap || iq_total >= iq_cap {
-                break;
-            }
+        while slots > 0 && !self.window_full() {
             let Some(tid) = self.select_thread(now, &blocked_this_cycle) else {
                 break;
             };
-            if self.threads[tid].rob.len() >= rob_lim || self.threads[tid].unissued >= iq_lim {
+            if self.thread_full(tid, rob_lim, iq_lim) {
                 blocked_this_cycle[tid] = true;
                 continue;
             }
@@ -758,56 +752,9 @@ impl OooEngine {
             }
 
             let op = self.threads[tid].pending.expect("just filled");
-            // Structural checks that depend on the op kind.
-            let (lq_total, sq_total): (usize, usize) = self
-                .threads
-                .iter()
-                .fold((0, 0), |(l, s), t| (l + t.lq_used, s + t.sq_used));
-            if op.op.is_load()
-                && (lq_total >= self.cfg.lq_entries.max(1) || self.threads[tid].lq_used >= lq_lim)
-            {
+            if !self.may_dispatch(tid, &op, lq_lim, sq_lim) {
                 blocked_this_cycle[tid] = true;
                 continue;
-            }
-            if op.op.is_store()
-                && (sq_total >= self.cfg.sq_entries.max(1) || self.threads[tid].sq_used >= sq_lim)
-            {
-                blocked_this_cycle[tid] = true;
-                continue;
-            }
-            if op.dst.is_some() && self.rename_free == 0 {
-                blocked_this_cycle[tid] = true;
-                continue;
-            }
-            if let Some(p) = self.partition {
-                if self.threads[tid].class == ThreadClass::Secondary {
-                    let cap = |total: usize| ((total as f64) * p.secondary_share) as usize;
-                    let sec_rob: usize = self
-                        .threads
-                        .iter()
-                        .filter(|t| t.class == ThreadClass::Secondary)
-                        .map(|t| t.rob.len())
-                        .sum();
-                    let sec_lq: usize = self
-                        .threads
-                        .iter()
-                        .filter(|t| t.class == ThreadClass::Secondary)
-                        .map(|t| t.lq_used)
-                        .sum();
-                    let sec_sq: usize = self
-                        .threads
-                        .iter()
-                        .filter(|t| t.class == ThreadClass::Secondary)
-                        .map(|t| t.sq_used)
-                        .sum();
-                    if sec_rob >= cap(rob_cap).max(1)
-                        || (op.op.is_load() && sec_lq >= cap(self.cfg.lq_entries).max(1))
-                        || (op.op.is_store() && sec_sq >= cap(self.cfg.sq_entries).max(1))
-                    {
-                        blocked_this_cycle[tid] = true;
-                        continue;
-                    }
-                }
             }
 
             // Dispatch.
@@ -825,12 +772,9 @@ impl OooEngine {
     fn runahead_step(&mut self, now: u64, mem: &mut MemSys, rng: &mut SimRng) {
         const MAX_RUNAHEAD_OPS: usize = 16_384;
         if self.runahead_until == 0 {
-            let Some(resume) = self.primary_stalled_on_remote(now) else {
+            let Some(resume) = self.runahead_entry(now) else {
                 return;
             };
-            if resume <= now + 200 {
-                return; // not worth entering for sub-100ns stalls
-            }
             self.runahead_until = resume;
             self.runahead_poisoned = [false; REG_FILE_SIZE];
             // Poison the destinations of the outstanding remote loads: real
@@ -906,20 +850,12 @@ impl OooEngine {
     }
 
     fn select_thread(&self, now: u64, blocked: &[bool]) -> Option<usize> {
-        // Elfen lane borrowing: batch threads are eligible only while the
-        // primary thread naps (idle with an empty window).
-        let primary_napping = self
-            .threads
-            .first()
-            .is_some_and(|t| t.idle_until > now && t.rob.is_empty() && t.pending.is_none());
+        let napping = self.primary_idle_until(now).is_some();
         let eligible = |tid: usize| {
-            let t = &self.threads[tid];
             !blocked[tid]
-                && !t.done
-                && !t.awaiting_branch
-                && t.fetch_blocked_until <= now
-                && t.idle_until <= now
-                && (!self.elfen || t.class == ThreadClass::Primary || primary_napping)
+                && self
+                    .fetch_resume(tid, napping)
+                    .is_some_and(|resume| resume <= now)
         };
         match self.policy {
             FetchPolicy::Icount => (0..self.threads.len())
