@@ -45,8 +45,9 @@ pub enum FillerPlacement {
 /// Morph-controller and topology parameters for one dyad variant.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DyadConfig {
-    /// Virtual-context (HSMT) fillers from the shared pool; `false` means 8
-    /// dedicated filler threads (plain MorphCore).
+    /// Virtual-context (HSMT) fillers from the pool a paired lender-core
+    /// shares; `false` means 8 dedicated filler threads and no lender-core
+    /// (plain MorphCore).
     pub hsmt_fillers: bool,
     /// Cache placement for fillers on the master-core.
     pub placement: FillerPlacement,
@@ -62,9 +63,6 @@ pub struct DyadConfig {
     /// mwait/hlt-style monitoring adds latency). Delays the morph, not the
     /// master's resume.
     pub stall_detection_delay: u64,
-    /// Whether a lender-core shares the pool (false only for plain
-    /// MorphCore).
-    pub has_lender: bool,
     /// Machine description for the master-core.
     pub machine: MachineConfig,
     /// HSMT context-swap latency.
@@ -83,7 +81,6 @@ impl DyadConfig {
             morph_out_cycles: 250,
             min_morph_gain_cycles: 1000,
             stall_detection_delay: 0,
-            has_lender: false,
             machine: MachineConfig::master(),
             swap_latency: 64,
         }
@@ -95,7 +92,6 @@ impl DyadConfig {
     pub fn morphcore_plus() -> Self {
         Self {
             hsmt_fillers: true,
-            has_lender: true,
             ..Self::morphcore()
         }
     }
@@ -110,7 +106,6 @@ impl DyadConfig {
             morph_out_cycles: LatencyModel::default().filler_eviction,
             min_morph_gain_cycles: 500,
             stall_detection_delay: 0,
-            has_lender: true,
             machine: MachineConfig::master(),
             swap_latency: 64,
         }
@@ -254,7 +249,7 @@ impl DyadMetrics {
 }
 
 /// Co-simulation of one dyad (or of a standalone morphable core when
-/// `has_lender` is false).
+/// `hsmt_fillers` is false).
 ///
 /// # Examples
 ///
@@ -320,7 +315,7 @@ impl DyadSim {
             cfg.swap_latency,
         );
         let lender_ino = cfg
-            .has_lender
+            .hsmt_fillers
             .then(|| InoEngine::lender(cycles_per_us, cfg.swap_latency));
         Self {
             master_ooo,
@@ -445,15 +440,15 @@ impl DyadSim {
                     self.master_ooo.step(now, &mut self.master_mem, rng);
                 } else if now >= start {
                     self.filler_mode_cycles += 1;
-                    let (mem, remote, pool) = match self.cfg.placement {
-                        FillerPlacement::MasterCaches => (&mut self.master_mem, None, true),
-                        FillerPlacement::ReplicatedCaches => (&mut self.repl_mem, None, true),
+                    let (mem, remote) = match self.cfg.placement {
+                        FillerPlacement::MasterCaches => (&mut self.master_mem, None),
+                        FillerPlacement::ReplicatedCaches => (&mut self.repl_mem, None),
                         FillerPlacement::LenderCaches => {
-                            (&mut self.lender_mem, Some(&mut self.remote), true)
+                            (&mut self.lender_mem, Some(&mut self.remote))
                         }
                     };
-                    let pool_opt = (pool && self.cfg.hsmt_fillers).then_some(&mut self.pool);
-                    self.master_ino.step(now, mem, remote, pool_opt, rng);
+                    let pool = self.cfg.hsmt_fillers.then_some(&mut self.pool);
+                    self.master_ino.step(now, mem, remote, pool, rng);
                 }
             }
         }

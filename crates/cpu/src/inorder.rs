@@ -205,7 +205,7 @@ impl InoEngine {
                     ctx,
                     reason: ReturnReason::Evict,
                 });
-                pool.put_back(v);
+                pool.add(v);
                 n += 1;
             }
             c.pending = None;
@@ -214,6 +214,35 @@ impl InoEngine {
             c.last_line = u64::MAX;
         }
         n
+    }
+
+    /// Swaps physical context `i`'s virtual context out to `pool`: back to
+    /// the run queue's tail, or parked until `resume_at`. `now` and
+    /// `reason` stamp the filler-return trace event.
+    fn swap_out(
+        &mut self,
+        i: usize,
+        now: u64,
+        pool: &mut ContextPool,
+        reason: ReturnReason,
+        resume_at: Option<u64>,
+    ) {
+        let c = &mut self.contexts[i];
+        let v = c.vctx.take().expect("occupied");
+        let ctx = v.id as u64;
+        self.tracer.emit(|| TraceEvent::FillerReturn {
+            at: now,
+            ctx,
+            reason,
+        });
+        match resume_at {
+            Some(at) => pool.park(v, at),
+            None => pool.add(v),
+        }
+        c.pending = None;
+        c.blocked_until = now + self.swap_latency;
+        c.quantum_end = u64::MAX;
+        c.last_line = u64::MAX;
     }
 
     /// Advances one cycle. `remote` routes memory through the master-core's
@@ -231,6 +260,8 @@ impl InoEngine {
         if let Some(p) = pool.as_deref_mut() {
             p.poll(now);
         }
+        // Only HSMT swaps virtual contexts in and out of the pool.
+        let mut pool = pool.filter(|_| self.hsmt);
         let n = self.contexts.len();
         let mut slots = self.width;
         let mut mem_slots = 2usize;
@@ -239,39 +270,23 @@ impl InoEngine {
             let i = (self.rr_next + k) % n;
             // Refill an empty physical context from the pool.
             if self.contexts[i].vctx.is_none() {
-                if self.hsmt {
-                    if let Some(p) = pool.as_deref_mut() {
-                        if let Some(v) = p.take() {
-                            let ctx = v.id as u64;
-                            self.tracer
-                                .emit(|| TraceEvent::FillerBorrow { at: now, ctx });
-                            let c = &mut self.contexts[i];
-                            c.vctx = Some(v);
-                            c.blocked_until = now + self.swap_latency;
-                            c.quantum_end = now + self.swap_latency + self.quantum_cycles;
-                            c.last_line = u64::MAX;
-                        }
-                    }
+                if let Some(v) = pool.as_deref_mut().and_then(ContextPool::take) {
+                    let ctx = v.id as u64;
+                    self.tracer
+                        .emit(|| TraceEvent::FillerBorrow { at: now, ctx });
+                    let c = &mut self.contexts[i];
+                    c.vctx = Some(v);
+                    c.blocked_until = now + self.swap_latency;
+                    c.quantum_end = now + self.swap_latency + self.quantum_cycles;
+                    c.last_line = u64::MAX;
                 }
                 continue;
             }
             // Quantum rotation (only if someone is waiting).
-            if self.hsmt && now >= self.contexts[i].quantum_end {
+            if now >= self.contexts[i].quantum_end {
                 if let Some(p) = pool.as_deref_mut() {
                     if p.ready_len() > 0 {
-                        let c = &mut self.contexts[i];
-                        let v = c.vctx.take().expect("occupied");
-                        let ctx = v.id as u64;
-                        self.tracer.emit(|| TraceEvent::FillerReturn {
-                            at: now,
-                            ctx,
-                            reason: ReturnReason::Quantum,
-                        });
-                        p.put_back(v);
-                        c.pending = None;
-                        c.blocked_until = now + self.swap_latency;
-                        c.quantum_end = u64::MAX;
-                        c.last_line = u64::MAX;
+                        self.swap_out(i, now, p, ReturnReason::Quantum, None);
                         continue;
                     }
                     // Nobody waiting: extend the quantum.
@@ -298,23 +313,10 @@ impl InoEngine {
                         Fetched::Op(op) => self.contexts[i].pending = Some(op),
                         Fetched::IdleUntil(c_at) => {
                             // Batch thread briefly out of work: park it.
-                            let c = &mut self.contexts[i];
-                            if self.hsmt {
-                                if let Some(p) = pool.as_deref_mut() {
-                                    let v = c.vctx.take().expect("occupied");
-                                    let ctx = v.id as u64;
-                                    self.tracer.emit(|| TraceEvent::FillerReturn {
-                                        at: now,
-                                        ctx,
-                                        reason: ReturnReason::Idle,
-                                    });
-                                    p.park(v, c_at);
-                                    c.blocked_until = now + self.swap_latency;
-                                    c.quantum_end = u64::MAX;
-                                    break;
-                                }
+                            match pool.as_deref_mut() {
+                                Some(p) => self.swap_out(i, now, p, ReturnReason::Idle, Some(c_at)),
+                                None => self.contexts[i].blocked_until = c_at,
                             }
-                            c.blocked_until = c_at;
                             break;
                         }
                         Fetched::Done => {
@@ -356,25 +358,20 @@ impl InoEngine {
                 // Issue.
                 self.contexts[i].pending = None;
                 let complete = match op.op {
-                    Op::Load { addr } => {
+                    Op::Load { addr } | Op::Store { addr } => {
                         mem_slots -= 1;
-                        let lat = match remote.as_deref_mut() {
-                            Some(rp) => rp.data_access(mem, addr, AccessKind::Read),
-                            None => mem.data_access(addr, AccessKind::Read),
+                        let load = matches!(op.op, Op::Load { .. });
+                        let kind = if load {
+                            AccessKind::Read
+                        } else {
+                            AccessKind::Write
                         };
-                        now + lat.max(1)
-                    }
-                    Op::Store { addr } => {
-                        mem_slots -= 1;
-                        match remote.as_deref_mut() {
-                            Some(rp) => {
-                                rp.data_access(mem, addr, AccessKind::Write);
-                            }
-                            None => {
-                                mem.data_access(addr, AccessKind::Write);
-                            }
-                        }
-                        now + 1
+                        let lat = match remote.as_deref_mut() {
+                            Some(rp) => rp.data_access(mem, addr, kind),
+                            None => mem.data_access(addr, kind),
+                        };
+                        // A store completes the cycle after issue.
+                        now + if load { lat.max(1) } else { 1 }
                     }
                     Op::RemoteLoad { latency_us } => {
                         self.stats.remote_ops += 1;
@@ -423,27 +420,12 @@ impl InoEngine {
                 self.retired_by_ctx[ctx_id] += 1;
                 slots -= 1;
 
-                // HSMT: a µs-scale stall swaps the context out.
-                if let Op::RemoteLoad { .. } = op.op {
-                    if self.hsmt {
-                        if let Some(p) = pool.as_deref_mut() {
-                            let c = &mut self.contexts[i];
-                            let v = c.vctx.take().expect("occupied");
-                            let ctx = v.id as u64;
-                            self.tracer.emit(|| TraceEvent::FillerReturn {
-                                at: now,
-                                ctx,
-                                reason: ReturnReason::Stall,
-                            });
-                            p.park(v, complete);
-                            c.pending = None;
-                            c.blocked_until = now + self.swap_latency;
-                            c.quantum_end = u64::MAX;
-                            break;
-                        }
-                    }
-                    // Plain SMT: the context keeps its slot and simply blocks
-                    // when a dependent op arrives (reg_ready gate).
+                // HSMT: a µs-scale stall swaps the context out. Plain SMT
+                // keeps its slot and simply blocks when a dependent op
+                // arrives (reg_ready gate).
+                if let (Op::RemoteLoad { .. }, Some(p)) = (op.op, pool.as_deref_mut()) {
+                    self.swap_out(i, now, p, ReturnReason::Stall, Some(complete));
+                    break;
                 }
             }
         }

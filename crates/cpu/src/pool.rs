@@ -55,7 +55,8 @@ impl ContextPool {
         Self::default()
     }
 
-    /// Adds a ready context at the queue tail.
+    /// Adds a ready context at the queue tail: a new thread, or a
+    /// still-runnable one returned on quantum expiry or filler eviction.
     pub fn add(&mut self, ctx: VirtualContext) {
         self.ready.push_back(ctx);
     }
@@ -87,12 +88,6 @@ impl ContextPool {
     /// Parks a context until its µs-scale stall resolves at `resume_at`.
     pub fn park(&mut self, ctx: VirtualContext, resume_at: u64) {
         self.parked.push((resume_at, ctx));
-    }
-
-    /// Returns a still-runnable context to the tail (quantum expiry or
-    /// filler eviction).
-    pub fn put_back(&mut self, ctx: VirtualContext) {
-        self.ready.push_back(ctx);
     }
 
     /// Ready contexts waiting for a physical slot.
@@ -141,7 +136,7 @@ mod tests {
         p.add(ctx(3));
         assert_eq!(p.take().unwrap().id, 1);
         assert_eq!(p.take().unwrap().id, 2);
-        p.put_back(ctx(4));
+        p.add(ctx(4));
         assert_eq!(p.take().unwrap().id, 3);
         assert_eq!(p.take().unwrap().id, 4);
         assert!(p.take().is_none());
