@@ -169,7 +169,8 @@ pub trait RequestKernel: Send {
 }
 
 /// Replays a fixed trace in a loop forever. Useful for tests and for
-/// SPEC-like batch kernels.
+/// SPEC-like batch kernels. A loop over no ops is a finished stream: it
+/// reports [`Fetched::Done`].
 #[derive(Debug, Clone)]
 pub struct LoopedTrace {
     ops: Vec<MicroOp>,
@@ -178,20 +179,17 @@ pub struct LoopedTrace {
 
 impl LoopedTrace {
     /// Creates a looping stream over `ops`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ops` is empty.
     #[must_use]
     pub fn new(ops: Vec<MicroOp>) -> Self {
-        assert!(!ops.is_empty(), "trace must be non-empty");
         Self { ops, pos: 0 }
     }
 }
 
 impl InstructionStream for LoopedTrace {
     fn next(&mut self, _now: u64, _rng: &mut SimRng) -> Fetched {
-        let op = self.ops[self.pos];
+        let Some(&op) = self.ops.get(self.pos) else {
+            return Fetched::Done;
+        };
         self.pos = (self.pos + 1) % self.ops.len();
         Fetched::Op(op)
     }
@@ -264,6 +262,14 @@ mod tests {
             })
             .collect();
         assert_eq!(pcs, vec![0, 4, 0, 4, 0]);
+    }
+
+    #[test]
+    fn empty_looped_trace_is_done() {
+        let mut rng = rng_from_seed(0);
+        let mut t = LoopedTrace::new(Vec::new());
+        assert_eq!(t.next(0, &mut rng), Fetched::Done);
+        assert_eq!(t.next(1, &mut rng), Fetched::Done);
     }
 
     #[test]

@@ -72,11 +72,8 @@ impl Trace {
         self.ops.is_empty()
     }
 
-    /// Turns the trace into a looping replay stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty.
+    /// Turns the trace into a looping replay stream. An empty trace replays
+    /// as a finished stream.
     #[must_use]
     pub fn into_looped_stream(self) -> LoopedTrace {
         LoopedTrace::new(self.ops)
