@@ -36,9 +36,19 @@ use duplexity::experiments::tables::{table2_rows, Table2Row};
 use duplexity::experiments::timeline::{timeline, Timeline, TimelineOptions};
 use duplexity::report as render;
 use duplexity::{
-    experiments, BalancerPolicy, CellCache, CellKey, Design, DuplicationPolicy, RackPlan, Workload,
+    experiments, BalancerPolicy, CellCache, CellKey, Design, DesignMetrics, DuplicationPolicy,
+    RackPlan, ServerSim, Workload,
 };
+use duplexity_cpu::inorder::InoEngine;
+use duplexity_cpu::memsys::MemSys;
+use duplexity_cpu::metrics::EngineStats;
+use duplexity_cpu::pool::{ContextPool, VirtualContext};
 use duplexity_queueing::des::Mg1Options;
+use duplexity_stats::rng::{derive_stream, rng_from_seed};
+use duplexity_uarch::cache::CacheStats;
+use duplexity_uarch::config::{LatencyModel, MachineConfig};
+use duplexity_uarch::tlb::TlbStats;
+use duplexity_workloads::graph::FillerFactory;
 use serde::Serialize;
 
 /// Compares against `tests/golden/<name>.json` via the shared helper
@@ -116,6 +126,84 @@ fn fig1c_and_fig2a_small_match_golden() {
     };
     assert_eq!((smt.fig1c.len(), smt.fig2a.len()), (16, 4));
     assert_matches_golden("smt_small", &smt);
+}
+
+/// Every design that steps the in-order engine (MorphCore's pinned
+/// fillers, the HSMT lender-core and the morphed master-core's filler
+/// mode) on two services, plus a bare lender-core multiplexing the paper's
+/// 32 filler threads. Any change to the engine's RNG draws, round-robin
+/// order, issue slots, pool order or TLB and cache traffic shows here.
+#[test]
+fn dyad_engines_match_golden() {
+    #[derive(Serialize)]
+    struct DesignRun {
+        design: Design,
+        workload: Workload,
+        metrics: DesignMetrics,
+    }
+    #[derive(Serialize)]
+    struct LenderRun {
+        stats: EngineStats,
+        retired_by_ctx: Vec<u64>,
+        pool_ready: usize,
+        pool_parked: usize,
+        itlb: TlbStats,
+        dtlb: TlbStats,
+        l1i: CacheStats,
+        l1d: CacheStats,
+        llc: CacheStats,
+    }
+    #[derive(Serialize)]
+    struct DyadEngines {
+        designs: Vec<DesignRun>,
+        lender: LenderRun,
+    }
+
+    let mut designs = Vec::new();
+    for design in [
+        Design::MorphCore,
+        Design::MorphCorePlus,
+        Design::DuplexityReplication,
+        Design::Duplexity,
+    ] {
+        for workload in [Workload::McRouter, Workload::WordStem] {
+            let metrics = ServerSim::new(design, workload)
+                .load(0.5)
+                .horizon_cycles(150_000)
+                .seed(42)
+                .run();
+            designs.push(DesignRun {
+                design,
+                workload,
+                metrics,
+            });
+        }
+    }
+
+    let fillers = FillerFactory::paper(42);
+    let mut engine = InoEngine::lender(MachineConfig::lender().cycles_per_us(), 64);
+    let mut pool = ContextPool::new();
+    for id in 0..32 {
+        pool.add(VirtualContext::new(id, fillers.stream(id)));
+    }
+    let mut mem = MemSys::table1(LatencyModel::default());
+    let mut rng = rng_from_seed(derive_stream(42, 0x1E0D));
+    for now in 0..200_000 {
+        engine.step(now, &mut mem, None, Some(&mut pool), &mut rng);
+    }
+    let lender = LenderRun {
+        stats: engine.stats().clone(),
+        retired_by_ctx: engine.retired_by_ctx().to_vec(),
+        pool_ready: pool.ready_len(),
+        pool_parked: pool.parked_len(),
+        itlb: *mem.itlb.stats(),
+        dtlb: *mem.dtlb.stats(),
+        l1i: *mem.l1i.stats(),
+        l1d: *mem.l1d.stats(),
+        llc: *mem.llc.stats(),
+    };
+    assert!(lender.stats.retired_total() > 0, "the lender must issue");
+    assert_matches_golden("dyad_engines", &DyadEngines { designs, lender });
 }
 
 #[test]
