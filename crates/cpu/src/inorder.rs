@@ -41,6 +41,35 @@ impl PhysCtx {
             last_line: u64::MAX,
         }
     }
+
+    /// Swaps this context's virtual context out to `pool`: back to the run
+    /// queue's tail, or parked until `resume_at`. `now` and `reason` stamp
+    /// the filler-return trace event.
+    fn swap_out(
+        &mut self,
+        now: u64,
+        swap_latency: u64,
+        pool: &mut ContextPool,
+        tracer: &Tracer,
+        reason: ReturnReason,
+        resume_at: Option<u64>,
+    ) {
+        let v = self.vctx.take().expect("occupied");
+        let ctx = v.id as u64;
+        tracer.emit(|| TraceEvent::FillerReturn {
+            at: now,
+            ctx,
+            reason,
+        });
+        match resume_at {
+            Some(at) => pool.park(v, at),
+            None => pool.add(v),
+        }
+        self.pending = None;
+        self.blocked_until = now + swap_latency;
+        self.quantum_end = u64::MAX;
+        self.last_line = u64::MAX;
+    }
 }
 
 impl std::fmt::Debug for PhysCtx {
@@ -216,35 +245,6 @@ impl InoEngine {
         n
     }
 
-    /// Swaps physical context `i`'s virtual context out to `pool`: back to
-    /// the run queue's tail, or parked until `resume_at`. `now` and
-    /// `reason` stamp the filler-return trace event.
-    fn swap_out(
-        &mut self,
-        i: usize,
-        now: u64,
-        pool: &mut ContextPool,
-        reason: ReturnReason,
-        resume_at: Option<u64>,
-    ) {
-        let c = &mut self.contexts[i];
-        let v = c.vctx.take().expect("occupied");
-        let ctx = v.id as u64;
-        self.tracer.emit(|| TraceEvent::FillerReturn {
-            at: now,
-            ctx,
-            reason,
-        });
-        match resume_at {
-            Some(at) => pool.park(v, at),
-            None => pool.add(v),
-        }
-        c.pending = None;
-        c.blocked_until = now + self.swap_latency;
-        c.quantum_end = u64::MAX;
-        c.last_line = u64::MAX;
-    }
-
     /// Advances one cycle. `remote` routes memory through the master-core's
     /// L0 filters into `mem` (the *lender's* memory system); `pool` supplies
     /// virtual contexts when HSMT is enabled.
@@ -256,41 +256,58 @@ impl InoEngine {
         mut pool: Option<&mut ContextPool>,
         rng: &mut SimRng,
     ) {
-        self.stats.cycles += 1;
+        let Self {
+            width,
+            contexts,
+            predictor,
+            hsmt,
+            cycles_per_us,
+            swap_latency,
+            quantum_cycles,
+            mispredict_penalty,
+            l1_hit,
+            rr_next,
+            stats,
+            retired_by_ctx,
+            tracer,
+            tag,
+        } = self;
+        let (swap_latency, quantum_cycles) = (*swap_latency, *quantum_cycles);
+        stats.cycles += 1;
         if let Some(p) = pool.as_deref_mut() {
             p.poll(now);
         }
         // Only HSMT swaps virtual contexts in and out of the pool.
-        let mut pool = pool.filter(|_| self.hsmt);
-        let n = self.contexts.len();
-        let mut slots = self.width;
+        let mut pool = pool.filter(|_| *hsmt);
+        let n = contexts.len();
+        let mut slots = *width;
         let mut mem_slots = 2usize;
 
-        'contexts: for k in 0..n {
-            let i = (self.rr_next + k) % n;
+        let mut i = *rr_next;
+        'contexts: for _ in 0..n {
+            let c = &mut contexts[i];
+            i = if i + 1 == n { 0 } else { i + 1 };
             // Refill an empty physical context from the pool.
-            if self.contexts[i].vctx.is_none() {
+            let Some(v) = c.vctx.as_mut() else {
                 if let Some(v) = pool.as_deref_mut().and_then(ContextPool::take) {
                     let ctx = v.id as u64;
-                    self.tracer
-                        .emit(|| TraceEvent::FillerBorrow { at: now, ctx });
-                    let c = &mut self.contexts[i];
+                    tracer.emit(|| TraceEvent::FillerBorrow { at: now, ctx });
                     c.vctx = Some(v);
-                    c.blocked_until = now + self.swap_latency;
-                    c.quantum_end = now + self.swap_latency + self.quantum_cycles;
+                    c.blocked_until = now + swap_latency;
+                    c.quantum_end = now + swap_latency + quantum_cycles;
                     c.last_line = u64::MAX;
                 }
                 continue;
-            }
+            };
             // Quantum rotation (only if someone is waiting).
-            if now >= self.contexts[i].quantum_end {
+            if now >= c.quantum_end {
                 if let Some(p) = pool.as_deref_mut() {
                     if p.ready_len() > 0 {
-                        self.swap_out(i, now, p, ReturnReason::Quantum, None);
+                        c.swap_out(now, swap_latency, p, tracer, ReturnReason::Quantum, None);
                         continue;
                     }
                     // Nobody waiting: extend the quantum.
-                    self.contexts[i].quantum_end = now + self.quantum_cycles;
+                    c.quantum_end = now + quantum_cycles;
                 }
             }
 
@@ -299,56 +316,61 @@ impl InoEngine {
                 if slots == 0 {
                     break 'contexts;
                 }
-                if self.contexts[i].blocked_until > now {
+                if c.blocked_until > now {
                     break;
                 }
                 // Fill the pending buffer.
-                if self.contexts[i].pending.is_none() {
-                    let fetched = {
-                        let c = &mut self.contexts[i];
-                        let v = c.vctx.as_mut().expect("occupied");
-                        v.stream.next(now, rng)
-                    };
-                    match fetched {
-                        Fetched::Op(op) => self.contexts[i].pending = Some(op),
+                let op = match c.pending {
+                    Some(op) => op,
+                    None => match v.stream.next(now, rng) {
+                        Fetched::Op(op) => {
+                            c.pending = Some(op);
+                            op
+                        }
                         Fetched::IdleUntil(c_at) => {
                             // Batch thread briefly out of work: park it.
                             match pool.as_deref_mut() {
-                                Some(p) => self.swap_out(i, now, p, ReturnReason::Idle, Some(c_at)),
-                                None => self.contexts[i].blocked_until = c_at,
+                                Some(p) => c.swap_out(
+                                    now,
+                                    swap_latency,
+                                    p,
+                                    tracer,
+                                    ReturnReason::Idle,
+                                    Some(c_at),
+                                ),
+                                None => c.blocked_until = c_at,
                             }
                             break;
                         }
                         Fetched::Done => {
-                            self.contexts[i].vctx = None;
+                            c.vctx = None;
                             break;
                         }
-                    }
-                }
-                let op = self.contexts[i].pending.expect("just filled");
+                    },
+                };
 
                 // Instruction fetch per line.
                 let line = op.pc >> 6;
-                if line != self.contexts[i].last_line {
+                if line != c.last_line {
                     let lat = match remote.as_deref_mut() {
                         Some(rp) => rp.inst_fetch(mem, op.pc),
                         None => mem.inst_fetch(op.pc),
                     };
-                    self.contexts[i].last_line = line;
-                    if lat > self.l1_hit {
-                        self.contexts[i].blocked_until = now + lat;
+                    c.last_line = line;
+                    if lat > *l1_hit {
+                        c.blocked_until = now + lat;
                         break;
                     }
                 }
 
-                // In-order RAW check.
-                let ready = {
-                    let v = self.contexts[i].vctx.as_ref().expect("occupied");
-                    op.srcs
-                        .iter()
-                        .all(|&s| s == NO_REG || v.reg_ready[s as usize] <= now)
-                };
-                if !ready {
+                // In-order RAW check. Until its last source is written the
+                // op cannot issue and nothing else can write that register,
+                // so the context sleeps to that cycle instead of re-checking.
+                let regs = &v.reg_ready;
+                let wait = |s: u8| if s == NO_REG { 0 } else { regs[s as usize] };
+                let ready_at = wait(op.srcs[0]).max(wait(op.srcs[1]));
+                if ready_at > now {
+                    c.blocked_until = ready_at;
                     break;
                 }
                 if matches!(op.op, Op::Load { .. } | Op::Store { .. }) && mem_slots == 0 {
@@ -356,7 +378,7 @@ impl InoEngine {
                 }
 
                 // Issue.
-                self.contexts[i].pending = None;
+                c.pending = None;
                 let complete = match op.op {
                     Op::Load { addr } | Op::Store { addr } => {
                         mem_slots -= 1;
@@ -374,19 +396,19 @@ impl InoEngine {
                         now + if load { lat.max(1) } else { 1 }
                     }
                     Op::RemoteLoad { latency_us } => {
-                        self.stats.remote_ops += 1;
+                        stats.remote_ops += 1;
                         // The fault layer may retry/duplicate/degrade the
                         // remote access (identity without a plan).
                         let eff = mem.remote_stall_us(now, latency_us, rng);
                         let done =
-                            now.saturating_add((eff * self.cycles_per_us).round().max(1.0) as u64);
-                        let tag = self.tag;
-                        self.tracer.emit(|| TraceEvent::StallBegin {
+                            now.saturating_add((eff * *cycles_per_us).round().max(1.0) as u64);
+                        let tag = *tag;
+                        tracer.emit(|| TraceEvent::StallBegin {
                             at: now,
                             kind: RemoteKind::RemoteMemory,
                             tag,
                         });
-                        self.tracer.emit(|| TraceEvent::StallEnd {
+                        tracer.emit(|| TraceEvent::StallEnd {
                             at: done,
                             kind: RemoteKind::RemoteMemory,
                             tag,
@@ -394,42 +416,45 @@ impl InoEngine {
                         done
                     }
                     Op::Branch { taken, .. } => {
-                        self.stats.branches += 1;
-                        let predicted = self.predictor.predict(op.pc);
-                        self.predictor.update(op.pc, taken);
+                        stats.branches += 1;
+                        let predicted = predictor.predict(op.pc);
+                        predictor.update(op.pc, taken);
                         if predicted != taken {
-                            self.stats.mispredicts += 1;
-                            self.contexts[i].blocked_until = now + 1 + self.mispredict_penalty;
+                            stats.mispredicts += 1;
+                            c.blocked_until = now + 1 + *mispredict_penalty;
                         }
                         now + 1
                     }
                     ref o => now + o.exec_latency(),
                 };
 
-                let ctx_id = {
-                    let v = self.contexts[i].vctx.as_mut().expect("occupied");
-                    if let Some(dst) = op.dst {
-                        v.reg_ready[dst as usize] = complete;
-                    }
-                    v.id
-                };
-                self.stats.retired_secondary += 1;
-                if ctx_id >= self.retired_by_ctx.len() {
-                    self.retired_by_ctx.resize(ctx_id + 1, 0);
+                if let Some(dst) = op.dst {
+                    v.reg_ready[dst as usize] = complete;
                 }
-                self.retired_by_ctx[ctx_id] += 1;
+                stats.retired_secondary += 1;
+                if v.id >= retired_by_ctx.len() {
+                    retired_by_ctx.resize(v.id + 1, 0);
+                }
+                retired_by_ctx[v.id] += 1;
                 slots -= 1;
 
                 // HSMT: a µs-scale stall swaps the context out. Plain SMT
                 // keeps its slot and simply blocks when a dependent op
                 // arrives (reg_ready gate).
                 if let (Op::RemoteLoad { .. }, Some(p)) = (op.op, pool.as_deref_mut()) {
-                    self.swap_out(i, now, p, ReturnReason::Stall, Some(complete));
+                    c.swap_out(
+                        now,
+                        swap_latency,
+                        p,
+                        tracer,
+                        ReturnReason::Stall,
+                        Some(complete),
+                    );
                     break;
                 }
             }
         }
-        self.rr_next = (self.rr_next + 1) % n.max(1);
+        *rr_next = if *rr_next + 1 >= n { 0 } else { *rr_next + 1 };
     }
 }
 

@@ -46,6 +46,9 @@ impl VirtualContext {
 pub struct ContextPool {
     ready: VecDeque<VirtualContext>,
     parked: Vec<(u64, VirtualContext)>, // (resume_at, ctx)
+    // No parked context resumes before this cycle, so an earlier poll has
+    // nothing to move and skips the scan.
+    next_resume: u64,
 }
 
 impl ContextPool {
@@ -64,15 +67,21 @@ impl ContextPool {
     /// Moves parked contexts whose stall has resolved by `now` back to the
     /// ready queue (in resume order).
     pub fn poll(&mut self, now: u64) {
+        if now < self.next_resume {
+            return;
+        }
         let mut due: Vec<(u64, VirtualContext)> = Vec::new();
+        let mut next = u64::MAX;
         let mut i = 0;
         while i < self.parked.len() {
             if self.parked[i].0 <= now {
                 due.push(self.parked.swap_remove(i));
             } else {
+                next = next.min(self.parked[i].0);
                 i += 1;
             }
         }
+        self.next_resume = next;
         due.sort_by_key(|(at, _)| *at);
         for (_, ctx) in due {
             self.ready.push_back(ctx);
@@ -87,6 +96,7 @@ impl ContextPool {
 
     /// Parks a context until its µs-scale stall resolves at `resume_at`.
     pub fn park(&mut self, ctx: VirtualContext, resume_at: u64) {
+        self.next_resume = self.next_resume.min(resume_at);
         self.parked.push((resume_at, ctx));
     }
 

@@ -5,9 +5,11 @@ use duplexity_cpu::inorder::InoEngine;
 use duplexity_cpu::memsys::MemSys;
 use duplexity_cpu::ooo::{FetchPolicy, OooEngine, SmtPartition, ThreadClass};
 use duplexity_cpu::op::{LoopedTrace, MicroOp, Op, NO_REG};
+use duplexity_cpu::pool::{ContextPool, VirtualContext};
 use duplexity_stats::rng::rng_from_seed;
 use duplexity_uarch::config::{CoreConfig, LatencyModel};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 /// Strategy: one arbitrary micro-op with bounded fields.
 fn arb_op() -> impl Strategy<Value = MicroOp> {
@@ -152,5 +154,77 @@ proptest! {
             engine.stats().retired_total(),
             max_ops
         );
+    }
+}
+
+/// The pool's reference: a run queue of ids and a parking lot that every
+/// poll scans in full, releasing due contexts in resume order.
+#[derive(Default)]
+struct ScanningPool {
+    ready: VecDeque<usize>,
+    parked: Vec<(u64, usize)>,
+}
+
+impl ScanningPool {
+    fn poll(&mut self, now: u64) {
+        let mut due = Vec::new();
+        let mut i = 0;
+        while i < self.parked.len() {
+            if self.parked[i].0 <= now {
+                due.push(self.parked.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        due.sort_by_key(|&(at, _)| at);
+        self.ready.extend(due.into_iter().map(|(_, id)| id));
+    }
+}
+
+proptest! {
+    /// Whatever the interleaving of adds, parks, polls and takes, the pool
+    /// hands out contexts in the same order as a pool that scans every
+    /// parked context on every poll. Resume cycles are drawn from a narrow
+    /// window, so many parked contexts tie.
+    #[test]
+    fn pool_take_order_matches_a_full_scan(
+        calls in prop::collection::vec((0u8..4, 0u64..12), 1..400),
+    ) {
+        let mut pool = ContextPool::new();
+        let mut reference = ScanningPool::default();
+        // Contexts taken out of the pool, as physical contexts hold them.
+        let mut loaded: Vec<VirtualContext> = Vec::new();
+        let mut next_id = 0;
+        let mut now = 0u64;
+        for (k, &(call, x)) in calls.iter().enumerate() {
+            match call {
+                0 | 1 => {
+                    let v = loaded.pop().unwrap_or_else(|| {
+                        next_id += 1;
+                        let op = MicroOp::new(0, Op::IntAlu);
+                        VirtualContext::new(next_id, Box::new(LoopedTrace::new(vec![op])))
+                    });
+                    if call == 0 {
+                        reference.ready.push_back(v.id);
+                        pool.add(v);
+                    } else {
+                        reference.parked.push((now + x, v.id));
+                        pool.park(v, now + x);
+                    }
+                }
+                2 => {
+                    now += x % 4;
+                    pool.poll(now);
+                    reference.poll(now);
+                }
+                _ => {
+                    let v = pool.take();
+                    prop_assert_eq!(v.as_ref().map(|v| v.id), reference.ready.pop_front(), "call {}", k);
+                    loaded.extend(v);
+                }
+            }
+            prop_assert_eq!(pool.ready_len(), reference.ready.len(), "call {}", k);
+            prop_assert_eq!(pool.parked_len(), reference.parked.len(), "call {}", k);
+        }
     }
 }

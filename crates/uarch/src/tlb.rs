@@ -52,6 +52,11 @@ pub struct Tlb {
     page_shift: u32,
     stats: TlbStats,
     tick: u64,
+    // Where each hashed VPN was last found in `entries`. A hint is only a
+    // guess (evictions and flushes leave stale ones), so a hit through it
+    // is checked against the VPN and a failed check falls back to the scan.
+    hint: Vec<usize>,
+    hint_shift: u32,
 }
 
 impl Tlb {
@@ -67,12 +72,15 @@ impl Tlb {
             page_bytes.is_power_of_two(),
             "page size must be a power of two"
         );
+        let hints = (2 * entries).next_power_of_two();
         Self {
             entries: Vec::with_capacity(entries),
             capacity: entries,
             page_shift: page_bytes.trailing_zeros(),
             stats: TlbStats::default(),
             tick: 0,
+            hint: vec![0; hints],
+            hint_shift: 64 - hints.trailing_zeros(),
         }
     }
 
@@ -87,8 +95,15 @@ impl Tlb {
     pub fn translate(&mut self, addr: u64) -> bool {
         self.tick += 1;
         let vpn = addr >> self.page_shift;
-        if let Some(entry) = self.entries.iter_mut().find(|(p, _)| *p == vpn) {
-            entry.1 = self.tick;
+        // Fibonacci hashing: the top bits of the product pick the slot.
+        let slot = (vpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.hint_shift) as usize;
+        let found = match self.entries.get(self.hint[slot]) {
+            Some(&(p, _)) if p == vpn => Some(self.hint[slot]),
+            _ => self.entries.iter().position(|&(p, _)| p == vpn),
+        };
+        if let Some(idx) = found {
+            self.entries[idx].1 = self.tick;
+            self.hint[slot] = idx;
             self.stats.hits += 1;
             return true;
         }
@@ -102,6 +117,7 @@ impl Tlb {
                 .expect("non-empty");
             self.entries.swap_remove(idx);
         }
+        self.hint[slot] = self.entries.len();
         self.entries.push((vpn, self.tick));
         false
     }

@@ -5,6 +5,36 @@ use duplexity_uarch::cache::{AccessKind, Cache, CacheConfig};
 use duplexity_uarch::tlb::Tlb;
 use proptest::prelude::*;
 
+/// A fully-associative LRU TLB kept as a plain list: the reference that
+/// `Tlb` must match call for call.
+struct LinearLruTlb {
+    capacity: usize,
+    page_shift: u32,
+    pages: Vec<(u64, u64)>, // (vpn, last use)
+    tick: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl LinearLruTlb {
+    fn translate(&mut self, addr: u64) -> bool {
+        self.tick += 1;
+        let vpn = addr >> self.page_shift;
+        if let Some(page) = self.pages.iter_mut().find(|(p, _)| *p == vpn) {
+            page.1 = self.tick;
+            self.hits += 1;
+            return true;
+        }
+        self.misses += 1;
+        if self.pages.len() == self.capacity {
+            let lru = (0..self.pages.len()).min_by_key(|&i| self.pages[i].1);
+            self.pages.remove(lru.expect("full"));
+        }
+        self.pages.push((vpn, self.tick));
+        false
+    }
+}
+
 proptest! {
     /// Cache statistics always balance: hits + misses == accesses, and the
     /// number of resident lines never exceeds the geometry.
@@ -88,6 +118,42 @@ proptest! {
         }
         let last = *pages.last().unwrap();
         prop_assert!(t.translate(last * 4096), "most recent page must hit");
+    }
+
+    /// Every translation hits or misses exactly as in a linear-scan LRU
+    /// list, whatever the capacity and page size. The regions lie far
+    /// apart and together span more pages than the TLB has hint slots, so
+    /// many resident pages share a slot and stale hints meet live pages.
+    #[test]
+    fn tlb_matches_a_linear_scan_lru_model(
+        capacity in 1usize..81,
+        page_shift in 10u32..17,
+        regions in prop::collection::vec(0u64..1 << 16, 1..5),
+        span in 1u64..200,
+        calls in prop::collection::vec((0usize..4, 0u64..200, any::<u64>(), 0u8..64), 1..600),
+    ) {
+        let mut tlb = Tlb::new(capacity, 1 << page_shift);
+        let mut model = LinearLruTlb {
+            capacity,
+            page_shift,
+            pages: Vec::new(),
+            tick: 0,
+            hits: 0,
+            misses: 0,
+        };
+        for (k, &(region, page, offset, flush)) in calls.iter().enumerate() {
+            if flush == 0 {
+                tlb.flush();
+                model.pages.clear();
+                continue;
+            }
+            let vpn = (regions[region % regions.len()] << 24) + page % span;
+            let addr = (vpn << page_shift) | (offset & ((1 << page_shift) - 1));
+            prop_assert_eq!(tlb.translate(addr), model.translate(addr), "call {}", k);
+            prop_assert_eq!(tlb.resident(), model.pages.len(), "call {}", k);
+        }
+        prop_assert_eq!(tlb.stats().hits, model.hits);
+        prop_assert_eq!(tlb.stats().misses, model.misses);
     }
 
     /// Predictors never change the outcome stream, only their accuracy; and

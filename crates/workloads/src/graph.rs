@@ -302,7 +302,7 @@ impl GraphStream {
         tb.alu_on(o);
         let mut acc = tb.load(RANK_BASE + u64::from(v) * 8);
 
-        let neighbors: Vec<u32> = graph.neighbors(v).to_vec();
+        let neighbors = graph.neighbors(v);
         let lo = graph.offsets[v as usize] as u64;
         // Process edges in unrolled groups of four, as a compiled BSP inner
         // loop would: issue the four target-state loads first, then the four
