@@ -36,8 +36,8 @@ use duplexity::experiments::tables::{table2_rows, Table2Row};
 use duplexity::experiments::timeline::{timeline, Timeline, TimelineOptions};
 use duplexity::report as render;
 use duplexity::{
-    experiments, BalancerPolicy, CellCache, CellKey, Design, DesignMetrics, DuplicationPolicy,
-    RackPlan, ServerSim, Workload,
+    chrome_trace_json, experiments, BalancerPolicy, CellCache, CellKey, Design, DesignMetrics,
+    DuplicationPolicy, RackPlan, Registry, ServerSim, Tracer, Workload,
 };
 use duplexity_cpu::inorder::InoEngine;
 use duplexity_cpu::memsys::MemSys;
@@ -204,6 +204,36 @@ fn dyad_engines_match_golden() {
     };
     assert!(lender.stats.retired_total() > 0, "the lender must issue");
     assert_matches_golden("dyad_engines", &DyadEngines { designs, lender });
+}
+
+/// The Chrome trace export and the merged registries of three traced
+/// cycle runs: MorphCore's pinned fillers, a Duplexity dyad's morph
+/// windows and borrows, and an SMT co-runner's stall spans. Any change to
+/// the events the engines emit, their order or timestamps, the Chrome
+/// writer or the registry's JSON shows here.
+#[test]
+fn traced_dyads_match_golden() {
+    let mut traces = Vec::new();
+    for (design, cycles) in [
+        (Design::MorphCore, 150_000),
+        (Design::Duplexity, 60_000),
+        (Design::Smt, 150_000),
+    ] {
+        let tracer = Tracer::enabled(1 << 8, 1000.0);
+        let _ = ServerSim::new(design, Workload::McRouter)
+            .load(0.5)
+            .horizon_cycles(cycles)
+            .seed(42)
+            .run_traced(&tracer);
+        traces.push((design.to_string(), tracer.take()));
+    }
+    let mut registry = Registry::default();
+    for (label, log) in &traces {
+        assert!(!log.events.is_empty(), "{label} must emit events");
+        registry.merge_prefixed(label, &log.registry);
+    }
+    let text = format!("{}\n{}", chrome_trace_json(&traces), registry.to_json());
+    common::assert_text_matches_golden("golden", "dyad_traces.txt", &text);
 }
 
 #[test]
