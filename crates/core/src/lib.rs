@@ -66,7 +66,7 @@ pub mod server;
 pub use cellcache::{digest_of_digests, CellCache, CellKey, Digest, DigestWriter};
 pub use chip::{simulate_chip, simulate_mixed_chip, ChipConfig, ChipMetrics, DyadAssignment};
 pub use duplexity_cpu::designs::{Design, DesignMetrics};
-pub use duplexity_net::{Event, EventKind, EventSource, FaultPlan, LatencyDist, RetryPolicy};
+pub use duplexity_net::{Event, EventKind, FaultPlan, LatencyDist, RetryPolicy};
 pub use duplexity_obs::{
     chrome_trace_json, PoolReport, Registry, TraceEvent, TraceLog, Tracer, WorkerLoad,
 };

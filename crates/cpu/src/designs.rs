@@ -282,7 +282,6 @@ pub fn run_design(
                 engine.add_thread(filler_factory(0), ThreadClass::Secondary);
             }
             let mut mem = MemSys::table1(machine.latency);
-            mem.set_tracer(tracer);
             let horizon = scenario.horizon_cycles;
             match stepping {
                 Stepping::Naive => {

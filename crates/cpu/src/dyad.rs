@@ -337,11 +337,11 @@ impl DyadSim {
         }
     }
 
-    /// Attaches a tracer and propagates it to every engine and memory
-    /// system in the dyad: the master OoO core, the master's in-order
-    /// filler mode (tagged [`ThreadTag::Filler`]), the lender core (tagged
-    /// [`ThreadTag::Lender`]), and all three memory systems' fault layers.
-    /// Tracing consumes no RNG draws and does not alter simulation results.
+    /// Attaches a tracer and propagates it to every engine in the dyad: the
+    /// master OoO core, the master's in-order filler mode (tagged
+    /// [`ThreadTag::Filler`]) and the lender core (tagged
+    /// [`ThreadTag::Lender`]). The memory systems emit no events. Tracing
+    /// consumes no RNG draws and does not alter simulation results.
     pub fn set_tracer(&mut self, tracer: &Tracer) {
         self.tracer = tracer.clone();
         self.master_ooo.set_tracer(tracer);
@@ -349,9 +349,6 @@ impl DyadSim {
         if let Some(lender) = self.lender_ino.as_mut() {
             lender.set_tracer(tracer, ThreadTag::Lender);
         }
-        self.master_mem.set_tracer(tracer);
-        self.lender_mem.set_tracer(tracer);
-        self.repl_mem.set_tracer(tracer);
     }
 
     /// Adds a batch thread to the dyad's shared virtual-context pool.

@@ -397,11 +397,8 @@ impl InoEngine {
                     }
                     Op::RemoteLoad { latency_us } => {
                         stats.remote_ops += 1;
-                        // The fault layer may retry/duplicate/degrade the
-                        // remote access (identity without a plan).
-                        let eff = mem.remote_stall_us(now, latency_us, rng);
-                        let done =
-                            now.saturating_add((eff * *cycles_per_us).round().max(1.0) as u64);
+                        let done = now
+                            .saturating_add((latency_us * *cycles_per_us).round().max(1.0) as u64);
                         let tag = *tag;
                         tracer.emit(|| TraceEvent::StallBegin {
                             at: now,

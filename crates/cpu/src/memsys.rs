@@ -8,37 +8,14 @@
 //! the lender L1 is treated as a miss and refilled, which models the paper's
 //! forwarded invalidations.
 //!
-//! µs-scale remote loads (RDMA/NVM) route through the memory system too:
-//! when a [`FaultPlan`] is attached via [`MemSys::with_remote_faults`], each
-//! remote stall becomes a `duplexity_net` [`Event`](duplexity_net::Event) —
-//! subject to drops, timeout/backoff retries, duplication, and slow-replica
-//! degradation — before the engine charges its latency.
+//! µs-scale remote loads do not pass through the memory system: the engine
+//! that issues one charges the latency its micro-op carries. Faults on those
+//! accesses are injected only in the request-domain service law (see
+//! `duplexity_net::FaultPlan`), never per cycle-domain access.
 
-use duplexity_net::{trace_fault_events, EventKind, FaultPlan};
-use duplexity_obs::Tracer;
-use duplexity_stats::rng::SimRng;
 use duplexity_uarch::cache::{AccessKind, Cache, CacheConfig};
 use duplexity_uarch::config::LatencyModel;
 use duplexity_uarch::tlb::Tlb;
-
-/// Running totals over the remote-load events a [`MemSys`] has faulted.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RemoteFaultStats {
-    /// Remote-load events processed through the fault layer.
-    pub events: u64,
-    /// Attempts issued (> `events` when drops force retries).
-    pub attempts: u64,
-    /// Legs lost to drops.
-    pub dropped_legs: u64,
-    /// Legs degraded by the slow-replica mode.
-    pub slowed_legs: u64,
-    /// Events abandoned after the attempt cap.
-    pub failed: u64,
-    /// Sum of raw (pre-fault) stall latencies, µs.
-    pub raw_us: f64,
-    /// Sum of effective (post-fault) stall latencies, µs.
-    pub effective_us: f64,
-}
 
 /// One core's private memory system: I/D TLBs, L1 I/D, and an LLC slice.
 #[derive(Debug, Clone)]
@@ -55,16 +32,6 @@ pub struct MemSys {
     pub llc: Cache,
     /// Latency parameters.
     pub lat: LatencyModel,
-    /// Next-line data prefetching on L1-D misses (§II: prefetchers help
-    /// cacheable streams, though they cannot hide general µs-scale I/O).
-    pub next_line_prefetch: bool,
-    /// Fault plan applied to µs-scale remote loads; `None` leaves stalls
-    /// untouched (and consumes zero extra RNG draws).
-    pub remote_faults: Option<FaultPlan>,
-    /// Totals over faulted remote loads (all zero without a plan).
-    pub remote_fault_stats: RemoteFaultStats,
-    /// Event tracer; disabled by default and draws no RNG either way.
-    pub tracer: Tracer,
 }
 
 impl MemSys {
@@ -79,54 +46,7 @@ impl MemSys {
             l1d: Cache::new(CacheConfig::l1()),
             llc: Cache::new(CacheConfig::llc()),
             lat,
-            next_line_prefetch: false,
-            remote_faults: None,
-            remote_fault_stats: RemoteFaultStats::default(),
-            tracer: Tracer::disabled(),
         }
-    }
-
-    /// Attaches a tracer; fault events on the remote path are stamped with
-    /// the cycle timestamp the engine passes to [`MemSys::remote_stall_us`].
-    pub fn set_tracer(&mut self, tracer: &Tracer) {
-        self.tracer = tracer.clone();
-    }
-
-    /// Enables next-line data prefetching (builder style).
-    #[must_use]
-    pub fn with_next_line_prefetch(mut self) -> Self {
-        self.next_line_prefetch = true;
-        self
-    }
-
-    /// Attaches a fault plan to µs-scale remote loads (builder style). An
-    /// identity plan ([`FaultPlan::is_none`]) is dropped so the engine's
-    /// RNG consumption is byte-identical to the plan-free configuration.
-    #[must_use]
-    pub fn with_remote_faults(mut self, plan: FaultPlan) -> Self {
-        self.remote_faults = if plan.is_none() { None } else { Some(plan) };
-        self
-    }
-
-    /// Passes one remote load's stall through the fault layer and returns
-    /// the effective stall, µs. `now` is the issuing engine's cycle clock,
-    /// used only to stamp trace events. Without a configured plan this is
-    /// the identity and draws nothing from `rng`.
-    pub fn remote_stall_us(&mut self, now: u64, raw_us: f64, rng: &mut SimRng) -> f64 {
-        let Some(plan) = self.remote_faults else {
-            return raw_us;
-        };
-        let ev = plan.sample_event(EventKind::RemoteMemory, rng, |_| raw_us);
-        trace_fault_events(&ev, now, &self.tracer);
-        let st = &mut self.remote_fault_stats;
-        st.events += 1;
-        st.attempts += u64::from(ev.attempts);
-        st.dropped_legs += u64::from(ev.dropped_legs);
-        st.slowed_legs += u64::from(ev.slowed_legs);
-        st.failed += u64::from(!ev.completed);
-        st.raw_us += raw_us;
-        st.effective_us += ev.latency_us;
-        ev.latency_us
     }
 
     /// Instruction fetch at `addr`; returns total latency in cycles.
@@ -150,23 +70,13 @@ impl MemSys {
         if !self.dtlb.translate(addr) {
             lat += self.lat.page_walk;
         }
-        let total = if self.l1d.access(addr, kind) {
+        if self.l1d.access(addr, kind) {
             lat + self.lat.l1_hit
         } else if self.llc.access(addr, kind) {
             lat + self.lat.llc_hit
         } else {
             lat + self.lat.memory
-        };
-        // On a demand miss, a next-line prefetcher pulls the following line
-        // into L1-D (and LLC) in the background, off the critical path.
-        if self.next_line_prefetch && total > lat + self.lat.l1_hit {
-            let next = addr + u64::try_from(self.l1d.config().line_bytes).unwrap_or(64);
-            if !self.l1d.probe(next) {
-                self.l1d.fill_quietly(next);
-                self.llc.fill_quietly(next);
-            }
         }
-        total
     }
 
     /// Total L1 misses (I + D), a pollution indicator.
@@ -182,7 +92,6 @@ impl MemSys {
         self.l1i.reset_stats();
         self.l1d.reset_stats();
         self.llc.reset_stats();
-        self.remote_fault_stats = RemoteFaultStats::default();
     }
 }
 
@@ -283,42 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn next_line_prefetch_halves_sequential_misses() {
-        let mut plain = mem();
-        let mut pf = MemSys::table1(LatencyModel::default()).with_next_line_prefetch();
-        for i in 0..256u64 {
-            plain.data_access(0x40_0000 + i * 64, AccessKind::Read);
-            pf.data_access(0x40_0000 + i * 64, AccessKind::Read);
-        }
-        let plain_miss = plain.l1d.stats().misses;
-        let pf_miss = pf.l1d.stats().misses;
-        // Demand misses: every other line is covered by the prefetcher.
-        // (The prefetch fills themselves also count as accesses; compare
-        // demand-side latency-visible misses via the miss counts ratio.)
-        assert!(
-            pf_miss * 3 < plain_miss * 2,
-            "prefetcher did not help: {pf_miss} vs {plain_miss}"
-        );
-    }
-
-    #[test]
-    fn prefetch_does_not_touch_random_patterns_much() {
-        let mut plain = mem();
-        let mut pf = MemSys::table1(LatencyModel::default()).with_next_line_prefetch();
-        // Large-stride pattern: next-line prefetches are useless.
-        for i in 0..256u64 {
-            plain.data_access(0x40_0000 + i * 4096, AccessKind::Read);
-            pf.data_access(0x40_0000 + i * 4096, AccessKind::Read);
-        }
-        assert_eq!(plain.l1d.stats().misses, 256);
-        // All demand accesses still miss with the prefetcher (the prefetched
-        // lines are never the demanded ones).
-        let pf_demand_misses = 256; // every demanded line is new
-        let _ = pf_demand_misses;
-        assert!(pf.l1d.stats().misses >= 256);
-    }
-
-    #[test]
     fn remote_path_cold_and_warm() {
         let lat = LatencyModel::default();
         let mut lender = mem();
@@ -366,54 +239,6 @@ mod tests {
         rp.discard();
         assert_eq!(rp.l0d.resident_lines(), 0);
         assert_eq!(rp.l0i.resident_lines(), 0);
-    }
-
-    #[test]
-    fn remote_stalls_pass_through_without_a_plan() {
-        use duplexity_stats::rng::rng_from_seed;
-        let mut m = mem();
-        let mut a = rng_from_seed(31);
-        let b = rng_from_seed(31);
-        assert_eq!(m.remote_stall_us(0, 1.25, &mut a), 1.25);
-        assert_eq!(a, b, "identity path must not draw from the RNG");
-        assert_eq!(m.remote_fault_stats, RemoteFaultStats::default());
-        // An identity plan is dropped entirely by the builder.
-        let m2 = mem().with_remote_faults(FaultPlan::none());
-        assert!(m2.remote_faults.is_none());
-    }
-
-    #[test]
-    fn remote_faults_retry_and_account() {
-        use duplexity_net::RetryPolicy;
-        use duplexity_stats::rng::rng_from_seed;
-        let plan = FaultPlan::none()
-            .with_drop(0.5)
-            .with_retry(RetryPolicy::new(4, 10.0, 2.0, 16.0));
-        let mut m = mem().with_remote_faults(plan);
-        let mut rng = rng_from_seed(37);
-        let mut total = 0.0;
-        for _ in 0..4_000 {
-            total += m.remote_stall_us(0, 1.0, &mut rng);
-        }
-        let st = m.remote_fault_stats;
-        assert_eq!(st.events, 4_000);
-        assert!(st.attempts > st.events, "p=0.5 must force retries");
-        assert!(st.dropped_legs > 0);
-        assert_eq!(st.raw_us, 4_000.0);
-        assert!(
-            st.effective_us > st.raw_us,
-            "timeouts must inflate the stall total"
-        );
-        assert_eq!(total, st.effective_us);
-        // Deterministic closed form: E[T] for constant 1µs legs.
-        let expect = plan.effective_mean_bound_us(1.0);
-        let mean = total / 4_000.0;
-        assert!(
-            (mean - expect).abs() / expect < 0.05,
-            "mean {mean} vs analytic {expect}"
-        );
-        m.reset_stats();
-        assert_eq!(m.remote_fault_stats, RemoteFaultStats::default());
     }
 
     #[test]

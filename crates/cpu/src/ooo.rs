@@ -454,7 +454,7 @@ impl OooEngine {
     pub fn step(&mut self, now: u64, mem: &mut MemSys, rng: &mut SimRng) {
         self.stats.cycles += 1;
         self.commit(now);
-        self.issue(now, mem, rng);
+        self.issue(now, mem);
         self.fetch_dispatch(now, mem, rng);
         if self.runahead {
             self.runahead_step(now, mem, rng);
@@ -605,7 +605,7 @@ impl OooEngine {
         }
     }
 
-    fn issue(&mut self, now: u64, mem: &mut MemSys, rng: &mut SimRng) {
+    fn issue(&mut self, now: u64, mem: &mut MemSys) {
         // Gather ready, un-issued entries from each thread's window into the
         // engine's reusable scratch buffer: (order, is_secondary, tid, idx).
         let mut cands = std::mem::take(&mut self.issue_scratch);
@@ -665,11 +665,9 @@ impl OooEngine {
                         now + 1
                     }
                     Op::RemoteLoad { latency_us } => {
-                        // The fault layer may retry/duplicate/degrade the
-                        // remote access (identity without a plan).
-                        let eff = mem.remote_stall_us(now, latency_us, rng);
-                        let done =
-                            now.saturating_add((eff * self.cycles_per_us).round().max(1.0) as u64);
+                        let done = now.saturating_add(
+                            (latency_us * self.cycles_per_us).round().max(1.0) as u64,
+                        );
                         let tag = if thread_class == ThreadClass::Primary {
                             ThreadTag::Master
                         } else {

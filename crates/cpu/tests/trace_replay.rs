@@ -211,7 +211,6 @@ fn arb_op() -> impl Strategy<Value = MicroOp> {
 fn replay(trace: &Trace, tracer: &Tracer) {
     let stream = || Box::new(trace.clone().into_looped_stream());
     let mut mem = MemSys::table1(LatencyModel::default());
-    mem.set_tracer(tracer);
     let mut rng = rng_from_seed(3);
 
     let mut lender = InoEngine::lender(3400.0, 64);

@@ -4,9 +4,12 @@
 //! RackSched and the tail-duplication literature (see PAPERS.md) show that
 //! µs-scale tails are dominated by inter-server variability and that
 //! retry/duplication policy changes the tail by integer factors. A
-//! [`FaultPlan`] captures those policies as data so every simulator in the
-//! workspace — the cycle-level cores, the M/G/1 queue, the experiment grids
-//! — injects the *same* failure model from the *same* RNG streams.
+//! [`FaultPlan`] captures those policies as data. Faults are injected only
+//! in the request-domain service law: the M/G/1 queue
+//! (`try_simulate_mg1_faulted`) and the experiment grids (`fault_sweep`,
+//! `Fig5Options::fault`, `ClusterSweepOptions::fault`) pass each request's
+//! stall leg through [`FaultPlan::sample_event`]. The cycle-level cores
+//! charge every remote access the latency its micro-op carries.
 //!
 //! Semantics of one event under a plan (all times µs):
 //!
@@ -30,7 +33,6 @@
 
 use crate::event::{Event, EventKind};
 use crate::latency::LatencyDist;
-use duplexity_obs::{RemoteKind, TraceEvent, Tracer};
 use duplexity_stats::rng::{rng_from_seed, SimRng};
 use rand::RngExt;
 
@@ -64,41 +66,6 @@ impl std::fmt::Display for MomentsError {
 }
 
 impl std::error::Error for MomentsError {}
-
-/// Maps a net [`EventKind`] onto the observability layer's [`RemoteKind`].
-#[must_use]
-pub fn obs_kind(kind: EventKind) -> RemoteKind {
-    match kind {
-        EventKind::RemoteMemory => RemoteKind::RemoteMemory,
-        EventKind::Nvm => RemoteKind::Nvm,
-        EventKind::RpcLeg => RemoteKind::RpcLeg,
-    }
-}
-
-/// Emits the fault-related trace events for one sampled [`Event`] at tick
-/// `at`: an injection marker when legs were dropped, a retry marker when
-/// more than one attempt was issued, and a timeout marker when the event
-/// was abandoned. Consumes no RNG; a disabled tracer makes this free.
-pub fn trace_fault_events(ev: &Event, at: u64, tracer: &Tracer) {
-    let kind = obs_kind(ev.kind);
-    if ev.dropped_legs > 0 {
-        tracer.emit(|| TraceEvent::FaultInject {
-            at,
-            kind,
-            dropped: ev.dropped_legs,
-        });
-    }
-    if ev.attempts > 1 {
-        tracer.emit(|| TraceEvent::FaultRetry {
-            at,
-            kind,
-            attempts: ev.attempts,
-        });
-    }
-    if !ev.completed {
-        tracer.emit(|| TraceEvent::FaultTimeout { at, kind });
-    }
-}
 
 /// Timeout-and-retry policy for dropped legs.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -15,10 +15,12 @@
 //!   "slow replica" mode;
 //! * [`Event`] / [`EventKind`] — the completed-event record the fault layer
 //!   produces (winning latency, attempt count, surviving legs);
-//! * [`EventSource`] — a seeded generator combining a kind, a distribution,
-//!   and a plan, for callers that want a stream rather than a closure;
 //! * [`NicModel`] — the FDR 4× InfiniBand NIC budget model used by the
 //!   Figure 6 interconnect-utilization case study.
+//!
+//! Faults are injected only in the request-domain service law: callers
+//! pass each request's stall leg through [`FaultPlan::sample_event`] inside
+//! their service closure. The cycle-level cores never see a plan.
 //!
 //! Determinism contract: every random decision is drawn from a caller-
 //! provided [`SimRng`](duplexity_stats::rng::SimRng), and a zero-fault
@@ -34,10 +36,8 @@ pub mod event;
 pub mod fault;
 pub mod latency;
 pub mod nic;
-pub mod source;
 
 pub use event::{Event, EventKind};
-pub use fault::{obs_kind, trace_fault_events, FaultPlan, MomentsError, RetryPolicy};
+pub use fault::{FaultPlan, MomentsError, RetryPolicy};
 pub use latency::LatencyDist;
 pub use nic::{ops_per_second, NicModel};
-pub use source::{EventSource, SourceStats};

@@ -32,8 +32,10 @@
 //!
 //! [`TraceEvent`] covers the transients the paper's claims live in: morph
 //! in/out, µs-stall begin/end (tagged master / filler / lender), filler
-//! borrow/return against the HSMT context pool, fault injection / retry /
-//! timeout, and request arrive/complete. Timestamps are in the *emitter's*
+//! borrow/return against the HSMT context pool, request arrive/complete,
+//! and the request domain's dispatch, hedge and purge instants. Faults are
+//! injected only in the request-domain service law, which emits no fault
+//! events; their counts live in its results. Timestamps are in the *emitter's*
 //! native tick domain (cycles for the CPU simulators, nanoseconds for the
 //! queueing DES); each [`TraceLog`] carries its `ticks_per_us` so the
 //! Chrome exporter can place every stream on one microsecond axis.

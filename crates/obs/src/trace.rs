@@ -75,16 +75,13 @@ impl ReturnReason {
     }
 }
 
-/// The kind of µs-scale remote event (mirrors the net crate's `EventKind`
-/// without depending on it — obs sits below every simulator crate).
+/// The kind of µs-scale access a stall waits on. The cycle engines issue
+/// one kind, the remote load of an `Op::RemoteLoad` micro-op; its name
+/// labels the Chrome stall rows (`stall:remote_memory`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RemoteKind {
     /// Remote-memory (RDMA-class) access.
     RemoteMemory,
-    /// Fast-NVM access.
-    Nvm,
-    /// One RPC fan-out leg.
-    RpcLeg,
 }
 
 impl RemoteKind {
@@ -93,8 +90,6 @@ impl RemoteKind {
     pub fn name(self) -> &'static str {
         match self {
             RemoteKind::RemoteMemory => "remote_memory",
-            RemoteKind::Nvm => "nvm",
-            RemoteKind::RpcLeg => "rpc_leg",
         }
     }
 }
@@ -148,31 +143,6 @@ pub enum TraceEvent {
         /// Why it was returned.
         reason: ReturnReason,
     },
-    /// The fault layer dropped at least one leg of a remote event.
-    FaultInject {
-        /// Observation tick.
-        at: u64,
-        /// Remote event kind.
-        kind: RemoteKind,
-        /// Legs lost to drops within this event.
-        dropped: u32,
-    },
-    /// A remote event needed more than one attempt.
-    FaultRetry {
-        /// Observation tick.
-        at: u64,
-        /// Remote event kind.
-        kind: RemoteKind,
-        /// Total attempts issued (≥ 2).
-        attempts: u32,
-    },
-    /// A remote event was abandoned after the attempt cap.
-    FaultTimeout {
-        /// Observation tick.
-        at: u64,
-        /// Remote event kind.
-        kind: RemoteKind,
-    },
     /// A request arrived (open-loop injection or queueing arrival).
     RequestArrive {
         /// Arrival tick.
@@ -225,9 +195,6 @@ impl TraceEvent {
             | TraceEvent::StallEnd { at, .. }
             | TraceEvent::FillerBorrow { at, .. }
             | TraceEvent::FillerReturn { at, .. }
-            | TraceEvent::FaultInject { at, .. }
-            | TraceEvent::FaultRetry { at, .. }
-            | TraceEvent::FaultTimeout { at, .. }
             | TraceEvent::RequestArrive { at }
             | TraceEvent::Dispatch { at, .. }
             | TraceEvent::RequestComplete { at, .. }
@@ -246,9 +213,6 @@ impl TraceEvent {
             TraceEvent::StallEnd { .. } => "stall_end",
             TraceEvent::FillerBorrow { .. } => "filler_borrow",
             TraceEvent::FillerReturn { .. } => "filler_return",
-            TraceEvent::FaultInject { .. } => "fault_inject",
-            TraceEvent::FaultRetry { .. } => "fault_retry",
-            TraceEvent::FaultTimeout { .. } => "fault_timeout",
             TraceEvent::RequestArrive { .. } => "request_arrive",
             TraceEvent::Dispatch { .. } => "dispatch",
             TraceEvent::RequestComplete { .. } => "request_complete",

@@ -245,33 +245,6 @@ impl Cache {
         false
     }
 
-    /// Fills `addr`'s line without touching the hit/miss statistics (used
-    /// for prefetches, which are not demand accesses). Evicts LRU as usual;
-    /// a dirty eviction still counts a write-back (real traffic).
-    pub fn fill_quietly(&mut self, addr: u64) {
-        self.tick += 1;
-        let (set, tag) = self.locate(addr);
-        let base = set * self.config.ways;
-        let ways = &mut self.sets[base..base + self.config.ways];
-        if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = self.tick;
-            return;
-        }
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru } else { 0 })
-            .expect("ways > 0");
-        if victim.valid && victim.dirty {
-            self.stats.writebacks += 1;
-        }
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty: false,
-            lru: self.tick,
-        };
-    }
-
     /// Returns `true` if `addr`'s line is resident, without disturbing LRU
     /// state or statistics.
     #[must_use]
@@ -397,15 +370,6 @@ mod tests {
         c.access(0x200, AccessKind::Write);
         c.access(0x300, AccessKind::Write);
         assert_eq!(c.stats().writebacks, 0);
-    }
-
-    #[test]
-    fn quiet_fill_installs_without_stats() {
-        let mut c = tiny();
-        c.fill_quietly(0x80);
-        assert!(c.probe(0x80));
-        assert_eq!(c.stats().accesses(), 0);
-        assert!(c.access(0x80, AccessKind::Read), "prefetched line must hit");
     }
 
     #[test]

@@ -22,7 +22,6 @@ use duplexity_cpu::op::{Fetched, InstructionStream, MicroOp};
 use duplexity_stats::dist::{Distribution, Exponential};
 use duplexity_stats::rng::{derive_stream, rng_from_seed, SimRng};
 use rand::RngExt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Virtual base of a shard's rank/distance arrays.
@@ -55,11 +54,6 @@ pub struct GraphConfig {
     pub ops_per_remote: usize,
     /// Mean RDMA read latency in µs.
     pub rdma_mean_us: f64,
-    /// Enforce BSP superstep barriers: a thread may not start sweep `s+1`
-    /// until every thread has finished sweep `s` (off by default; §V's
-    /// steady-state interleave). Stragglers make the whole pool wait, a
-    /// correlated-stall stress case for HSMT.
-    pub bsp_barrier: bool,
 }
 
 impl Default for GraphConfig {
@@ -70,45 +64,7 @@ impl Default for GraphConfig {
             remote_fraction: 0.5,
             ops_per_remote: 3000,
             rdma_mean_us: 1.0,
-            bsp_barrier: false,
         }
-    }
-}
-
-/// Shared superstep progress for BSP barriers: one counter per thread.
-#[derive(Debug)]
-pub struct BarrierState {
-    sweeps: Vec<AtomicU64>,
-}
-
-impl BarrierState {
-    /// Creates barrier state for `threads` participants.
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        Self {
-            sweeps: (0..threads.max(1)).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Records that `thread` finished another sweep.
-    pub fn complete_sweep(&self, thread: usize) {
-        self.sweeps[thread].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The slowest participant's completed-sweep count.
-    #[must_use]
-    pub fn min_sweeps(&self) -> u64 {
-        self.sweeps
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Completed sweeps of `thread`.
-    #[must_use]
-    pub fn sweeps_of(&self, thread: usize) -> u64 {
-        self.sweeps[thread].load(Ordering::Relaxed)
     }
 }
 
@@ -206,8 +162,6 @@ pub struct GraphStream {
     shard_start: u32,
     shard_end: u32,
     cursor: u32,
-    barrier: Option<(Arc<BarrierState>, usize)>,
-    my_sweeps: u64,
     ranks: Vec<f32>,
     dists: Vec<u32>,
     rdma: Exponential,
@@ -261,8 +215,6 @@ impl GraphStream {
             shard_start,
             shard_end,
             cursor: shard_start,
-            barrier: None,
-            my_sweeps: 0,
             ranks: vec![1.0; nv],
             dists: vec![u32::MAX / 2; nv],
             rdma: Exponential::new(rdma_mean),
@@ -273,13 +225,6 @@ impl GraphStream {
         }
     }
 
-    /// Joins a BSP barrier group as participant `thread` (builder style).
-    #[must_use]
-    pub fn with_barrier(mut self, barrier: Arc<BarrierState>, thread: usize) -> Self {
-        self.barrier = Some((barrier, thread));
-        self
-    }
-
     /// Generates the trace of processing the next vertex into `buf`.
     fn refill(&mut self) {
         self.buf.clear();
@@ -288,10 +233,6 @@ impl GraphStream {
         self.cursor += 1;
         if self.cursor >= self.shard_end {
             self.cursor = self.shard_start; // next sweep / superstep
-            self.my_sweeps += 1;
-            if let Some((barrier, thread)) = &self.barrier {
-                barrier.complete_sweep(*thread);
-            }
         }
         let cfg = *self.graph.config();
         let graph = Arc::clone(&self.graph);
@@ -379,16 +320,7 @@ impl GraphStream {
 }
 
 impl InstructionStream for GraphStream {
-    fn next(&mut self, now: u64, _rng: &mut SimRng) -> Fetched {
-        // BSP barrier: do not start the next superstep until the slowest
-        // participant has finished the current one. Poll every ~2µs.
-        if self.pos >= self.buf.len() && self.cursor == self.shard_start {
-            if let Some((barrier, _)) = &self.barrier {
-                if barrier.min_sweeps() < self.my_sweeps {
-                    return Fetched::IdleUntil(now + 6800);
-                }
-            }
-        }
+    fn next(&mut self, _now: u64, _rng: &mut SimRng) -> Fetched {
         while self.pos >= self.buf.len() {
             self.refill();
         }
@@ -408,7 +340,6 @@ pub struct FillerFactory {
     graph: Arc<SyntheticGraph>,
     total_threads: usize,
     seed: u64,
-    barrier: Option<Arc<BarrierState>>,
 }
 
 impl FillerFactory {
@@ -423,19 +354,12 @@ impl FillerFactory {
     }
 
     /// A factory over `graph`, which must be `SyntheticGraph::twitter_like`
-    /// of its config and `seed`. The BSP barrier, if any, is this
-    /// factory's own.
+    /// of its config and `seed`.
     pub(crate) fn from_graph(graph: Arc<SyntheticGraph>, total_threads: usize, seed: u64) -> Self {
-        let total_threads = total_threads.max(1);
-        let barrier = graph
-            .config()
-            .bsp_barrier
-            .then(|| Arc::new(BarrierState::new(total_threads)));
         Self {
             graph,
-            total_threads,
+            total_threads: total_threads.max(1),
             seed,
-            barrier,
         }
     }
 
@@ -453,17 +377,13 @@ impl FillerFactory {
         } else {
             GraphKernel::Sssp
         };
-        let stream = GraphStream::new(
+        Box::new(GraphStream::new(
             Arc::clone(&self.graph),
             kernel,
             id % self.total_threads,
             self.total_threads,
             derive_stream(self.seed, id as u64),
-        );
-        match &self.barrier {
-            Some(b) => Box::new(stream.with_barrier(Arc::clone(b), id % self.total_threads)),
-            None => Box::new(stream),
-        }
+        ))
     }
 }
 
@@ -587,83 +507,5 @@ mod tests {
         for now in 0..10_000 {
             assert!(matches!(s.next(now, &mut rng), Fetched::Op(_)));
         }
-    }
-}
-
-#[cfg(test)]
-mod barrier_tests {
-    use super::*;
-    use duplexity_cpu::inorder::InoEngine;
-    use duplexity_cpu::memsys::MemSys;
-    use duplexity_cpu::pool::{ContextPool, VirtualContext};
-    use duplexity_uarch::config::LatencyModel;
-
-    fn run_lender(cfg: GraphConfig, horizon: u64) -> (f64, FillerFactory) {
-        let factory = FillerFactory::new(cfg, 16, 7);
-        let mut lender = InoEngine::lender(3400.0, 64);
-        let mut pool = ContextPool::new();
-        for id in 0..16 {
-            pool.add(VirtualContext::new(id, factory.stream(id)));
-        }
-        let mut mem = MemSys::table1(LatencyModel::default());
-        let mut rng = rng_from_seed(9);
-        for now in 0..horizon {
-            lender.step(now, &mut mem, None, Some(&mut pool), &mut rng);
-        }
-        (lender.stats().ipc(), factory)
-    }
-
-    #[test]
-    fn barriers_keep_supersteps_in_lockstep() {
-        let cfg = GraphConfig {
-            vertices: 2048,
-            bsp_barrier: true,
-            ..GraphConfig::default()
-        };
-        let (_, factory) = run_lender(cfg, 2_000_000);
-        let barrier = factory.barrier.as_ref().expect("barrier enabled");
-        let sweeps: Vec<u64> = (0..16).map(|t| barrier.sweeps_of(t)).collect();
-        let min = *sweeps.iter().min().unwrap();
-        let max = *sweeps.iter().max().unwrap();
-        assert!(min > 0, "no superstep completed: {sweeps:?}");
-        assert!(max - min <= 1, "threads drifted: {sweeps:?}");
-    }
-
-    #[test]
-    fn barriers_cost_throughput() {
-        let free = run_lender(
-            GraphConfig {
-                vertices: 2048,
-                ..GraphConfig::default()
-            },
-            1_000_000,
-        )
-        .0;
-        let bsp = run_lender(
-            GraphConfig {
-                vertices: 2048,
-                bsp_barrier: true,
-                ..GraphConfig::default()
-            },
-            1_000_000,
-        )
-        .0;
-        assert!(
-            bsp < free,
-            "correlated barrier stalls must cost something: {bsp} vs {free}"
-        );
-        assert!(bsp > 0.2 * free, "but not collapse: {bsp} vs {free}");
-    }
-
-    #[test]
-    fn barrier_state_accounting() {
-        let b = BarrierState::new(3);
-        assert_eq!(b.min_sweeps(), 0);
-        b.complete_sweep(0);
-        b.complete_sweep(1);
-        assert_eq!(b.min_sweeps(), 0);
-        b.complete_sweep(2);
-        assert_eq!(b.min_sweeps(), 1);
-        assert_eq!(b.sweeps_of(0), 1);
     }
 }

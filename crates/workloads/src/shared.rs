@@ -40,10 +40,9 @@ impl<K: Eq + Hash, V> Memo<K, V> {
 /// most once, on first use, and is shared through an `Arc`.
 ///
 /// The kernels and factories it hands out are fresh: each FLANN kernel keeps
-/// its own query stream, RDMA sampler and address offset, and each filler
-/// factory its own BSP barrier. They emit exactly what
-/// [`Workload::kernel`], [`FlannKernel::new`] and [`FillerFactory::paper`]
-/// emit for the same arguments.
+/// its own query stream, RDMA sampler and address offset. They emit exactly
+/// what [`Workload::kernel`], [`FlannKernel::new`] and
+/// [`FillerFactory::paper`] emit for the same arguments.
 ///
 /// Scope one to a single experiment call and drop it on return. A
 /// process-wide cache would keep every seed's inputs alive and would make

@@ -254,12 +254,12 @@ fn slow_cycle_vs_queueing_tail() {
 }
 
 /// Trace replay end to end: latencies harvested from a real workload's
-/// micro-op trace feed a `LatencyDist::Trace` event source, so fault-sweep
-/// studies can bootstrap from measured stall behavior instead of a fitted
-/// law.
+/// micro-op trace feed a `LatencyDist::Trace` stall leg through the fault
+/// layer, so fault-sweep studies can bootstrap from measured stall behavior
+/// instead of a fitted law.
 #[test]
 fn harvested_trace_latencies_drive_a_fault_source() {
-    use duplexity::{EventSource, FaultPlan, LatencyDist};
+    use duplexity::{EventKind, FaultPlan, LatencyDist};
     use duplexity_stats::rng::rng_from_seed;
     use duplexity_workloads::trace::remote_latencies_us;
 
@@ -273,15 +273,16 @@ fn harvested_trace_latencies_drive_a_fault_source() {
     let samples = remote_latencies_us(&ops);
     assert!(!samples.is_empty(), "FLANN-LL must issue remote loads");
 
-    // Replay them through a fault-injected event source.
+    // Replay them through the fault layer.
     let dist = LatencyDist::from_trace(samples.clone());
     assert!(dist.mean_us() > 0.0);
     let plan = FaultPlan::none().with_slow_replica(0.5, 3.0);
-    let mut source = EventSource::new(duplexity::EventKind::RemoteMemory, dist, plan, 99);
+    let mut rng = rng_from_seed(99);
     let mut slowed = 0u64;
     for _ in 0..500 {
-        let ev = source.next_event();
+        let ev = plan.sample_event(EventKind::RemoteMemory, &mut rng, |r| dist.sample(r));
         assert!(ev.completed);
+        assert_eq!((ev.attempts, ev.legs_us.len()), (1, 1));
         // Every latency is a harvested sample or a 3x-degraded one.
         let ok = samples
             .iter()
@@ -289,7 +290,5 @@ fn harvested_trace_latencies_drive_a_fault_source() {
         assert!(ok, "latency {} not from the trace", ev.latency_us);
         slowed += u64::from(ev.slowed_legs > 0);
     }
-    let stats = source.stats();
-    assert_eq!(stats.events, 500);
     assert!(slowed > 150 && slowed < 350, "slow replicas ~50%: {slowed}");
 }
