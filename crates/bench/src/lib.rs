@@ -232,11 +232,20 @@ impl Flags {
     }
 
     /// Reads the process arguments: each is one of `switches`, or one of
-    /// `valued` followed by its value. On an unknown flag or a missing
-    /// value, prints the error and exits with status 2.
+    /// `valued` followed by its value. On an unknown flag, a missing value
+    /// or an argument that is not UTF-8, prints the error and exits with
+    /// status 2.
     #[must_use]
     pub fn from_env(switches: &[&str], valued: &[&str]) -> Flags {
-        Flags::parse(std::env::args().skip(1), switches, valued).unwrap_or_else(|e| usage_error(&e))
+        let args = std::env::args_os().skip(1).map(|arg| {
+            arg.into_string().unwrap_or_else(|arg| {
+                usage_error(&format!(
+                    "argument {:?} is not UTF-8",
+                    arg.to_string_lossy()
+                ))
+            })
+        });
+        Flags::parse(args, switches, valued).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// Whether `flag` was given.

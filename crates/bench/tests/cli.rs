@@ -4,10 +4,12 @@
 //! without simulating, so a binary that ignored the input would exit 0
 //! quickly instead of hanging on a full report.
 
+use std::ffi::OsStr;
+use std::fmt::Debug;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-fn report(args: &[&str]) -> Output {
+fn report<A: AsRef<OsStr>>(args: &[A]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_report"))
         .args(args)
         .output()
@@ -16,7 +18,7 @@ fn report(args: &[&str]) -> Output {
 
 /// Asserts a usage error: exit status 2, nothing rendered, and a message
 /// naming `flag`.
-fn assert_usage_error(args: &[&str], flag: &str) {
+fn assert_usage_error<A: AsRef<OsStr> + Debug>(args: &[A], flag: &str) {
     let out = report(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
@@ -37,6 +39,21 @@ fn a_trailing_flag_without_its_value_is_rejected() {
 #[test]
 fn an_unknown_flag_is_rejected() {
     assert_usage_error(&["--cluser", "--table1"], "--cluser");
+}
+
+/// A flag or a value that is not UTF-8 is named in its lossy form, with
+/// U+FFFD for the bad byte.
+#[cfg(unix)]
+#[test]
+fn a_non_utf8_argument_is_rejected() {
+    use std::os::unix::ffi::OsStrExt;
+    let bad_flag = OsStr::from_bytes(b"--seed\xff");
+    assert_usage_error(&[bad_flag, OsStr::new("--table1")], "--seed\u{FFFD}");
+    let bad_value = OsStr::from_bytes(b"\xff");
+    assert_usage_error(
+        &[OsStr::new("--seed"), bad_value, OsStr::new("--table1")],
+        "\u{FFFD}\" is not UTF-8",
+    );
 }
 
 #[test]
