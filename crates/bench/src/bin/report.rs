@@ -23,8 +23,8 @@
 //! preset leaves its `threads` at 0, which resolves from that variable. The
 //! output is bit-identical for every value; only the wall time changes.
 //!
-//! `--trace FILE` records cycle-domain morph/stall/borrow/fault/request
-//! events during the Figure 5 grid and writes a Chrome `trace_event` JSON
+//! `--trace FILE` records cycle-domain morph/stall/borrow/request events
+//! during the Figure 5 grid and writes a Chrome `trace_event` JSON
 //! file (open in `chrome://tracing` or <https://ui.perfetto.dev>).
 //! `--metrics FILE` writes the merged counter/histogram registry as JSON.
 //! `--timeseries FILE` runs the request-domain timeline (event-clock gauge

@@ -1,9 +1,10 @@
-//! Shared helpers for the Duplexity benchmark harness.
+//! Shared helpers for the Duplexity `report` and `bench` binaries.
 //!
-//! The criterion benches (one target per paper table/figure) and the
-//! [`report` binary](../report/index.html) both regenerate the paper's
-//! artifacts; this crate holds the fidelity presets they share, and the
-//! command-line [`Flags`] parser of the `report` and `bench` binaries.
+//! The [`report` binary](../report/index.html) regenerates every table and
+//! figure of the paper, and the `bench` binary guards the CI ratios. This
+//! crate holds the fidelity presets they share and their command-line
+//! [`Flags`] parser. The per-layer timings live in the separate `bench/`
+//! package, and the design ablations in `examples/ablation.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

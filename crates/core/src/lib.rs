@@ -86,4 +86,4 @@ pub use scheduler::{
     provision_dyad_adaptively, recommend_contexts, AdaptiveProvisioner, LiveProvisionSchedule,
     ProvisionerConfig,
 };
-pub use server::{CustomSim, ServerSim};
+pub use server::ServerSim;

@@ -2,12 +2,13 @@
 
 use duplexity_cpu::designs::{run_design, Design, DesignMetrics, Scenario, Stepping};
 use duplexity_obs::Tracer;
-use duplexity_workloads::graph::FillerFactory;
 use duplexity_workloads::{SharedInputs, Workload};
 
 /// A configured single-server (single-dyad) simulation.
 ///
 /// Builder-style: set the load, horizon and seed, then [`ServerSim::run`].
+/// A request kernel of your own runs through [`run_design`] with a
+/// [`Scenario`] instead, as `examples/trace_morph_timeline.rs` shows.
 ///
 /// # Examples
 ///
@@ -142,155 +143,6 @@ impl ServerSim {
     }
 }
 
-/// A factory producing batch-thread instruction streams by thread id.
-pub type BatchThreadFactory =
-    Box<dyn FnMut(usize) -> Box<dyn duplexity_cpu::op::InstructionStream>>;
-
-/// A simulation with a user-provided request kernel (and optionally custom
-/// batch threads), for workloads beyond the paper's five.
-///
-/// # Examples
-///
-/// ```
-/// use duplexity::server::CustomSim;
-/// use duplexity::Design;
-/// use duplexity_cpu::op::{MicroOp, Op, RequestKernel};
-/// use duplexity_stats::rng::SimRng;
-///
-/// /// A toy service: 100 ALU ops then a 1µs remote call.
-/// #[derive(Debug)]
-/// struct MyService;
-/// impl RequestKernel for MyService {
-///     fn generate(&mut self, _rng: &mut SimRng, out: &mut Vec<MicroOp>) {
-///         for i in 0..100 {
-///             out.push(MicroOp::new(i * 4, Op::IntAlu));
-///         }
-///         out.push(MicroOp::new(400, Op::RemoteLoad { latency_us: 1.0 }));
-///     }
-///     fn nominal_service_us(&self) -> f64 {
-///         1.1
-///     }
-/// }
-///
-/// let m = CustomSim::new(Design::Duplexity, Box::new(MyService))
-///     .load(0.4)
-///     .horizon_cycles(400_000)
-///     .run();
-/// assert!(m.master_retired > 0);
-/// ```
-pub struct CustomSim {
-    design: Design,
-    kernel: Box<dyn duplexity_cpu::op::RequestKernel>,
-    filler_factory: Option<BatchThreadFactory>,
-    load: Option<f64>,
-    service_us: f64,
-    horizon_cycles: u64,
-    seed: u64,
-}
-
-impl std::fmt::Debug for CustomSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CustomSim")
-            .field("design", &self.design)
-            .field("load", &self.load)
-            .field("horizon_cycles", &self.horizon_cycles)
-            .finish()
-    }
-}
-
-impl CustomSim {
-    /// Creates a simulation of `design` serving the user's `kernel`.
-    /// Defaults: 50% load, 4M-cycle horizon, seed 42, the standard graph
-    /// batch threads.
-    #[must_use]
-    pub fn new(design: Design, kernel: Box<dyn duplexity_cpu::op::RequestKernel>) -> Self {
-        let service_us = kernel.nominal_service_us();
-        Self {
-            design,
-            kernel,
-            filler_factory: None,
-            load: Some(0.5),
-            service_us,
-            horizon_cycles: 4_000_000,
-            seed: 42,
-        }
-    }
-
-    /// Sets the offered load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `load` is outside `(0, 1)`.
-    #[must_use]
-    pub fn load(mut self, load: f64) -> Self {
-        assert!(load > 0.0 && load < 1.0, "load must be in (0,1)");
-        self.load = Some(load);
-        self
-    }
-
-    /// Saturates the master-thread.
-    #[must_use]
-    pub fn saturated(mut self) -> Self {
-        self.load = None;
-        self
-    }
-
-    /// Sets the simulated horizon.
-    #[must_use]
-    pub fn horizon_cycles(mut self, cycles: u64) -> Self {
-        self.horizon_cycles = cycles;
-        self
-    }
-
-    /// Sets the RNG seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Supplies custom batch-thread streams instead of the standard graph
-    /// fillers.
-    #[must_use]
-    pub fn batch_threads(mut self, factory: BatchThreadFactory) -> Self {
-        self.filler_factory = Some(factory);
-        self
-    }
-
-    /// Runs the cycle-level simulation.
-    #[must_use]
-    pub fn run(self) -> DesignMetrics {
-        let scenario = Scenario {
-            load: self.load,
-            service_us: self.service_us,
-            horizon_cycles: self.horizon_cycles,
-            seed: self.seed,
-        };
-        let off = Tracer::disabled();
-        match self.filler_factory {
-            Some(mut factory) => run_design(
-                self.design,
-                &scenario,
-                self.kernel,
-                |id| factory(id),
-                &off,
-                Stepping::FastForward,
-            ),
-            None => {
-                let fillers = FillerFactory::paper(self.seed);
-                run_design(
-                    self.design,
-                    &scenario,
-                    self.kernel,
-                    |id| fillers.stream(id),
-                    &off,
-                    Stepping::FastForward,
-                )
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,42 +187,5 @@ mod tests {
     #[should_panic(expected = "load must be in (0,1)")]
     fn rejects_bad_load() {
         let _ = ServerSim::new(Design::Baseline, Workload::WordStem).load(1.5);
-    }
-
-    #[test]
-    fn custom_sim_with_custom_batch_threads() {
-        use duplexity_cpu::op::{InstructionStream, LoopedTrace, MicroOp, Op, RequestKernel};
-        use duplexity_stats::rng::SimRng;
-
-        #[derive(Debug)]
-        struct TinyService;
-        impl RequestKernel for TinyService {
-            fn generate(&mut self, _rng: &mut SimRng, out: &mut Vec<MicroOp>) {
-                for i in 0..200 {
-                    out.push(MicroOp::new(i * 4, Op::IntAlu));
-                }
-                out.push(MicroOp::new(800, Op::RemoteLoad { latency_us: 1.0 }));
-            }
-            fn nominal_service_us(&self) -> f64 {
-                1.1
-            }
-        }
-        let batch = |id: usize| -> Box<dyn InstructionStream> {
-            let base = 0x100_0000 * (id as u64 + 1);
-            Box::new(LoopedTrace::new(
-                (0..64)
-                    .map(|i| MicroOp::new(base + i * 4, Op::IntAlu))
-                    .collect(),
-            ))
-        };
-        let m = CustomSim::new(Design::Duplexity, Box::new(TinyService))
-            .load(0.4)
-            .horizon_cycles(600_000)
-            .seed(3)
-            .batch_threads(Box::new(batch))
-            .run();
-        assert!(m.master_retired > 0);
-        assert!(m.colocated_retired > 0, "custom batch threads must run");
-        assert!(m.morphs > 0);
     }
 }

@@ -15,9 +15,9 @@ use crate::memsys::{MemSys, RemotePath};
 use crate::metrics::EngineStats;
 use crate::op::{Fetched, InstructionStream, MicroOp, Op, NO_REG};
 use crate::pool::{ContextPool, VirtualContext};
-use duplexity_obs::{RemoteKind, ReturnReason, ThreadTag, TraceEvent, Tracer};
+use duplexity_obs::{ReturnReason, ThreadTag, TraceEvent, Tracer};
 use duplexity_stats::rng::SimRng;
-use duplexity_uarch::branch::{BranchPredictor, PredictorKind};
+use duplexity_uarch::branch::{BranchPredictor, Gshare};
 use duplexity_uarch::cache::AccessKind;
 
 /// Default HSMT scheduling quantum (§IV: 100 µs) in microseconds.
@@ -114,7 +114,7 @@ impl std::fmt::Debug for PhysCtx {
 pub struct InoEngine {
     width: usize,
     contexts: Vec<PhysCtx>,
-    predictor: Box<dyn BranchPredictor>,
+    predictor: Gshare,
     hsmt: bool,
     cycles_per_us: f64,
     swap_latency: u64,
@@ -145,7 +145,7 @@ impl InoEngine {
         Self {
             width,
             contexts: (0..physical_contexts).map(|_| PhysCtx::empty()).collect(),
-            predictor: PredictorKind::Gshare8k.build(),
+            predictor: Gshare::new(8 * 1024),
             hsmt,
             cycles_per_us,
             swap_latency,
@@ -400,16 +400,8 @@ impl InoEngine {
                         let done = now
                             .saturating_add((latency_us * *cycles_per_us).round().max(1.0) as u64);
                         let tag = *tag;
-                        tracer.emit(|| TraceEvent::StallBegin {
-                            at: now,
-                            kind: RemoteKind::RemoteMemory,
-                            tag,
-                        });
-                        tracer.emit(|| TraceEvent::StallEnd {
-                            at: done,
-                            kind: RemoteKind::RemoteMemory,
-                            tag,
-                        });
+                        tracer.emit(|| TraceEvent::StallBegin { at: now, tag });
+                        tracer.emit(|| TraceEvent::StallEnd { at: done, tag });
                         done
                     }
                     Op::Branch { taken, .. } => {

@@ -17,9 +17,9 @@
 use crate::memsys::MemSys;
 use crate::metrics::EngineStats;
 use crate::op::{Fetched, InstructionStream, MicroOp, Op, NO_REG, REG_FILE_SIZE};
-use duplexity_obs::{RemoteKind, ThreadTag, TraceEvent, Tracer};
+use duplexity_obs::{ThreadTag, TraceEvent, Tracer};
 use duplexity_stats::rng::SimRng;
-use duplexity_uarch::branch::{BranchPredictor, Btb, PredictorKind};
+use duplexity_uarch::branch::{BranchPredictor, Btb, Tournament};
 use duplexity_uarch::cache::AccessKind;
 use duplexity_uarch::config::CoreConfig;
 use std::collections::VecDeque;
@@ -190,7 +190,7 @@ pub struct OooEngine {
     runahead_replay: VecDeque<MicroOp>,
     runahead_poisoned: [bool; REG_FILE_SIZE],
     threads: Vec<ThreadCtx>,
-    predictor: Box<dyn BranchPredictor>,
+    predictor: Tournament,
     btb: Btb,
     rename_free: usize,
     rr_next: usize,
@@ -223,7 +223,7 @@ impl OooEngine {
             runahead_replay: VecDeque::new(),
             runahead_poisoned: [false; REG_FILE_SIZE],
             threads: Vec::new(),
-            predictor: PredictorKind::Tournament16k.build(),
+            predictor: Tournament::table1(),
             btb: Btb::table1(),
             // The PRF holds one thread's architectural state; the rest renames.
             // Extra threads' architectural registers are provisioned
@@ -673,16 +673,8 @@ impl OooEngine {
                         } else {
                             ThreadTag::Filler
                         };
-                        self.tracer.emit(|| TraceEvent::StallBegin {
-                            at: now,
-                            kind: RemoteKind::RemoteMemory,
-                            tag,
-                        });
-                        self.tracer.emit(|| TraceEvent::StallEnd {
-                            at: done,
-                            kind: RemoteKind::RemoteMemory,
-                            tag,
-                        });
+                        self.tracer.emit(|| TraceEvent::StallBegin { at: now, tag });
+                        self.tracer.emit(|| TraceEvent::StallEnd { at: done, tag });
                         done
                     }
                     ref op => now + op.exec_latency(),

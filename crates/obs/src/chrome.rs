@@ -13,7 +13,7 @@
 //! assert byte equality between 1-worker and 8-worker runs.
 
 use crate::registry::{escape, json_f64};
-use crate::trace::{RemoteKind, ThreadTag, TraceEvent, TraceLog};
+use crate::trace::{ThreadTag, TraceEvent, TraceLog};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Virtual-thread rows within one cell's process. The numbers are part of
@@ -27,6 +27,8 @@ const TID_DISPATCH: u64 = 7;
 const TID_PURGE: u64 = 8;
 /// Borrow rows start here (one per virtual-context id, modulo 32).
 const TID_BORROW_BASE: u64 = 16;
+/// Every stall waits on the one remote access the engines issue.
+const STALL_LABEL: &str = "stall:remote_memory";
 
 fn stall_tid(tag: ThreadTag) -> u64 {
     match tag {
@@ -88,7 +90,7 @@ pub fn chrome_trace_json(cells: &[(String, TraceLog)]) -> String {
         // Pairing state. Begin/end events pair FIFO per row; FIFO order is
         // emission order, so pairing is deterministic by construction.
         let mut open_morph: Option<(u64, &'static str)> = None;
-        let mut open_stalls: BTreeMap<(ThreadTag, RemoteKind), VecDeque<u64>> = BTreeMap::new();
+        let mut open_stalls: BTreeMap<ThreadTag, VecDeque<u64>> = BTreeMap::new();
         let mut open_borrows: BTreeMap<u64, u64> = BTreeMap::new();
 
         for ev in &log.events {
@@ -107,16 +109,13 @@ pub fn chrome_trace_json(cells: &[(String, TraceLog)]) -> String {
                         );
                     }
                 }
-                TraceEvent::StallBegin { at, kind, tag } => {
-                    open_stalls.entry((tag, kind)).or_default().push_back(at);
+                TraceEvent::StallBegin { at, tag } => {
+                    open_stalls.entry(tag).or_default().push_back(at);
                 }
-                TraceEvent::StallEnd { at, kind, tag } => {
-                    if let Some(begin) = open_stalls
-                        .get_mut(&(tag, kind))
-                        .and_then(VecDeque::pop_front)
-                    {
+                TraceEvent::StallEnd { at, tag } => {
+                    if let Some(begin) = open_stalls.get_mut(&tag).and_then(VecDeque::pop_front) {
                         w.span(
-                            &format!("stall:{}", kind.name()),
+                            STALL_LABEL,
                             stall_tid(tag),
                             begin,
                             at,
@@ -196,10 +195,10 @@ pub fn chrome_trace_json(cells: &[(String, TraceLog)]) -> String {
                 &format!("\"cause\":\"{cause}\",\"open\":true"),
             );
         }
-        for ((tag, kind), begins) in &open_stalls {
+        for (tag, begins) in &open_stalls {
             for &begin in begins {
                 w.span(
-                    &format!("stall:{}", kind.name()),
+                    STALL_LABEL,
                     stall_tid(*tag),
                     begin,
                     horizon.max(begin),
@@ -264,12 +263,14 @@ impl std::error::Error for TraceParseError {}
 pub fn parse_trace_events(json: &str) -> Result<Vec<serde_json::Value>, TraceParseError> {
     let v =
         serde_json::parse_value(json).map_err(|e| TraceParseError::InvalidJson(e.to_string()))?;
-    if !matches!(v, serde_json::Value::Object(_)) {
+    let serde_json::Value::Object(fields) = v else {
         return Err(TraceParseError::NotAnObject);
-    }
-    match v.get_field("traceEvents") {
+    };
+    // The first `traceEvents` field, as `Value::get_field` finds it, moved
+    // out of the document rather than copied.
+    match fields.into_iter().find(|(k, _)| k == "traceEvents") {
         None => Err(TraceParseError::MissingTraceEvents),
-        Some(serde_json::Value::Array(items)) => Ok(items.clone()),
+        Some((_, serde_json::Value::Array(items))) => Ok(items),
         Some(_) => Err(TraceParseError::TraceEventsNotArray),
     }
 }
@@ -284,12 +285,10 @@ mod tests {
         t.emit(|| TraceEvent::RequestArrive { at: 0 });
         t.emit(|| TraceEvent::StallBegin {
             at: 100,
-            kind: RemoteKind::RemoteMemory,
             tag: ThreadTag::Master,
         });
         t.emit(|| TraceEvent::StallEnd {
             at: 6900,
-            kind: RemoteKind::RemoteMemory,
             tag: ThreadTag::Master,
         });
         t.emit(|| TraceEvent::MorphIn {

@@ -59,4 +59,4 @@ pub use poolobs::{PoolReport, WorkerLoad};
 pub use registry::{Observation, Registry};
 pub use sketch::LatencySketch;
 pub use timeseries::{Bin, TimeSeries, TimeSeriesSet};
-pub use trace::{MorphTrigger, RemoteKind, ReturnReason, ThreadTag, TraceEvent, TraceLog, Tracer};
+pub use trace::{MorphTrigger, ReturnReason, ThreadTag, TraceEvent, TraceLog, Tracer};

@@ -75,25 +75,6 @@ impl ReturnReason {
     }
 }
 
-/// The kind of µs-scale access a stall waits on. The cycle engines issue
-/// one kind, the remote load of an `Op::RemoteLoad` micro-op; its name
-/// labels the Chrome stall rows (`stall:remote_memory`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum RemoteKind {
-    /// Remote-memory (RDMA-class) access.
-    RemoteMemory,
-}
-
-impl RemoteKind {
-    /// Stable lowercase name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            RemoteKind::RemoteMemory => "remote_memory",
-        }
-    }
-}
-
 /// One typed observation in the emitter's native tick domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
@@ -109,12 +90,12 @@ pub enum TraceEvent {
         /// Resume cycle.
         at: u64,
     },
-    /// A thread began a µs-scale stall.
+    /// A thread began a µs-scale stall: the remote load of an
+    /// `Op::RemoteLoad` micro-op, the one remote access the cycle engines
+    /// issue (Chrome rows label it `stall:remote_memory`).
     StallBegin {
         /// Issue cycle.
         at: u64,
-        /// Remote event kind.
-        kind: RemoteKind,
         /// Stalling thread's class.
         tag: ThreadTag,
     },
@@ -122,8 +103,6 @@ pub enum TraceEvent {
     StallEnd {
         /// Completion cycle.
         at: u64,
-        /// Remote event kind.
-        kind: RemoteKind,
         /// Stalling thread's class.
         tag: ThreadTag,
     },

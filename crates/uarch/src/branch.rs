@@ -58,26 +58,6 @@ pub trait BranchPredictor: std::fmt::Debug + Send {
     fn reset(&mut self);
 }
 
-/// Which predictor organization a core uses (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PredictorKind {
-    /// Tournament: bimodal(16K) + gshare(16K) + selector(16K).
-    Tournament16k,
-    /// gshare(8K) — lender-core and the master-core's filler-mode predictor.
-    Gshare8k,
-}
-
-impl PredictorKind {
-    /// Instantiates the predictor.
-    #[must_use]
-    pub fn build(self) -> Box<dyn BranchPredictor> {
-        match self {
-            PredictorKind::Tournament16k => Box::new(Tournament::table1()),
-            PredictorKind::Gshare8k => Box::new(Gshare::new(8 * 1024)),
-        }
-    }
-}
-
 /// Bimodal predictor: a PC-indexed table of 2-bit counters.
 #[derive(Debug, Clone)]
 pub struct Bimodal {
@@ -423,14 +403,6 @@ mod tests {
             taken_b = !taken_b;
         }
         assert!(correct as f64 / f64::from(total) > 0.9, "correct {correct}");
-    }
-
-    #[test]
-    fn predictor_kind_builds() {
-        let mut p = PredictorKind::Tournament16k.build();
-        p.update(0x10, true);
-        let mut q = PredictorKind::Gshare8k.build();
-        q.update(0x10, false);
     }
 
     #[test]

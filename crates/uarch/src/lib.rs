@@ -28,7 +28,7 @@ pub mod cache;
 pub mod config;
 pub mod tlb;
 
-pub use branch::{BranchPredictor, Btb, Gshare, PredictorKind, ReturnAddressStack, Tournament};
+pub use branch::{BranchPredictor, Btb, Gshare, ReturnAddressStack, Tournament};
 pub use cache::{AccessKind, Cache, CacheConfig, CacheStats};
 pub use config::{CoreConfig, LatencyModel, MachineConfig, Table1};
 pub use tlb::{Tlb, TlbStats};
