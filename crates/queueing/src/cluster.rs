@@ -72,11 +72,27 @@ fn ns_ticks(us: f64) -> u64 {
 /// RoundRobin, LeastWork); either way the stream is private to the
 /// balancer, so policies are interchangeable without perturbing the
 /// arrival/service sample path.
+///
+/// Queue lengths are the cheap signal: on a fresh view the event engine
+/// hands a policy its live per-server counters without copying them.
+/// Backlogs cost a pass over every candidate server, so the event engine
+/// builds them only for a policy whose [`reads_backlog`](Self::reads_backlog)
+/// is true. Of the built-in policies only [`LeastWorkBalancer`] reads them.
 pub trait Balancer {
     /// Short policy name for reports and trace labels.
     fn name(&self) -> &'static str;
-    /// Chooses a server in `0..queues.len()`.
+    /// Chooses a server in `0..queues.len()`. When
+    /// [`reads_backlog`](Self::reads_backlog) is true, `backlog_us` holds
+    /// one backlog per entry of `queues`; otherwise the event engine
+    /// passes it empty.
     fn pick(&mut self, queues: &[u32], backlog_us: &[f64], rng: &mut SimRng) -> usize;
+    /// Whether [`pick`](Self::pick) reads `backlog_us`. A policy that
+    /// returns false may be handed an empty backlog slice, so it must pick
+    /// from the queue lengths, its own state and `rng` alone. Defaults to
+    /// true, which is always safe.
+    fn reads_backlog(&self) -> bool {
+        true
+    }
 }
 
 /// Uniform-random assignment: the memoryless baseline every other policy
@@ -90,6 +106,9 @@ impl Balancer for RandomBalancer {
     }
     fn pick(&mut self, queues: &[u32], _backlog_us: &[f64], rng: &mut SimRng) -> usize {
         rng.random_range(0..queues.len())
+    }
+    fn reads_backlog(&self) -> bool {
+        false
     }
 }
 
@@ -108,6 +127,9 @@ impl Balancer for RoundRobinBalancer {
         self.next = (self.next + 1) % queues.len();
         i
     }
+    fn reads_backlog(&self) -> bool {
+        false
+    }
 }
 
 /// Join-the-shortest-queue: argmin of instantaneous queue *length*
@@ -121,6 +143,9 @@ impl Balancer for JsqBalancer {
     }
     fn pick(&mut self, queues: &[u32], _backlog_us: &[f64], _rng: &mut SimRng) -> usize {
         argmin_u32(queues)
+    }
+    fn reads_backlog(&self) -> bool {
+        false
     }
 }
 
@@ -169,6 +194,9 @@ impl Balancer for PowerOfDBalancer {
             }
         }
         best
+    }
+    fn reads_backlog(&self) -> bool {
+        false
     }
 }
 
@@ -1457,22 +1485,37 @@ impl<Q: EventQueue<EvKind>> RequestSim<'_, Q> {
                 .extend((0..n).filter(|&i| !chain_holds(copies, first, i)));
         }
         let masked = !self.pick_map.is_empty();
-        self.pick_queues.clear();
-        self.pick_backlog.clear();
-        for k in 0..if masked { self.pick_map.len() } else { n } {
-            let i = if masked { self.pick_map[k] } else { k };
-            let (queued, backlog) = self.rack.dispatch_view(&self.servers, i, t);
-            self.pick_queues.push(queued);
-            self.pick_backlog.push(backlog);
-        }
-        // Rack plans issue one copy per request, so candidate i is server i.
-        self.rack
-            .compensate(disp, t, &mut self.pick_queues, &mut self.pick_backlog);
-        let local = balancer.pick(&self.pick_queues, &self.pick_backlog, brng);
-        debug_assert!(
-            local < self.pick_queues.len(),
-            "balancer picked out-of-range {local}"
-        );
+        let candidates = if masked { self.pick_map.len() } else { n };
+        let local = if !self.rack.is_stale() && !balancer.reads_backlog() {
+            // A fresh view's queue length is the live `in_system` counter
+            // and `compensate` is a no-op, so a policy that reads no
+            // backlog picks from the live counters: gathered for a masked
+            // copy, read in place otherwise.
+            if masked {
+                self.pick_queues.clear();
+                let live = &self.servers.in_system;
+                self.pick_queues
+                    .extend(self.pick_map.iter().map(|&i| live[i]));
+                balancer.pick(&self.pick_queues, &[], brng)
+            } else {
+                balancer.pick(&self.servers.in_system, &[], brng)
+            }
+        } else {
+            self.pick_queues.clear();
+            self.pick_backlog.clear();
+            for k in 0..candidates {
+                let i = if masked { self.pick_map[k] } else { k };
+                let (queued, backlog) = self.rack.dispatch_view(&self.servers, i, t);
+                self.pick_queues.push(queued);
+                self.pick_backlog.push(backlog);
+            }
+            // Rack plans issue one copy per request, so candidate i is
+            // server i.
+            self.rack
+                .compensate(disp, t, &mut self.pick_queues, &mut self.pick_backlog);
+            balancer.pick(&self.pick_queues, &self.pick_backlog, brng)
+        };
+        debug_assert!(local < candidates, "balancer picked out-of-range {local}");
         let server = if masked { self.pick_map[local] } else { local };
 
         let copy = self.copies.len();
@@ -1860,6 +1903,23 @@ mod tests {
             assert_eq!(a.tail_us, b.tail_us, "{policy}");
             assert_eq!(a.sojourn, b.sojourn, "{policy}");
             assert_eq!(a.per_server_requests, b.per_server_requests, "{policy}");
+        }
+    }
+
+    #[test]
+    fn only_least_work_reads_backlogs() {
+        for policy in [
+            BalancerPolicy::Random,
+            BalancerPolicy::RoundRobin,
+            BalancerPolicy::Jsq,
+            BalancerPolicy::PowerOfD(2),
+            BalancerPolicy::LeastWork,
+        ] {
+            assert_eq!(
+                policy.build().reads_backlog(),
+                policy == BalancerPolicy::LeastWork,
+                "{policy}"
+            );
         }
     }
 

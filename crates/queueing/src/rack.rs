@@ -400,6 +400,14 @@ impl RackState {
         }
     }
 
+    /// Whether dispatchers see Δ-stale views (Δ > 0). When false,
+    /// [`dispatch_view`](Self::dispatch_view) is the live view and
+    /// [`compensate`](Self::compensate) does nothing.
+    #[inline]
+    pub(crate) fn is_stale(&self) -> bool {
+        self.stale
+    }
+
     /// Draws an arrival's tenant rank — only when the plan models several
     /// tenants, so a single-tenant plan never touches the tenant stream —
     /// and returns the dispatcher it hashes to and whether it is hot.

@@ -153,13 +153,56 @@ impl QuantileEstimator {
         self.samples
     }
 
+    /// Sorts the samples ascending. Without a NaN or a −0.0 among them it
+    /// sorts integer keys, which is bit for bit the comparison sort's
+    /// result: [`total_order_key`] is strictly increasing over that
+    /// domain, so equal keys are bit-identical samples. A −0.0 (equal to
+    /// +0.0 under `partial_cmp`, so a stable sort keeps their record
+    /// order) or a NaN (which panics) takes the comparison sort.
     fn ensure_sorted(&mut self) {
-        if !self.sorted {
+        if self.sorted {
+            return;
+        }
+        if self
+            .samples
+            .iter()
+            .all(|x| !x.is_nan() && x.to_bits() != NEG_ZERO)
+        {
+            for x in &mut self.samples {
+                *x = f64::from_bits(total_order_key(*x));
+            }
+            self.samples.sort_by_key(|k| k.to_bits());
+            for x in &mut self.samples {
+                *x = from_total_order_key(x.to_bits());
+            }
+        } else {
             self.samples
                 .sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-            self.sorted = true;
         }
+        self.sorted = true;
     }
+}
+
+const SIGN: u64 = 1 << 63;
+const NEG_ZERO: u64 = (-0.0f64).to_bits();
+
+/// The IEEE 754 total-order key of `x` as an unsigned integer: positive
+/// values get the sign bit set, negative values have every bit flipped.
+/// Keys compare as the values do under `total_cmp`.
+#[inline]
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits & SIGN == 0 {
+        bits | SIGN
+    } else {
+        !bits
+    }
+}
+
+/// Inverse of [`total_order_key`].
+#[inline]
+fn from_total_order_key(key: u64) -> f64 {
+    f64::from_bits(if key & SIGN != 0 { key ^ SIGN } else { !key })
 }
 
 impl FromIterator<f64> for QuantileEstimator {

@@ -25,8 +25,10 @@
 
 use duplexity_obs::Tracer;
 use duplexity_queueing::cluster::{
-    try_simulate_cluster_hedged, BalancerPolicy, ClusterOptions, DuplicationPolicy, RequestResult,
+    try_simulate_cluster_hedged, Balancer, BalancerPolicy, ClusterOptions, DupMode,
+    DuplicationPolicy, RequestResult,
 };
+use duplexity_queueing::eventcore::EventQueueKind;
 use duplexity_queueing::rack::{try_simulate_rack, RackPlan};
 use duplexity_stats::dist::{Distribution, Exponential};
 use duplexity_stats::rng::SimRng;
@@ -43,30 +45,59 @@ fn run(
     load: f64,
     seed: u64,
 ) -> (RequestResult, u64) {
-    let lambda = SERVERS as f64 * load / MEAN_SERVICE_US;
     let mut draws = 0u64;
     let mut service = |rng: &mut SimRng| {
         draws += 1;
         Exponential::new(MEAN_SERVICE_US).sample(rng)
     };
+    let r = simulate(
+        plan,
+        policy.build().as_mut(),
+        SERVERS,
+        EventQueueKind::default(),
+        load,
+        seed,
+        &mut service,
+    );
+    (r, draws)
+}
+
+/// Runs one small hedged-cluster simulation of `servers` servers at
+/// per-server `load`, placing copies through `balancer`.
+fn simulate(
+    plan: &DuplicationPolicy,
+    balancer: &mut dyn Balancer,
+    servers: usize,
+    event_queue: EventQueueKind,
+    load: f64,
+    seed: u64,
+    service: &mut dyn FnMut(&mut SimRng) -> f64,
+) -> RequestResult {
+    let lambda = servers as f64 * load / MEAN_SERVICE_US;
     let opts = ClusterOptions {
-        servers: SERVERS,
+        servers,
         max_samples: 4_000,
         warmup: 200,
         seed,
+        event_queue,
         ..ClusterOptions::default()
     };
-    let mut balancer = policy.build();
-    let r = try_simulate_cluster_hedged(
-        lambda,
-        &mut service,
-        balancer.as_mut(),
-        plan,
-        &opts,
-        &Tracer::disabled(),
-    )
-    .expect("stable configuration");
-    (r, draws)
+    try_simulate_cluster_hedged(lambda, service, balancer, plan, &opts, &Tracer::disabled())
+        .expect("stable configuration")
+}
+
+/// A policy's balancer that claims to read backlogs, so the engine
+/// builds every candidate's (queue length, backlog) view for it, as it
+/// does for least-work, instead of handing it the live queue lengths.
+struct Materialized(Box<dyn Balancer>);
+
+impl Balancer for Materialized {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn pick(&mut self, queues: &[u32], backlog_us: &[f64], rng: &mut SimRng) -> usize {
+        self.0.pick(queues, backlog_us, rng)
+    }
 }
 
 /// Runs one small rack simulation under JSQ placement.
@@ -177,6 +208,47 @@ proptest! {
         assert_bitwise_equal(&jsq, &pod, "jsq vs power_of_n");
     }
 
+    /// A policy that reads no backlog picks the same servers from the
+    /// live queue lengths as from materialized views: first copies (read
+    /// in place) and masked duplicates (gathered per candidate), on both
+    /// event queues.
+    #[test]
+    fn live_signals_pick_what_materialized_views_pick(seed in 0u64..1_000, load in 0.1f64..0.45) {
+        let plans = [
+            DuplicationPolicy::none(),
+            DuplicationPolicy::duplicate(2),
+            DuplicationPolicy::duplicate(2).at_low_priority(),
+            // A deadline at the mean service time fires whenever the
+            // exponential service outlasts its mean: e⁻¹ ≈ 37% of requests.
+            DuplicationPolicy::hedge(MEAN_SERVICE_US),
+        ];
+        for servers in [1, 4, 16] {
+            let policies = [
+                BalancerPolicy::Random,
+                BalancerPolicy::RoundRobin,
+                BalancerPolicy::Jsq,
+                BalancerPolicy::PowerOfD(2),
+                BalancerPolicy::PowerOfD(servers),
+            ];
+            for (plan, policy) in plans.iter().flat_map(|p| policies.map(|b| (p, b))) {
+                for queue in [EventQueueKind::Heap, EventQueueKind::Wheel] {
+                    let run = |balancer: &mut dyn Balancer| {
+                        let mut service =
+                            |rng: &mut SimRng| Exponential::new(MEAN_SERVICE_US).sample(rng);
+                        simulate(plan, balancer, servers, queue, load, seed, &mut service)
+                    };
+                    let live = run(policy.build().as_mut());
+                    let viewed = run(&mut Materialized(policy.build()));
+                    let what = format!("{policy} {} n={servers} {queue:?}", plan.label());
+                    assert_bitwise_equal(&live, &viewed, &what);
+                    if matches!(plan.mode, DupMode::Hedge { .. }) {
+                        prop_assert!(live.dup.hedges_fired * 4 > live.dup.requests, "{}", what);
+                    }
+                }
+            }
+        }
+    }
+
     /// Conservation over random loads, seeds, and plans: every admitted
     /// request completes exactly once; every issued copy reaches exactly
     /// one terminal state (completed or purged); purge makes redundant
@@ -209,7 +281,7 @@ proptest! {
         if plan.purge {
             prop_assert_eq!(t.wasted_completions, 0);
         }
-        if let duplexity_queueing::cluster::DupMode::None = plan.mode {
+        if let DupMode::None = plan.mode {
             prop_assert_eq!(t.dup_copies, 0);
             prop_assert_eq!(r.added_utilization, 0.0);
         }

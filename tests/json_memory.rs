@@ -1,11 +1,12 @@
 //! Parsing JSON holds about as much memory as the value tree it returns.
 //!
-//! The vendored parser gives back the spare capacity of every array and
-//! object it closes, and `parse_trace_events` moves the `traceEvents` array
-//! out of the parsed document instead of copying it. The global allocator
-//! is per binary, so these checks have a test binary of their own: a
-//! forwarding allocator tracks, per thread, the live requested bytes and
-//! their peak, so tests running on other threads do not count.
+//! The vendored parser gives back the spare capacity of every array,
+//! object and string it closes, and `parse_trace_events` moves the
+//! `traceEvents` array out of the parsed document instead of copying it.
+//! The global allocator is per binary, so these checks have a test binary
+//! of their own: a forwarding allocator tracks, per thread, the live
+//! requested bytes and their peak, so tests running on other threads do
+//! not count.
 
 use duplexity::{Design, ServerSim, Workload};
 use duplexity_obs::{chrome_trace_json, parse_trace_events, Tracer};
@@ -77,6 +78,23 @@ fn nested_arrays_peak_below_twenty_times_their_length() {
     assert!(
         ratio < 20.0,
         "parsing {} bytes peaked at {peak} bytes ({ratio:.1}x)",
+        doc.len()
+    );
+}
+
+/// Strings of 33 characters, each grown one character at a time to a
+/// capacity of 64 bytes, keep only the bytes they hold once closed.
+#[test]
+fn strings_peak_below_two_point_three_times_their_length() {
+    let item = format!("\"{}\"", "s".repeat(33));
+    let n = (4 << 20) / (item.len() + 1);
+    let doc = format!("[{}]", vec![item; n].join(","));
+    let (tree, peak) = peak_of(|| parse_value(&doc).expect("an array of strings"));
+    drop(tree);
+    let ratio = peak as f64 / doc.len() as f64;
+    assert!(
+        ratio < 2.3,
+        "parsing {} bytes peaked at {peak} bytes ({ratio:.2}x)",
         doc.len()
     );
 }

@@ -65,6 +65,40 @@ proptest! {
         prop_assert!(p90 <= p99);
     }
 
+    /// The estimator's sort (integer keys without a −0.0, the comparison
+    /// sort with one) orders samples exactly as a one-shot stable
+    /// `partial_cmp` sort does, bit for bit, also when a sorted prefix
+    /// from an earlier query meets an unsorted tail.
+    #[test]
+    fn key_sort_equals_comparison_sort(
+        draws in prop::collection::vec((0usize..16, any::<u64>()), 1..300),
+        cuts in prop::collection::vec(0usize..300, 0..4),
+        neg_zero in any::<bool>()
+    ) {
+        let values: Vec<f64> = draws
+            .iter()
+            .map(|&(pick, bits)| sort_sample(pick, bits))
+            .map(|x| if neg_zero || x != 0.0 { x } else { 0.0 })
+            .collect();
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(values.len())).collect();
+        cuts.sort_unstable();
+        cuts.push(values.len());
+        let mut q = QuantileEstimator::new();
+        let mut from = 0;
+        for cut in cuts {
+            q.extend(values[from..cut].iter().copied());
+            from = cut;
+            if !q.is_empty() {
+                q.quantile(0.5);
+                q.quantile_ci(0.99, 0.95);
+            }
+        }
+        let mut expected = values;
+        expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&q.into_sorted()), bits(&expected));
+    }
+
     /// Cache residency never exceeds capacity, and a just-accessed line is
     /// always resident.
     #[test]
@@ -250,4 +284,46 @@ proptest! {
             }
         }
     }
+}
+
+/// One sample for [`key_sort_equals_comparison_sort`]: signed zeros, the
+/// extremes, subnormals, small integers that repeat, or an arbitrary
+/// finite bit pattern. `record` debug-asserts that samples are finite,
+/// so ±∞ enter only where debug assertions are off (`--release`).
+fn sort_sample(pick: usize, bits: u64) -> f64 {
+    let sign = if bits >> 63 == 0 { 1.0 } else { -1.0 };
+    let infinite = if cfg!(debug_assertions) {
+        f64::MAX
+    } else {
+        f64::INFINITY
+    };
+    match pick {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::MIN,
+        3 => f64::MAX,
+        4 => sign * f64::MIN_POSITIVE,
+        5 => sign * f64::from_bits(1),
+        6 => sign * f64::from_bits(bits & ((1 << 52) - 1)),
+        7 => sign * infinite,
+        8..=11 => (bits % 7) as f64 - 3.0,
+        _ => {
+            let x = f64::from_bits(bits);
+            if x.is_finite() {
+                x
+            } else {
+                sign * (bits >> 11) as f64
+            }
+        }
+    }
+}
+
+/// A NaN sample panics, with a message that says samples must be finite:
+/// `record`'s debug assertion where debug assertions are on, the sort's
+/// comparison where they are off.
+#[test]
+#[should_panic(expected = "finite")]
+fn nan_sample_panics() {
+    let mut q: QuantileEstimator = [3.0, f64::NAN, 1.0, 2.0].into_iter().collect();
+    q.quantile(0.5);
 }
