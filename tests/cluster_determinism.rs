@@ -20,7 +20,7 @@ mod common;
 use duplexity::experiments::cluster_sweep::{cluster_sweep, ClusterSweepOptions};
 use duplexity::{BalancerPolicy, Design};
 use duplexity_obs::Tracer;
-use duplexity_queueing::cluster::{try_simulate_cluster, ClusterOptions, LeastWorkBalancer};
+use duplexity_queueing::cluster::{try_simulate_cluster, ClusterOptions};
 use duplexity_queueing::des::Mg1Options;
 use duplexity_queueing::mmk::MmkAnalytic;
 use duplexity_stats::ci::mean_ci;
@@ -142,7 +142,7 @@ fn least_work_cluster_mean_wait_matches_erlang_c() {
             let r = try_simulate_cluster(
                 lambda,
                 &mut svc,
-                &mut LeastWorkBalancer,
+                &mut BalancerPolicy::LeastWork.build(),
                 &opts,
                 &Tracer::disabled(),
             )
