@@ -39,19 +39,6 @@ pub struct ChipConfig {
     pub nic: NicModel,
 }
 
-/// One slot of a heterogeneous chip: a design serving a microservice at a
-/// load (§IV: a data-center-scale scheduler may assign different services to
-/// different dyads).
-#[derive(Debug, Clone, Copy)]
-pub struct DyadAssignment {
-    /// Core organization of the slot.
-    pub design: Design,
-    /// Microservice pinned to the slot's master-thread.
-    pub workload: Workload,
-    /// Offered load for this slot.
-    pub load: f64,
-}
-
 impl ChipConfig {
     /// A 14-dyad FDR-4× chip (§VIII's sharing bound), 50% load.
     #[must_use]
@@ -108,7 +95,8 @@ impl ChipMetrics {
 }
 
 /// Runs `cfg.dyads` independent dyad simulations in parallel and aggregates
-/// them against the shared NIC.
+/// them against the shared NIC. Dyad `i` is a solo [`ServerSim`] run seeded
+/// `derive_stream(cfg.seed, 0xC41C + i)`.
 ///
 /// # Panics
 ///
@@ -117,42 +105,16 @@ impl ChipMetrics {
 #[must_use]
 pub fn simulate_chip(cfg: &ChipConfig) -> ChipMetrics {
     assert!(cfg.dyads > 0, "a chip needs at least one dyad");
-    let slots: Vec<DyadAssignment> = (0..cfg.dyads)
-        .map(|_| DyadAssignment {
-            design: cfg.design,
-            workload: cfg.workload,
-            load: cfg.load,
-        })
-        .collect();
-    simulate_mixed_chip(&slots, cfg.horizon_cycles, cfg.seed, cfg.nic)
-}
-
-/// Runs a *heterogeneous* chip: one dyad per assignment, simulated in
-/// parallel, aggregated against the shared NIC.
-///
-/// # Panics
-///
-/// Panics if `slots` is empty, and propagates a panic from any dyad's
-/// simulation.
-#[must_use]
-pub fn simulate_mixed_chip(
-    slots: &[DyadAssignment],
-    horizon_cycles: u64,
-    seed: u64,
-    nic: NicModel,
-) -> ChipMetrics {
-    assert!(!slots.is_empty(), "a chip needs at least one dyad");
-    let per_dyad = ExecPool::new(0).run("chip/dyads", slots.len(), |i| {
-        let slot = slots[i];
-        ServerSim::new(slot.design, slot.workload)
-            .load(slot.load)
-            .horizon_cycles(horizon_cycles)
-            .seed(derive_stream(seed, 0xC41C + i as u64))
+    let per_dyad = ExecPool::new(0).run("chip/dyads", cfg.dyads, |i| {
+        ServerSim::new(cfg.design, cfg.workload)
+            .load(cfg.load)
+            .horizon_cycles(cfg.horizon_cycles)
+            .seed(derive_stream(cfg.seed, 0xC41C + i as u64))
             .run()
     });
 
     let mean_utilization =
-        per_dyad.iter().map(|m| m.utilization(4)).sum::<f64>() / slots.len() as f64;
+        per_dyad.iter().map(|m| m.utilization(4)).sum::<f64>() / cfg.dyads as f64;
     let batch_ops_per_us = per_dyad
         .iter()
         .map(|m| (m.colocated_retired + m.lender_retired) as f64 / m.wall_us().max(1e-9))
@@ -170,8 +132,8 @@ pub fn simulate_mixed_chip(
         mean_utilization,
         batch_ops_per_us,
         nic_ops_per_second,
-        nic_utilization: nic.utilization(nic_ops_per_second, 64.0),
-        nic_queueing_delay_us: nic.queueing_delay_us(nic_ops_per_second),
+        nic_utilization: cfg.nic.utilization(nic_ops_per_second, 64.0),
+        nic_queueing_delay_us: cfg.nic.queueing_delay_us(nic_ops_per_second),
         pooled_request_latencies_us,
         per_dyad,
     }
@@ -243,6 +205,22 @@ mod tests {
     }
 
     #[test]
+    fn each_dyad_is_its_seeds_solo_run() {
+        let cfg = small(Design::Duplexity, 3);
+        let m = simulate_chip(&cfg);
+        assert_eq!(m.per_dyad.len(), 3);
+        // The pool keeps dyad order: dyad `i` is the solo run on its seed.
+        for (i, dyad) in m.per_dyad.iter().enumerate() {
+            let solo = ServerSim::new(cfg.design, cfg.workload)
+                .load(cfg.load)
+                .horizon_cycles(cfg.horizon_cycles)
+                .seed(derive_stream(cfg.seed, 0xC41C + i as u64))
+                .run();
+            assert_eq!(*dyad, solo, "dyad {i} is not its seed's solo run");
+        }
+    }
+
+    #[test]
     fn dyads_are_decorrelated_but_deterministic() {
         let a = simulate_chip(&small(Design::Duplexity, 3));
         let b = simulate_chip(&small(Design::Duplexity, 3));
@@ -270,75 +248,5 @@ mod tests {
         } else {
             assert!(m.pooled_p99_us().is_none());
         }
-    }
-}
-
-#[cfg(test)]
-mod mixed_tests {
-    use super::*;
-
-    /// A mixed chip: Duplexity dyads for the stall-heavy services, a plain
-    /// baseline for the stall-free one.
-    #[test]
-    fn mixed_chip_runs_heterogeneous_slots() {
-        let slots = [
-            DyadAssignment {
-                design: Design::Duplexity,
-                workload: Workload::FlannLl,
-                load: 0.5,
-            },
-            DyadAssignment {
-                design: Design::Duplexity,
-                workload: Workload::Rsc,
-                load: 0.3,
-            },
-            DyadAssignment {
-                design: Design::Baseline,
-                workload: Workload::WordStem,
-                load: 0.7,
-            },
-        ];
-        let m = simulate_mixed_chip(&slots, 500_000, 11, NicModel::fdr_4x());
-        assert_eq!(m.per_dyad.len(), 3);
-        // The pool keeps slot order: dyad `i` is slot `i`'s solo run.
-        for (i, (slot, dyad)) in slots.iter().zip(&m.per_dyad).enumerate() {
-            let solo = ServerSim::new(slot.design, slot.workload)
-                .load(slot.load)
-                .horizon_cycles(500_000)
-                .seed(derive_stream(11, 0xC41C + i as u64))
-                .run();
-            assert_eq!(*dyad, solo, "dyad {i} is not its slot's solo run");
-        }
-        // The Duplexity slots carry batch work; the baseline slot does not.
-        assert!(m.per_dyad[0].colocated_retired > 0);
-        assert!(m.per_dyad[1].colocated_retired > 0);
-        assert_eq!(m.per_dyad[2].colocated_retired, 0);
-        // WordStem issues no master-thread remotes.
-        assert_eq!(m.per_dyad[2].remote_ops_master, 0);
-        assert!(m.nic_utilization > 0.0 && m.nic_utilization < 1.0);
-    }
-
-    /// The homogeneous entry point is exactly a mixed chip with identical
-    /// slots.
-    #[test]
-    fn homogeneous_is_special_case_of_mixed() {
-        let cfg = ChipConfig {
-            dyads: 2,
-            design: Design::Duplexity,
-            workload: Workload::McRouter,
-            load: 0.5,
-            horizon_cycles: 300_000,
-            seed: 4,
-            nic: NicModel::fdr_4x(),
-        };
-        let a = simulate_chip(&cfg);
-        let slots = [DyadAssignment {
-            design: cfg.design,
-            workload: cfg.workload,
-            load: cfg.load,
-        }; 2];
-        let b = simulate_mixed_chip(&slots, cfg.horizon_cycles, cfg.seed, cfg.nic);
-        assert_eq!(a.per_dyad[0].master_retired, b.per_dyad[0].master_retired);
-        assert_eq!(a.nic_ops_per_second, b.nic_ops_per_second);
     }
 }

@@ -64,7 +64,7 @@ pub mod scheduler;
 pub mod server;
 
 pub use cellcache::{digest_of_digests, CellCache, CellKey, Digest, DigestWriter};
-pub use chip::{simulate_chip, simulate_mixed_chip, ChipConfig, ChipMetrics, DyadAssignment};
+pub use chip::{simulate_chip, ChipConfig, ChipMetrics};
 pub use duplexity_cpu::designs::{Design, DesignMetrics};
 pub use duplexity_net::{Event, EventKind, FaultPlan, LatencyDist, RetryPolicy};
 pub use duplexity_obs::{
@@ -82,8 +82,5 @@ pub use experiments::fig5::{run_fig5, run_fig5_traced, Fig5Options, Fig5Run, Tra
 pub use experiments::hedge_sweep::{hedge_sweep, HedgeSweepOptions, HedgeSweepPoint};
 pub use experiments::rack_sweep::{rack_sweep, RackSweepOptions, RackSweepPoint};
 pub use experiments::timeline::{timeline, Timeline, TimelineCell, TimelineOptions};
-pub use scheduler::{
-    provision_dyad_adaptively, recommend_contexts, AdaptiveProvisioner, LiveProvisionSchedule,
-    ProvisionerConfig,
-};
+pub use scheduler::{recommend_contexts, ProvisionerConfig};
 pub use server::ServerSim;

@@ -3,15 +3,10 @@
 //! The paper leaves context provisioning to software: "The OS must select
 //! how many virtual (filler) contexts to activate in a dyad. One option is
 //! to simply over-provision, but this may lead to long scheduling delays
-//! for ready virtual contexts." This module implements both policies the
-//! discussion sketches:
-//!
-//! * [`recommend_contexts`] — the *model-driven* sizing of Figure 2(b): from
-//!   a measured per-thread stall fraction, pick the smallest `n` with
-//!   `P(ready ≥ physical) ≥ target` under `Binomial(n, 1-p)`;
-//! * [`AdaptiveProvisioner`] — a *feedback* controller in the spirit of CPU
-//!   hot-plug \[88\]: observe filler throughput per epoch, add contexts while
-//!   the marginal gain justifies them, retire contexts when it does not.
+//! for ready virtual contexts." [`recommend_contexts`] is the
+//! *model-driven* sizing of Figure 2(b): from a measured per-thread stall
+//! fraction, pick the smallest `n` with `P(ready ≥ physical) ≥ target`
+//! under `Binomial(n, 1-p)`.
 
 use duplexity_stats::binomial::required_virtual_contexts;
 use serde::{Deserialize, Serialize};
@@ -26,8 +21,6 @@ pub struct ProvisionerConfig {
     pub target_occupancy: f64,
     /// Hard cap on virtual contexts (register-backing-store budget).
     pub max_contexts: u32,
-    /// Minimum relative throughput gain that justifies one more context.
-    pub min_marginal_gain: f64,
 }
 
 impl Default for ProvisionerConfig {
@@ -36,7 +29,6 @@ impl Default for ProvisionerConfig {
             physical: 8,
             target_occupancy: 0.9,
             max_contexts: 64,
-            min_marginal_gain: 0.02,
         }
     }
 }
@@ -61,183 +53,6 @@ pub fn recommend_contexts(stall_fraction: f64, cfg: &ProvisionerConfig) -> u32 {
     let p = stall_fraction.clamp(0.0, 0.999);
     required_virtual_contexts(cfg.physical, p, cfg.target_occupancy, cfg.max_contexts)
         .unwrap_or(cfg.max_contexts)
-}
-
-/// A decision the adaptive controller hands back each epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ProvisionDecision {
-    /// Activate this many additional virtual contexts.
-    Add(u32),
-    /// Keep the current pool.
-    Keep,
-    /// Park this many contexts (HLT, §IV).
-    Park(u32),
-}
-
-/// Feedback-driven provisioning: adds contexts while filler throughput keeps
-/// improving, parks them once gains flatten.
-#[derive(Debug, Clone)]
-pub struct AdaptiveProvisioner {
-    cfg: ProvisionerConfig,
-    current: u32,
-    step: u32,
-    history: Vec<(u32, f64)>, // (contexts, observed ops/cycle)
-}
-
-impl AdaptiveProvisioner {
-    /// Starts from `initial` contexts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is zero or exceeds the configured maximum.
-    #[must_use]
-    pub fn new(cfg: ProvisionerConfig, initial: u32) -> Self {
-        assert!(
-            initial > 0 && initial <= cfg.max_contexts,
-            "bad initial context count"
-        );
-        Self {
-            cfg,
-            current: initial,
-            step: 4,
-            history: Vec::new(),
-        }
-    }
-
-    /// Currently provisioned contexts.
-    #[must_use]
-    pub fn current(&self) -> u32 {
-        self.current
-    }
-
-    /// Observation history: (contexts, throughput) per epoch.
-    #[must_use]
-    pub fn history(&self) -> &[(u32, f64)] {
-        &self.history
-    }
-
-    /// Feeds one epoch's observed batch throughput (ops per cycle across the
-    /// dyad) and returns the next provisioning decision, which the caller is
-    /// expected to apply.
-    pub fn observe(&mut self, throughput_ops_per_cycle: f64) -> ProvisionDecision {
-        let prev = self.history.last().copied();
-        self.history.push((self.current, throughput_ops_per_cycle));
-        let Some((prev_ctx, prev_tp)) = prev else {
-            // First observation: probe upward.
-            return self.grow();
-        };
-
-        let gain = if prev_tp > 0.0 {
-            (throughput_ops_per_cycle - prev_tp) / prev_tp
-        } else {
-            1.0
-        };
-        if self.current > prev_ctx {
-            // We grew last epoch: did it pay?
-            if gain >= self.cfg.min_marginal_gain {
-                self.grow()
-            } else {
-                // Not worth it: retreat to the previous size and hold.
-                let back = self.current - prev_ctx;
-                self.current = prev_ctx;
-                ProvisionDecision::Park(back)
-            }
-        } else if gain <= -self.cfg.min_marginal_gain {
-            // Throughput regressed at constant size (load shift): re-probe.
-            self.grow()
-        } else {
-            ProvisionDecision::Keep
-        }
-    }
-
-    fn grow(&mut self) -> ProvisionDecision {
-        let room = self.cfg.max_contexts.saturating_sub(self.current);
-        let add = self.step.min(room);
-        if add == 0 {
-            return ProvisionDecision::Keep;
-        }
-        self.current += add;
-        ProvisionDecision::Add(add)
-    }
-}
-
-/// Outcome of adaptively provisioning a live dyad.
-#[derive(Debug)]
-pub struct LiveProvisionOutcome {
-    /// Contexts provisioned when the controller settled.
-    pub final_contexts: u32,
-    /// (contexts, batch ops/cycle) per epoch.
-    pub history: Vec<(u32, f64)>,
-    /// Final cycle-simulation metrics.
-    pub metrics: duplexity_cpu::dyad::DyadMetrics,
-}
-
-/// Schedule parameters for [`provision_dyad_adaptively`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LiveProvisionSchedule {
-    /// Controller targets.
-    pub provisioner: ProvisionerConfig,
-    /// Contexts activated before the first epoch.
-    pub initial_contexts: u32,
-    /// Cycles per observation epoch.
-    pub epoch_cycles: u64,
-    /// Number of epochs to run.
-    pub epochs: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-/// Drives a [`DyadSim`](duplexity_cpu::dyad::DyadSim) in epochs, feeding the
-/// [`AdaptiveProvisioner`] the observed batch throughput and applying its
-/// decisions: `Add` activates fresh batch threads from `filler_factory`,
-/// `Park` retires ready contexts (§IV's HLT parking).
-///
-/// # Panics
-///
-/// Panics if `epoch_cycles == 0` or `epochs == 0`.
-pub fn provision_dyad_adaptively(
-    cfg: duplexity_cpu::dyad::DyadConfig,
-    master: Box<dyn duplexity_cpu::op::InstructionStream>,
-    mut filler_factory: impl FnMut(usize) -> Box<dyn duplexity_cpu::op::InstructionStream>,
-    schedule: &LiveProvisionSchedule,
-) -> LiveProvisionOutcome {
-    assert!(
-        schedule.epoch_cycles > 0 && schedule.epochs > 0,
-        "need a positive schedule"
-    );
-    let mut dyad = duplexity_cpu::dyad::DyadSim::new(cfg, master);
-    let mut next_id = 0usize;
-    for _ in 0..schedule.initial_contexts {
-        dyad.add_batch_thread(next_id, filler_factory(next_id));
-        next_id += 1;
-    }
-    let mut provisioner = AdaptiveProvisioner::new(schedule.provisioner, schedule.initial_contexts);
-    let mut rng = duplexity_stats::rng::rng_from_seed(schedule.seed);
-    let mut prev_batch_ops = 0u64;
-    for epoch in 1..=schedule.epochs {
-        dyad.run(epoch as u64 * schedule.epoch_cycles, &mut rng);
-        let m = dyad.metrics();
-        let batch_ops = m.filler_retired_on_master + m.lender_retired;
-        let epoch_tp = (batch_ops - prev_batch_ops) as f64 / schedule.epoch_cycles as f64;
-        prev_batch_ops = batch_ops;
-        match provisioner.observe(epoch_tp) {
-            ProvisionDecision::Add(k) => {
-                for _ in 0..k {
-                    dyad.add_batch_thread(next_id, filler_factory(next_id));
-                    next_id += 1;
-                }
-            }
-            ProvisionDecision::Park(k) => {
-                let _ = dyad.park_batch_threads(k as usize);
-            }
-            ProvisionDecision::Keep => {}
-        }
-    }
-    LiveProvisionOutcome {
-        final_contexts: provisioner.current(),
-        history: provisioner.history().to_vec(),
-        metrics: dyad.metrics(),
-    }
 }
 
 #[cfg(test)]
@@ -265,104 +80,5 @@ mod tests {
             assert!(n >= prev, "p={p}: {n} < {prev}");
             prev = n;
         }
-    }
-
-    /// Feed the controller a saturating-throughput curve: it must climb the
-    /// steep part, then stop near the knee and park the overshoot.
-    #[test]
-    fn adaptive_finds_the_knee() {
-        let cfg = ProvisionerConfig::default();
-        let mut p = AdaptiveProvisioner::new(cfg, 8);
-        // Synthetic dyad response: throughput saturates at ~24 contexts.
-        let response = |n: u32| 3.2 * (1.0 - (-(n as f64) / 10.0).exp());
-        let mut parked = false;
-        for _ in 0..16 {
-            let decision = p.observe(response(p.current()));
-            if matches!(decision, ProvisionDecision::Park(_)) {
-                parked = true;
-                break;
-            }
-        }
-        assert!(parked, "controller never stopped growing");
-        assert!(
-            (16..=40).contains(&p.current()),
-            "settled at {} contexts",
-            p.current()
-        );
-    }
-
-    #[test]
-    fn adaptive_respects_budget() {
-        let cfg = ProvisionerConfig {
-            max_contexts: 12,
-            ..ProvisionerConfig::default()
-        };
-        let mut p = AdaptiveProvisioner::new(cfg, 8);
-        for _ in 0..10 {
-            // Linear response: always worth growing — but capped.
-            let _ = p.observe(p.current() as f64);
-        }
-        assert!(p.current() <= 12);
-    }
-
-    #[test]
-    fn adaptive_reprobes_after_regression() {
-        let cfg = ProvisionerConfig::default();
-        let mut p = AdaptiveProvisioner::new(cfg, 8);
-        let _ = p.observe(2.0); // initial probe -> Add
-        let _ = p.observe(1.9); // growth did not pay -> Park back to 8
-        assert_eq!(p.current(), 8);
-        // A big drop at constant size (e.g. stall profile shift) re-probes.
-        let d = p.observe(1.0);
-        assert!(matches!(d, ProvisionDecision::Add(_)), "got {d:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "bad initial context count")]
-    fn rejects_zero_initial() {
-        let _ = AdaptiveProvisioner::new(ProvisionerConfig::default(), 0);
-    }
-
-    /// End-to-end: adaptively provisioning a live Duplexity dyad grows the
-    /// pool beyond its starting size and ends with healthy batch throughput.
-    #[test]
-    fn live_provisioning_grows_a_starved_dyad() {
-        use duplexity_cpu::dyad::DyadConfig;
-        use duplexity_cpu::request::RequestStream;
-        use duplexity_workloads::graph::FillerFactory;
-        use duplexity_workloads::Workload;
-
-        let cfg = DyadConfig::duplexity();
-        let w = Workload::McRouter;
-        let master = RequestStream::open_loop(
-            w.kernel(3),
-            0.5,
-            w.nominal_service_us(),
-            cfg.machine.cycles_per_us(),
-        );
-        let fillers = FillerFactory::paper(3);
-        let outcome = provision_dyad_adaptively(
-            cfg,
-            Box::new(master),
-            |id| fillers.stream(id),
-            &LiveProvisionSchedule {
-                provisioner: ProvisionerConfig::default(),
-                initial_contexts: 4, // deliberately starved start
-                epoch_cycles: 250_000,
-                epochs: 10,
-                seed: 9,
-            },
-        );
-        assert!(
-            outcome.final_contexts > 4,
-            "controller never grew: {:?}",
-            outcome.history
-        );
-        assert!(outcome.metrics.filler_retired_on_master > 0);
-        assert!(outcome.history.len() == 10);
-        // Throughput at the end beats the starved first epoch.
-        let first = outcome.history.first().unwrap().1;
-        let last = outcome.history.last().unwrap().1;
-        assert!(last > first, "no improvement: {first} -> {last}");
     }
 }

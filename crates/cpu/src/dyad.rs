@@ -356,21 +356,6 @@ impl DyadSim {
         self.pool.add(crate::pool::VirtualContext::new(id, stream));
     }
 
-    /// Parks up to `k` ready virtual contexts (removes them from
-    /// circulation, as §IV's HLT-parking of unused contexts). Returns how
-    /// many were actually parked; running or stalled contexts are not
-    /// touched.
-    pub fn park_batch_threads(&mut self, k: usize) -> usize {
-        let mut parked = 0;
-        while parked < k {
-            if self.pool.take().is_none() {
-                break;
-            }
-            parked += 1;
-        }
-        parked
-    }
-
     /// Pins a dedicated filler thread to the master-core's in-order engine
     /// (plain MorphCore only).
     ///

@@ -33,16 +33,15 @@
 
 use crate::event::{Event, EventKind};
 use crate::latency::LatencyDist;
-use duplexity_stats::rng::{rng_from_seed, SimRng};
+use duplexity_stats::rng::SimRng;
 use rand::RngExt;
 
 /// Why [`FaultPlan::effective_moments`] has no closed form for a plan.
 ///
 /// The duplicate-and-race winning-leg law is only tractable when the min of
 /// two i.i.d. legs stays in the same family — true for exponentials, false
-/// in general. Plans outside that regime get a typed error (and can fall
-/// back to [`FaultPlan::effective_moments_mc`]) instead of a panic, so one
-/// exotic preset cannot abort a whole sweep grid.
+/// in general. Plans outside that regime get a typed error instead of a
+/// panic, so one exotic preset cannot abort a whole sweep grid.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MomentsError {
     /// Duplicate-and-race with a non-exponential leg law.
@@ -304,9 +303,7 @@ impl FaultPlan {
     /// Returns a [`MomentsError`] for plans whose winning-leg law has no
     /// closed form here: duplicate-and-race requires exponential legs and
     /// no slow-replica mode (the min of two i.i.d. exponentials stays
-    /// exponential; the min of arbitrary laws does not). Callers that just
-    /// need numbers can fall back to
-    /// [`FaultPlan::effective_moments_or_mc`].
+    /// exponential; the min of arbitrary laws does not).
     pub fn effective_moments(&self, leg: &LatencyDist) -> Result<(f64, f64), MomentsError> {
         // Per-successful-attempt winning-leg moments m1, m2 and per-attempt
         // failure probability r.
@@ -346,39 +343,6 @@ impl FaultPlan {
             return Ok((0.0, 0.0));
         }
         Ok((et, ((et2 - et * et) / (et * et)).max(0.0)))
-    }
-
-    /// Seeded Monte-Carlo estimate of the effective event mean and SCV:
-    /// `samples` events through [`FaultPlan::sample_event`] on a private
-    /// RNG derived from `seed`. Works for *every* plan/leg combination,
-    /// deterministically — the fallback when [`FaultPlan::effective_moments`]
-    /// has no closed form.
-    #[must_use]
-    pub fn effective_moments_mc(&self, leg: &LatencyDist, seed: u64, samples: u32) -> (f64, f64) {
-        let n = samples.max(1);
-        let mut rng = rng_from_seed(seed);
-        let mut sum = 0.0f64;
-        let mut sum2 = 0.0f64;
-        for _ in 0..n {
-            let ev = self.sample_event(EventKind::RemoteMemory, &mut rng, |r| leg.sample(r));
-            sum += ev.latency_us;
-            sum2 += ev.latency_us * ev.latency_us;
-        }
-        let mean = sum / f64::from(n);
-        if mean <= 0.0 {
-            return (0.0, 0.0);
-        }
-        let var = (sum2 / f64::from(n) - mean * mean).max(0.0);
-        (mean, var / (mean * mean))
-    }
-
-    /// The closed form when it exists, otherwise the seeded Monte-Carlo
-    /// fallback (2²⁰ samples) — never panics, so sweep grids can mix
-    /// exotic duplicate presets with tractable ones.
-    #[must_use]
-    pub fn effective_moments_or_mc(&self, leg: &LatencyDist, seed: u64) -> (f64, f64) {
-        self.effective_moments(leg)
-            .unwrap_or_else(|_| self.effective_moments_mc(leg, seed, 1 << 20))
     }
 
     /// Conservative upper bound on the effective mean latency for legs with
@@ -596,53 +560,5 @@ mod tests {
             .effective_moments(&LatencyDist::Exponential { mean_us: 1.0 })
             .unwrap_err();
         assert_eq!(err, MomentsError::SlowDuplicate);
-    }
-
-    #[test]
-    fn mc_fallback_matches_closed_form_where_both_exist() {
-        let plan = FaultPlan::none()
-            .with_drop(0.2)
-            .with_retry(RetryPolicy::new(4, 5.0, 1.0, 8.0));
-        let leg = LatencyDist::Exponential { mean_us: 2.0 };
-        let (mean, scv) = plan.effective_moments(&leg).unwrap();
-        let (mc_mean, mc_scv) = plan.effective_moments_mc(&leg, 0xFA11, 1 << 18);
-        assert!(
-            (mc_mean - mean).abs() / mean < 0.03,
-            "mc {mc_mean} vs closed {mean}"
-        );
-        assert!(
-            (mc_scv - scv).abs() / scv < 0.08,
-            "mc {mc_scv} vs closed {scv}"
-        );
-        // Determinism: same seed, same estimate.
-        assert_eq!(
-            plan.effective_moments_mc(&leg, 0xFA11, 1 << 18),
-            (mc_mean, mc_scv)
-        );
-    }
-
-    #[test]
-    fn or_mc_never_panics_on_exotic_duplicate_plans() {
-        // The exact case that used to abort a sweep: duplicate-and-race
-        // over a non-exponential leg law.
-        let plan = FaultPlan::none()
-            .with_drop(0.1)
-            .with_duplicate()
-            .with_retry(RetryPolicy::new(3, 6.0, 1.0, 8.0));
-        let leg = LatencyDist::rpc_leaf();
-        let (mean, scv) = plan.effective_moments_or_mc(&leg, 0xFA12);
-        assert!(mean > 0.0 && mean.is_finite());
-        assert!(scv >= 0.0 && scv.is_finite());
-        // Duplication can only shorten the winning leg, and retries only
-        // add time, so the mean stays below the retry-free single-leg mean
-        // plus the worst-case retry charge.
-        assert!(mean <= plan.effective_mean_bound_us(leg.mean_us()) + 1e-9);
-        // Closed-form plans route through the exact path (no MC noise).
-        let exact_plan = FaultPlan::none().with_drop(0.2);
-        let exact_leg = LatencyDist::Exponential { mean_us: 2.0 };
-        assert_eq!(
-            exact_plan.effective_moments_or_mc(&exact_leg, 1),
-            exact_plan.effective_moments(&exact_leg).unwrap()
-        );
     }
 }

@@ -4,81 +4,8 @@
 //! nodes and wait for the responses": a request completes only when the
 //! *slowest* of its `k` leaves answers, so leaf-latency tails are amplified
 //! by order statistics. This module extends the paper's single-leaf McRouter
-//! model with the max-of-`k` wait, both analytically (for exponential
-//! leaves) and by sampling (for any leaf distribution), so fan-out scenarios
-//! can be fed into the same M/G/1 machinery as everything else.
-
-use duplexity_stats::dist::Distribution;
-use duplexity_stats::rng::SimRng;
-
-/// A synchronous fan-out stage: the caller waits for the slowest of `leaves`
-/// independent leaf responses.
-#[derive(Debug)]
-pub struct FanOut<D> {
-    leaves: usize,
-    leaf_latency: D,
-}
-
-impl<D: Distribution> FanOut<D> {
-    /// Creates a fan-out of `leaves` parallel requests with iid latencies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaves == 0`.
-    #[must_use]
-    pub fn new(leaves: usize, leaf_latency: D) -> Self {
-        assert!(leaves > 0, "fan-out needs at least one leaf");
-        Self {
-            leaves,
-            leaf_latency,
-        }
-    }
-
-    /// Number of leaves.
-    #[must_use]
-    pub fn leaves(&self) -> usize {
-        self.leaves
-    }
-
-    /// Samples the wait: the maximum of `leaves` leaf latencies.
-    pub fn sample_wait(&self, rng: &mut SimRng) -> f64 {
-        (0..self.leaves)
-            .map(|_| self.leaf_latency.sample(rng))
-            .fold(0.0, f64::max)
-    }
-
-    /// Monte-Carlo estimate of the mean wait over `samples` draws.
-    pub fn mean_wait_estimate(&self, rng: &mut SimRng, samples: usize) -> f64 {
-        (0..samples.max(1))
-            .map(|_| self.sample_wait(rng))
-            .sum::<f64>()
-            / samples.max(1) as f64
-    }
-}
-
-/// Analytic mean of the maximum of `k` iid exponential latencies with the
-/// given mean: `mean * H_k` (the k-th harmonic number).
-///
-/// # Examples
-///
-/// ```
-/// use duplexity_queueing::fanout::exponential_fanout_mean;
-///
-/// // One leaf: just the mean. 100 leaves: ~5.19x amplification.
-/// assert_eq!(exponential_fanout_mean(1.0, 1), 1.0);
-/// let amp = exponential_fanout_mean(1.0, 100);
-/// assert!((amp - 5.19).abs() < 0.01);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `k == 0` or `mean <= 0`.
-#[must_use]
-pub fn exponential_fanout_mean(mean: f64, k: usize) -> f64 {
-    assert!(k > 0, "fan-out needs at least one leaf");
-    assert!(mean > 0.0, "mean must be positive");
-    mean * (1..=k).map(|i| 1.0 / i as f64).sum::<f64>()
-}
+//! model with the closed-form quantiles of the max-of-`k` wait for
+//! exponential leaves. For any other leaf law, sample the max of `k` draws.
 
 /// Analytic `q`-quantile of the maximum of `k` iid exponential latencies:
 /// invert `F(t)^k = q`.
@@ -107,33 +34,22 @@ pub fn tail_amplification(k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use duplexity_stats::dist::{Deterministic, Exponential, Uniform};
+    use duplexity_stats::dist::{Distribution, Exponential};
     use duplexity_stats::rng::rng_from_seed;
 
     #[test]
     fn single_leaf_is_identity() {
-        assert!((exponential_fanout_mean(3.0, 1) - 3.0).abs() < 1e-12);
         let p99 = exponential_fanout_quantile(1.0, 1, 0.99);
         assert!((p99 - 100.0_f64.ln()).abs() < 1e-9);
     }
 
     #[test]
-    fn monte_carlo_matches_harmonic_mean() {
-        let f = FanOut::new(100, Exponential::new(1.0));
-        let mut rng = rng_from_seed(1);
-        let est = f.mean_wait_estimate(&mut rng, 20_000);
-        let analytic = exponential_fanout_mean(1.0, 100);
-        assert!(
-            (est - analytic).abs() / analytic < 0.03,
-            "mc {est} vs analytic {analytic}"
-        );
-    }
-
-    #[test]
     fn quantile_matches_sampling() {
-        let f = FanOut::new(16, Exponential::new(2.0));
+        let leaf = Exponential::new(2.0);
         let mut rng = rng_from_seed(2);
-        let mut samples: Vec<f64> = (0..40_000).map(|_| f.sample_wait(&mut rng)).collect();
+        let mut samples: Vec<f64> = (0..40_000)
+            .map(|_| (0..16).map(|_| leaf.sample(&mut rng)).fold(0.0, f64::max))
+            .collect();
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let p99_mc = samples[(samples.len() as f64 * 0.99) as usize];
         let p99 = exponential_fanout_quantile(2.0, 16, 0.99);
@@ -150,27 +66,5 @@ mod tests {
         assert!(a100 > a10);
         // But sub-linearly: 100x leaves is nowhere near 100x tail.
         assert!(a100 < 3.0, "a100 {a100}");
-    }
-
-    #[test]
-    fn deterministic_leaves_do_not_amplify() {
-        let f = FanOut::new(64, Deterministic::new(4.0));
-        let mut rng = rng_from_seed(3);
-        assert_eq!(f.sample_wait(&mut rng), 4.0);
-    }
-
-    #[test]
-    fn bounded_leaves_max_out_near_the_bound() {
-        // The paper's 3-5µs leaf band: wide fan-out pushes the wait to ~5µs.
-        let f = FanOut::new(100, Uniform::new(3.0, 5.0));
-        let mut rng = rng_from_seed(4);
-        let est = f.mean_wait_estimate(&mut rng, 5_000);
-        assert!((4.9..5.0).contains(&est), "est {est}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one leaf")]
-    fn rejects_zero_leaves() {
-        let _ = FanOut::new(0, Deterministic::new(1.0));
     }
 }

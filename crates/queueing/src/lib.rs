@@ -16,9 +16,9 @@
 //!   latencies and idle-period distributions: one loop behind three
 //!   entry points (untraced, traced, and with a fault plan), all returning
 //!   `Err(`[`Unstable`]`)` on a saturated queue;
-//! * [`fanout`] — max-of-k leaf waits for mid-tier fan-out scenarios
-//!   ("tail at scale"), an extension beyond the paper's single-leaf
-//!   McRouter model;
+//! * [`fanout`] — closed-form quantiles of max-of-k exponential leaf
+//!   waits for mid-tier fan-out scenarios ("tail at scale"), an extension
+//!   beyond the paper's single-leaf McRouter model;
 //! * [`cluster`] — the n-server load-balanced farm (Random / RoundRobin /
 //!   JSQ / power-of-d / least-work balancers over per-server FCFS queues),
 //!   scaling the single dyad to the paper's server-level results: the
@@ -63,7 +63,7 @@ pub use des::{
     try_simulate_mg1, try_simulate_mg1_faulted, try_simulate_mg1_traced, FaultTally, Mg1Options,
     Mg1Result, Unstable,
 };
-pub use fanout::{exponential_fanout_mean, exponential_fanout_quantile, FanOut};
+pub use fanout::exponential_fanout_quantile;
 pub use mg1::{idle_period_cdf, mean_idle_period_us, Mg1Analytic};
 pub use mmk::{Mm1PriorityAnalytic, MmkAnalytic};
 pub use rack::{try_simulate_rack, Coordination, RackPlan, RackTally, StealPolicy};

@@ -234,129 +234,6 @@ impl Distribution for LogNormal {
     }
 }
 
-/// Bounded Pareto distribution on `[low, high]` with shape `alpha`.
-///
-/// The canonical heavy-tailed service-time model in the data-center queueing
-/// literature (Harchol-Balter, cited as \[69\] in the paper).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundedPareto {
-    low: f64,
-    high: f64,
-    alpha: f64,
-}
-
-impl BoundedPareto {
-    /// Creates a bounded Pareto on `[low, high]` with tail index `alpha`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low <= 0`, `high <= low`, or `alpha <= 0`.
-    #[must_use]
-    pub fn new(low: f64, high: f64, alpha: f64) -> Self {
-        assert!(low > 0.0, "low must be positive");
-        assert!(high > low, "high must exceed low");
-        assert!(alpha > 0.0, "alpha must be positive");
-        Self { low, high, alpha }
-    }
-
-    fn raw_moment(&self, k: f64) -> f64 {
-        let (l, h, a) = (self.low, self.high, self.alpha);
-        if (a - k).abs() < 1e-12 {
-            // Degenerate case: E[X^k] for alpha == k.
-            a * l.powf(a) * (h / l).ln() / (1.0 - (l / h).powf(a))
-        } else {
-            a * l.powf(a) / (1.0 - (l / h).powf(a)) * (h.powf(k - a) - l.powf(k - a)) / (k - a)
-        }
-    }
-}
-
-impl Distribution for BoundedPareto {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        // Inverse CDF: X = L / (1 - U (1 - (L/H)^a))^(1/a).
-        let u: f64 = rng.random();
-        let (l, h, a) = (self.low, self.high, self.alpha);
-        let lh = (l / h).powf(a);
-        (l / (1.0 - u * (1.0 - lh)).powf(1.0 / a)).clamp(l, h)
-    }
-
-    fn mean(&self) -> f64 {
-        self.raw_moment(1.0)
-    }
-
-    fn scv(&self) -> Option<f64> {
-        let m1 = self.raw_moment(1.0);
-        let m2 = self.raw_moment(2.0);
-        Some((m2 - m1 * m1) / (m1 * m1))
-    }
-}
-
-/// Erlang-k distribution: the sum of `k` iid exponentials.
-///
-/// The low-variability complement to [`Hyperexponential`]: its squared
-/// coefficient of variation is `1/k`, so pipelines of sequential µs-scale
-/// steps (parse, hash, route) fit it naturally.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Erlang {
-    k: u32,
-    stage_mean: f64,
-}
-
-impl Erlang {
-    /// Creates an Erlang-`k` with total mean `mean`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or `mean <= 0`.
-    #[must_use]
-    pub fn new(k: u32, mean: f64) -> Self {
-        assert!(k > 0, "k must be positive");
-        assert!(mean > 0.0 && mean.is_finite(), "mean must be positive");
-        Self {
-            k,
-            stage_mean: mean / f64::from(k),
-        }
-    }
-
-    /// Two-moment fit for `scv <= 1`: picks `k = round(1/scv)` (at least 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean <= 0` or `scv <= 0` or `scv > 1`.
-    #[must_use]
-    pub fn from_mean_scv(mean: f64, scv: f64) -> Self {
-        assert!(mean > 0.0, "mean must be positive");
-        assert!(scv > 0.0 && scv <= 1.0, "Erlang requires 0 < scv <= 1");
-        let k = (1.0 / scv).round().max(1.0) as u32;
-        Self::new(k, mean)
-    }
-
-    /// Number of stages.
-    #[must_use]
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-}
-
-impl Distribution for Erlang {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        // Product-of-uniforms method: -stage_mean * ln(prod u_i).
-        let mut prod: f64 = 1.0;
-        for _ in 0..self.k {
-            let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-            prod *= u;
-        }
-        -self.stage_mean * prod.ln()
-    }
-
-    fn mean(&self) -> f64 {
-        self.stage_mean * f64::from(self.k)
-    }
-
-    fn scv(&self) -> Option<f64> {
-        Some(1.0 / f64::from(self.k))
-    }
-}
-
 /// Two-phase hyperexponential distribution.
 ///
 /// With probability `p` samples from an exponential of mean `mean1`, otherwise
@@ -424,110 +301,6 @@ impl Distribution for Hyperexponential {
         let m1 = self.mean();
         let m2 = self.p * 2.0 * self.first.mean().powi(2)
             + (1.0 - self.p) * 2.0 * self.second.mean().powi(2);
-        Some((m2 - m1 * m1) / (m1 * m1))
-    }
-}
-
-/// Shifts another distribution right by a constant offset.
-///
-/// Models "fixed compute + random stall" service structures, e.g. RSC's 3µs
-/// lookup followed by an Optane access.
-#[derive(Debug)]
-pub struct Shifted<D> {
-    offset: f64,
-    inner: D,
-}
-
-impl<D: Distribution> Shifted<D> {
-    /// Wraps `inner`, adding `offset` to every sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset` is negative or non-finite.
-    #[must_use]
-    pub fn new(offset: f64, inner: D) -> Self {
-        assert!(offset >= 0.0 && offset.is_finite(), "offset must be >= 0");
-        Self { offset, inner }
-    }
-}
-
-impl<D: Distribution> Distribution for Shifted<D> {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.offset + self.inner.sample(rng)
-    }
-
-    fn mean(&self) -> f64 {
-        self.offset + self.inner.mean()
-    }
-
-    fn scv(&self) -> Option<f64> {
-        // Var unchanged by shift; SCV rescales with the new mean.
-        let inner_scv = self.inner.scv()?;
-        let inner_mean = self.inner.mean();
-        let var = inner_scv * inner_mean * inner_mean;
-        let m = self.mean();
-        Some(var / (m * m))
-    }
-}
-
-/// Finite mixture of boxed distributions with given weights.
-#[derive(Debug)]
-pub struct Mixture {
-    components: Vec<(f64, DynDistribution)>,
-}
-
-impl Mixture {
-    /// Creates a mixture; weights are normalized to sum to 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `components` is empty or any weight is negative, or if all
-    /// weights are zero.
-    #[must_use]
-    pub fn new(components: Vec<(f64, DynDistribution)>) -> Self {
-        assert!(
-            !components.is_empty(),
-            "mixture needs at least one component"
-        );
-        let total: f64 = components.iter().map(|(w, _)| *w).sum();
-        assert!(total > 0.0, "weights must sum to a positive value");
-        assert!(
-            components.iter().all(|(w, _)| *w >= 0.0),
-            "weights must be non-negative"
-        );
-        let components = components
-            .into_iter()
-            .map(|(w, d)| (w / total, d))
-            .collect();
-        Self { components }
-    }
-}
-
-impl Distribution for Mixture {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        let mut u: f64 = rng.random();
-        for (w, d) in &self.components {
-            if u < *w {
-                return d.sample(rng);
-            }
-            u -= w;
-        }
-        // Floating-point slack: fall through to the last component.
-        self.components.last().expect("non-empty").1.sample(rng)
-    }
-
-    fn mean(&self) -> f64 {
-        self.components.iter().map(|(w, d)| w * d.mean()).sum()
-    }
-
-    fn scv(&self) -> Option<f64> {
-        let m1 = self.mean();
-        let mut m2 = 0.0;
-        for (w, d) in &self.components {
-            let dm = d.mean();
-            let dv = d.scv()? * dm * dm;
-            m2 += w * (dv + dm * dm);
-        }
         Some((m2 - m1 * m1) / (m1 * m1))
     }
 }
@@ -606,96 +379,11 @@ mod tests {
     }
 
     #[test]
-    fn erlang_moments() {
-        let d = Erlang::new(4, 8.0);
-        assert!((d.mean() - 8.0).abs() < 1e-12);
-        assert_eq!(d.scv(), Some(0.25));
-        let m = sample_mean(&d, 200_000, 21);
-        assert!((m - 8.0).abs() < 0.1, "mean {m}");
-    }
-
-    #[test]
-    fn erlang_two_moment_fit() {
-        let d = Erlang::from_mean_scv(5.0, 0.2);
-        assert_eq!(d.k(), 5);
-        assert!((d.mean() - 5.0).abs() < 1e-12);
-        // k=1 degenerates to exponential.
-        let e = Erlang::from_mean_scv(3.0, 1.0);
-        assert_eq!(e.k(), 1);
-        assert_eq!(e.scv(), Some(1.0));
-    }
-
-    #[test]
-    fn erlang_has_lower_spread_than_exponential() {
-        let exp = Exponential::new(4.0);
-        let erl = Erlang::new(8, 4.0);
-        let mut rng = rng_from_seed(22);
-        let spread = |d: &dyn Distribution, rng: &mut crate::rng::SimRng| {
-            let xs: Vec<f64> = (0..20_000).map(|_| d.sample(rng)).collect();
-            let m = xs.iter().sum::<f64>() / xs.len() as f64;
-            xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64
-        };
-        assert!(spread(&erl, &mut rng) < 0.3 * spread(&exp, &mut rng));
-    }
-
-    #[test]
     fn hyperexponential_two_moment_fit() {
         let d = Hyperexponential::from_mean_scv(10.0, 4.0);
         assert!((d.mean() - 10.0).abs() < 1e-9);
         assert!((d.scv().unwrap() - 4.0).abs() < 1e-9);
         let m = sample_mean(&d, 400_000, 5);
         assert!((m - 10.0).abs() < 0.25, "mean {m}");
-    }
-
-    #[test]
-    fn bounded_pareto_stays_in_bounds() {
-        let d = BoundedPareto::new(1.0, 100.0, 1.5);
-        let mut rng = rng_from_seed(6);
-        for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
-            assert!((1.0..=100.0).contains(&x), "sample {x}");
-        }
-    }
-
-    #[test]
-    fn bounded_pareto_mean_close() {
-        let d = BoundedPareto::new(1.0, 1000.0, 2.1);
-        let analytic = d.mean();
-        let empirical = sample_mean(&d, 400_000, 7);
-        assert!(
-            (analytic - empirical).abs() / analytic < 0.05,
-            "analytic {analytic} empirical {empirical}"
-        );
-    }
-
-    #[test]
-    fn shifted_adds_offset() {
-        let d = Shifted::new(3.0, Exponential::new(8.0));
-        assert!((d.mean() - 11.0).abs() < 1e-12);
-        let m = sample_mean(&d, 200_000, 8);
-        assert!((m - 11.0).abs() < 0.15, "mean {m}");
-        let mut rng = rng_from_seed(10);
-        assert!(d.sample(&mut rng) >= 3.0);
-    }
-
-    #[test]
-    fn mixture_mean_is_weighted() {
-        let d = Mixture::new(vec![
-            (1.0, Box::new(Deterministic::new(2.0)) as DynDistribution),
-            (3.0, Box::new(Deterministic::new(6.0)) as DynDistribution),
-        ]);
-        assert!((d.mean() - 5.0).abs() < 1e-12);
-        let m = sample_mean(&d, 100_000, 11);
-        assert!((m - 5.0).abs() < 0.05, "mean {m}");
-    }
-
-    #[test]
-    fn mixture_scv_of_deterministics() {
-        let d = Mixture::new(vec![
-            (0.5, Box::new(Deterministic::new(1.0)) as DynDistribution),
-            (0.5, Box::new(Deterministic::new(3.0)) as DynDistribution),
-        ]);
-        // mean 2, var 1 => scv 0.25
-        assert!((d.scv().unwrap() - 0.25).abs() < 1e-12);
     }
 }

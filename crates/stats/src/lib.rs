@@ -41,8 +41,7 @@ pub mod zipf;
 pub use binomial::Binomial;
 pub use ci::ConfidenceInterval;
 pub use dist::{
-    BoundedPareto, Deterministic, Distribution, DynDistribution, Erlang, Exponential,
-    Hyperexponential, LogNormal, Mixture, Shifted, Uniform,
+    Deterministic, Distribution, DynDistribution, Exponential, Hyperexponential, LogNormal, Uniform,
 };
 pub use histogram::Histogram;
 pub use quantile::QuantileEstimator;

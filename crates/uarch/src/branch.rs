@@ -281,54 +281,6 @@ impl Btb {
     }
 }
 
-/// Return address stack (Table I: 32 entries), with wrap-around overwrite on
-/// overflow as in real hardware.
-#[derive(Debug, Clone)]
-pub struct ReturnAddressStack {
-    stack: Vec<u64>,
-    capacity: usize,
-}
-
-impl ReturnAddressStack {
-    /// Creates a RAS with `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "RAS needs capacity");
-        Self {
-            stack: Vec::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Pushes a return address on a call; overwrites the oldest on overflow.
-    pub fn push(&mut self, addr: u64) {
-        if self.stack.len() == self.capacity {
-            self.stack.remove(0);
-        }
-        self.stack.push(addr);
-    }
-
-    /// Pops the predicted return address, if any.
-    pub fn pop(&mut self) -> Option<u64> {
-        self.stack.pop()
-    }
-
-    /// Current depth.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// Empties the stack.
-    pub fn reset(&mut self) {
-        self.stack.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,17 +367,6 @@ mod tests {
         btb.update(0x40 + 16 * 4, 0x777);
         assert_eq!(btb.lookup(0x40), None);
         assert_eq!(btb.stats().0, 1);
-    }
-
-    #[test]
-    fn ras_lifo_and_overflow() {
-        let mut ras = ReturnAddressStack::new(2);
-        ras.push(1);
-        ras.push(2);
-        ras.push(3); // overwrites oldest (1)
-        assert_eq!(ras.pop(), Some(3));
-        assert_eq!(ras.pop(), Some(2));
-        assert_eq!(ras.pop(), None);
     }
 
     #[test]

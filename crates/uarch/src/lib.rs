@@ -12,7 +12,7 @@
 //!   translations (§III-B2);
 //! * [`branch`] — the tournament (bimodal + gshare + selector) predictor of
 //!   the baseline/master core and the smaller gshare predictor of the
-//!   lender-core, plus BTB and return-address stack;
+//!   lender-core, plus the BTB;
 //! * [`config`] — the Table I microarchitecture configuration and the memory
 //!   latency model.
 //!
@@ -28,7 +28,7 @@ pub mod cache;
 pub mod config;
 pub mod tlb;
 
-pub use branch::{BranchPredictor, Btb, Gshare, ReturnAddressStack, Tournament};
+pub use branch::{BranchPredictor, Btb, Gshare, Tournament};
 pub use cache::{AccessKind, Cache, CacheConfig, CacheStats};
 pub use config::{CoreConfig, LatencyModel, MachineConfig, Table1};
 pub use tlb::{Tlb, TlbStats};

@@ -1,6 +1,6 @@
 //! Property-based tests for caches, TLBs and predictors.
 
-use duplexity_uarch::branch::{BranchPredictor, Btb, Gshare, ReturnAddressStack, Tournament};
+use duplexity_uarch::branch::{BranchPredictor, Btb, Gshare, Tournament};
 use duplexity_uarch::cache::{AccessKind, Cache, CacheConfig};
 use duplexity_uarch::tlb::Tlb;
 use proptest::prelude::*;
@@ -190,18 +190,5 @@ proptest! {
                 prop_assert_eq!(found, tgt, "stale target for {}", pc);
             }
         }
-    }
-
-    /// The RAS is LIFO within its capacity.
-    #[test]
-    fn ras_lifo_within_capacity(addrs in prop::collection::vec(0u64..1 << 30, 1..16)) {
-        let mut ras = ReturnAddressStack::new(32);
-        for &a in &addrs {
-            ras.push(a);
-        }
-        for &a in addrs.iter().rev() {
-            prop_assert_eq!(ras.pop(), Some(a));
-        }
-        prop_assert_eq!(ras.pop(), None);
     }
 }
