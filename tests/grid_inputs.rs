@@ -9,10 +9,10 @@
 //! panicked`. Each case runs at two workers to pin that. A load of `+inf`
 //! is not an input error: it renders a saturated cell.
 //!
-//! Plans get the same up-front check: a duplication plan with zero copies,
-//! and a rack plan with zero dispatchers or tenants, a negative or NaN
-//! staleness, or a NaN tenant skew, panic on the calling thread naming the
-//! driver, instead of inside a pool worker.
+//! Plans get the same up-front check: a duplication plan with zero copies
+//! or a NaN hedge deadline, and a rack plan with zero dispatchers or
+//! tenants, a negative or NaN staleness, or a NaN tenant skew, panic on the
+//! calling thread naming the driver, instead of inside a pool worker.
 //!
 //! Figure 5 checks its loads up front too, before the lender reference and
 //! calibration. Its cycle cells simulate an open-loop master-core, so every
@@ -188,6 +188,29 @@ fn hedge_sweep_rejects_a_zero_copy_plan() {
 fn timeline_rejects_a_zero_copy_plan() {
     let opts = TimelineOptions {
         plan: DuplicationPolicy::duplicate(0),
+        ..timeline_opts(vec![0.3, 0.5])
+    };
+    let _ = timeline(&opts);
+}
+
+#[test]
+#[should_panic(expected = "hedge_sweep: hedge deadline must not be NaN")]
+fn hedge_sweep_rejects_a_nan_deadline() {
+    let opts = HedgeSweepOptions {
+        plans: vec![
+            DuplicationPolicy::none(),
+            DuplicationPolicy::hedge(f64::NAN),
+        ],
+        ..hedge_opts(vec![0.4, 0.5])
+    };
+    let _ = hedge_sweep(&opts);
+}
+
+#[test]
+#[should_panic(expected = "timeline: hedge deadline must not be NaN")]
+fn timeline_rejects_a_nan_deadline() {
+    let opts = TimelineOptions {
+        plan: DuplicationPolicy::hedge(f64::NAN),
         ..timeline_opts(vec![0.3, 0.5])
     };
     let _ = timeline(&opts);
